@@ -22,7 +22,7 @@ from .diagnostics import (
     random_known_unknown_graph,
     zeros_lemma_check,
 )
-from .errors import NumericalError, ValidationError
+from .errors import GraphSplinesError, NumericalError, ValidationError
 from .graphs import (
     cycle_graph,
     fill_distance,
@@ -224,7 +224,7 @@ def _verify_coeff_symmetry(args):
         coeffs = basis.coefficients
         asym = float(np.abs(coeffs - coeffs.T).max())
 
-        lam = decomposition.eigenvalues**2.0
+        lam = decomposition.eigenvalue_powers(2.0)
         hat = decomposition.eigenvectors.T @ basis.columns
         gram = hat.T @ (lam[:, None] * hat)
         mismatch = float(np.abs(gram - coeffs).max())
@@ -459,12 +459,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args) or 0
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except GraphSplinesError as exc:
+        label = "numerical failure" if isinstance(exc, NumericalError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return NumericalError.exit_code
     except (FileNotFoundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

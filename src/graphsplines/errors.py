@@ -94,7 +94,12 @@ class FullVertexSet(ValidationError):
 # --- interpolation -----------------------------------------------------------
 
 class SingularSystem(NumericalError):
-    """Augmented interpolation matrix is numerically rank deficient."""
+    """Augmented interpolation matrix is numerically rank deficient.
+
+    Raised when LAPACK's symmetric-indefinite factorization meets an exactly
+    zero pivot, or when its reciprocal condition estimate (1-norm) is below
+    machine epsilon, the threshold at which LAPACK's own drivers warn.
+    """
 
 
 class InconsistentDimensions(ValidationError):

@@ -10,8 +10,11 @@ The coefficients solve the bordered symmetric system
 
 with ``Phi~`` the kernel submatrix on the nodes and ``v0~`` the kernel
 eigenvector restricted to them; the last row is the side condition that makes
-``beta`` orthogonal to ``v0~``. One factorization of the bordered matrix is
-reused for all right-hand sides (the Lagrange basis needs one per node).
+``beta`` orthogonal to ``v0~``. Each call builds this matrix for its node set
+and solves it with one LAPACK symmetric-indefinite solve (``dsysv``) carrying
+every right-hand side (the Lagrange basis needs one per node). A system whose
+reciprocal condition estimate is below machine epsilon is refused with
+:class:`SingularSystem`.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -30,66 +33,6 @@ from .errors import (
 )
 from .graphs import WeightedGraph
 from .spectral import KernelMatrix, SpectralDecomposition
-
-PIVOT_RATIO_FLOOR = 1e-12
-
-
-def _block_pivot_magnitudes(d: np.ndarray) -> np.ndarray:
-    """Eigenvalue magnitudes of the 1x1 / 2x2 pivot blocks of an LDL^T factor."""
-    n = d.shape[0]
-    mags = []
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i, i + 1] != 0.0:
-            a, b, c = d[i, i], d[i, i + 1], d[i + 1, i + 1]
-            disc = np.sqrt(max((a - c) ** 2 + 4 * b * b, 0.0))
-            mags.append(abs((a + c + disc) / 2.0))
-            mags.append(abs((a + c - disc) / 2.0))
-            i += 2
-        else:
-            mags.append(abs(d[i, i]))
-            i += 1
-    return np.asarray(mags)
-
-
-class SymmetricIndefiniteSolver:
-    """LDL^T factorization with pivoting, reusable across right-hand sides."""
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
-        self._matrix = matrix
-        lu, d, perm = scipy.linalg.ldl(matrix, lower=True)
-        pivots = _block_pivot_magnitudes(d)
-        largest = pivots.max() if pivots.size else 0.0
-        if largest == 0.0 or pivots.min() < PIVOT_RATIO_FLOOR * largest:
-            ratio = 0.0 if largest == 0.0 else pivots.min() / largest
-            raise SingularSystem(f"pivot ratio {ratio:.3e} below {PIVOT_RATIO_FLOOR:.0e}")
-        self._perm = perm
-        self._lower = lu[perm, :]
-        # d is block diagonal, hence tridiagonal; store it banded for O(n) solves
-        n = d.shape[0]
-        ab = np.zeros((3, n))
-        ab[0, 1:] = np.diagonal(d, 1)
-        ab[1, :] = np.diagonal(d)
-        ab[2, :-1] = np.diagonal(d, -1)
-        self._banded = ab
-
-    def _solve_factored(self, b: np.ndarray) -> np.ndarray:
-        bp = b[self._perm]
-        y = scipy.linalg.solve_triangular(self._lower, bp, lower=True, unit_diagonal=True)
-        z = scipy.linalg.solve_banded((1, 1), self._banded, y)
-        w = scipy.linalg.solve_triangular(self._lower.T, z, lower=False, unit_diagonal=True)
-        x = np.empty_like(w)
-        x[self._perm] = w
-        return x
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve with one step of iterative refinement."""
-        b = np.asarray(b, dtype=float)
-        x = self._solve_factored(b)
-        x += self._solve_factored(b - self._matrix @ x)
-        return x
-
 
 @dataclass
 class InterpolationProblem:
@@ -131,35 +74,40 @@ class Interpolant:
     nodes: np.ndarray
 
 
-class _BorderedSystem:
-    """Factored bordered kernel system for a fixed node set."""
+def _solve_bordered(
+    kernel: KernelMatrix, decomposition: SpectralDecomposition, nodes: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the bordered system on ``nodes`` for one or many value columns.
 
-    def __init__(self, kernel: KernelMatrix, decomposition: SpectralDecomposition, nodes: np.ndarray):
-        nodes = np.asarray(nodes, dtype=int)
-        m = nodes.size
-        A = np.zeros((m + 1, m + 1))
-        A[:m, :m] = kernel.matrix[np.ix_(nodes, nodes)]
-        A[:m, m] = decomposition.kernel_vector[nodes]
-        A[m, :m] = A[:m, m]
-        self.nodes = nodes
-        self.solver = SymmetricIndefiniteSolver(A)
-
-    def solve(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (coefficients, constants) for one or many value columns."""
-        values = np.asarray(values, dtype=float)
-        single = values.ndim == 1
-        cols = values[:, None] if single else values
-        sol = self.solver.solve(np.vstack([cols, np.zeros((1, cols.shape[1]))]))
-        beta, constant = sol[:-1], sol[-1]
-        if single:
-            return beta[:, 0], constant[0]
-        return beta, constant
+    Returns ``(coefficients, constants)``: a vector and a float for a vector of
+    values, or one column / entry per column of a matrix of values. All
+    right-hand sides go through one LAPACK symmetric-indefinite solve.
+    """
+    values = np.asarray(values, dtype=float)
+    m = nodes.size
+    A = np.zeros((m + 1, m + 1))
+    A[:m, :m] = kernel.matrix[np.ix_(nodes, nodes)]
+    A[:m, m] = A[m, :m] = decomposition.kernel_vector[nodes]
+    rhs = np.zeros((m + 1, 1 if values.ndim == 1 else values.shape[1]))
+    rhs[:m] = values.reshape(m, -1)
+    anorm = np.linalg.norm(A, 1)
+    lwork, _ = lapack.dsysv_lwork(m + 1)
+    factor, ipiv, sol, info = lapack.dsysv(A, rhs, lwork=int(lwork), overwrite_a=True, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"dsysv: illegal value in argument {-info}")
+    if info > 0:
+        raise SingularSystem(f"exactly singular pivot at row {info}")
+    rcond, _ = lapack.dsycon(factor, ipiv, anorm)
+    if rcond < np.finfo(float).eps:
+        raise SingularSystem(f"reciprocal condition estimate {rcond:.3e} below machine epsilon")
+    if values.ndim == 1:
+        return sol[:-1, 0], sol[-1, 0]
+    return sol[:-1], sol[-1]
 
 
 def solve_interpolant(p: InterpolationProblem) -> Interpolant:
     """Solve the bordered system for one data vector."""
-    system = _BorderedSystem(p.kernel, p.decomposition, p.nodes)
-    beta, constant = system.solve(p.values)
+    beta, constant = _solve_bordered(p.kernel, p.decomposition, p.nodes, p.values)
     return Interpolant(constant=float(constant), coefficients=beta, alpha=p.kernel.alpha, nodes=p.nodes)
 
 
@@ -182,10 +130,7 @@ def native_semi_inner_product(
         raise DimensionMismatch("function lengths do not match the vertex count")
     if alpha == 0:
         return float(f @ g)
-    scale = np.zeros(s.n)
-    positive = s.eigenvalues > 0
-    scale[positive] = s.eigenvalues[positive] ** alpha
-    return float((s.eigenvectors.T @ f) @ (scale * (s.eigenvectors.T @ g)))
+    return float((s.eigenvectors.T @ f) @ (s.eigenvalue_powers(alpha) * (s.eigenvectors.T @ g)))
 
 
 @dataclass(frozen=True)
@@ -252,8 +197,7 @@ def lagrange_basis(
     nodes = np.asarray(nodes, dtype=int)
     if nodes.size == 0:
         raise InconsistentDimensions("node set is empty")
-    system = _BorderedSystem(kernel, decomposition, nodes)
-    beta, constants = system.solve(np.eye(nodes.size))
+    beta, constants = _solve_bordered(kernel, decomposition, nodes, np.eye(nodes.size))
     columns = kernel.matrix[:, nodes] @ beta + np.outer(decomposition.kernel_vector, constants)
     return LagrangeBasis(
         graph=graph,
@@ -311,7 +255,6 @@ def local_lagrange(
         raise ValueError(f"center {center} must be one of the interpolation nodes")
     config = LocalLagrangeConfig(center=center, radius=radius)
     neighborhood = config.nodes_within(graph, nodes)
-    system = _BorderedSystem(kernel, decomposition, neighborhood)
     cardinal = (neighborhood == center).astype(float)
-    beta, constant = system.solve(cardinal)
+    beta, constant = _solve_bordered(kernel, decomposition, neighborhood, cardinal)
     return kernel.matrix[:, neighborhood] @ beta + constant * decomposition.kernel_vector

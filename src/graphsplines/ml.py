@@ -20,7 +20,7 @@ from .errors import (
     ZeroVarianceColumn,
 )
 from .graphs import WeightedGraph, complement, knn_graph
-from .interpolation import _BorderedSystem
+from .interpolation import _solve_bordered
 from .spectral import (
     KernelMatrix,
     LaplacianKind,
@@ -139,13 +139,27 @@ def nnr_predict(g: WeightedGraph, known: Sequence[int], values: np.ndarray, quer
     own = np.flatnonzero(known == query)
     if own.size:
         return float(values[own[0]])
-    weights = g.weights[query, known]
-    total = weights.sum()
-    base = values.mean()
-    if total == 0.0:
-        return float(base)
+    preds, _ = _nnr_predictions(g, known, values[:, None], np.array([query]))
+    return float(preds[0, 0])
+
+
+def _nnr_predictions(
+    g: WeightedGraph, known: np.ndarray, known_values: np.ndarray, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted average of the known neighbors of each query vertex.
+
+    ``known_values`` has one row per known vertex and one column per target.
+    Returns the predictions (one row per query) and the mask of queries with
+    no known neighbor, which get the column means of the known values.
+    """
+    weights = g.weights[np.ix_(queries, known)]
+    totals = weights.sum(axis=1)
+    isolated = totals == 0.0
+    base = known_values.mean(axis=0)
     # centered form: exact for constant data and better conditioned generally
-    return float(base + weights @ (values - base) / total)
+    preds = base + weights @ (known_values - base) / np.where(isolated, 1.0, totals)[:, None]
+    preds[isolated] = base
+    return preds, isolated
 
 
 def spline_regress(
@@ -172,8 +186,7 @@ def spline_regress(
     unknown = complement(g, known)
     if unknown.size == 0:
         return values[:0].copy()
-    system = _BorderedSystem(kernel, decomposition, known)
-    beta, constant = system.solve(values)
+    beta, constant = _solve_bordered(kernel, decomposition, known, values)
     return kernel.matrix[np.ix_(unknown, known)] @ beta + np.multiply.outer(
         decomposition.kernel_vector[unknown], constant
     )
@@ -252,14 +265,8 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
             preds = spline_regress(g, known, known_values, cfg.alpha, decomposition, kernel)
             fold_mse["spline"][fi] = ((preds - truth) ** 2).mean(axis=0)
 
-            weights = g.weights[np.ix_(unknown, known)]
-            totals = weights.sum(axis=1)
-            isolated = totals == 0.0
+            nnr, isolated = _nnr_predictions(g, known, known_values, unknown)
             fallbacks += int(isolated.sum())
-            safe = np.where(isolated, 1.0, totals)
-            base = known_values.mean(axis=0)
-            nnr = base + weights @ (known_values - base) / safe[:, None]
-            nnr[isolated] = base
             fold_mse["nnr"][fi] = ((nnr - truth) ** 2).mean(axis=0)
         for method in repeat_mse:
             repeat_mse[method][r] = fold_mse[method].mean(axis=0)

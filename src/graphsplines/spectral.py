@@ -82,11 +82,15 @@ class SpectralDecomposition:
             raise DimensionMismatch(f"function has length {f.shape[0]}, graph has {self.n} vertices")
         if power == 0:
             return f.copy()
+        coeffs = self.eigenvectors.T @ f
+        return self.eigenvectors @ (self.eigenvalue_powers(power) * coeffs)
+
+    def eigenvalue_powers(self, power: float) -> np.ndarray:
+        """``lambda_k ** power`` on the positive eigenvalues and 0 on the kernel."""
         scale = np.zeros(self.n)
         positive = self.eigenvalues > 0
         scale[positive] = self.eigenvalues[positive] ** power
-        coeffs = self.eigenvectors.T @ f
-        return self.eigenvectors @ (scale * coeffs)
+        return scale
 
 
 @dataclass
@@ -161,10 +165,7 @@ def pseudo_inverse_power(s: SpectralDecomposition, alpha: float) -> KernelMatrix
     """
     if alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
-    inv = np.zeros(s.n)
-    positive = s.eigenvalues > 0
-    inv[positive] = s.eigenvalues[positive] ** (-alpha)
-    M = (s.eigenvectors * inv) @ s.eigenvectors.T
+    M = (s.eigenvectors * s.eigenvalue_powers(-alpha)) @ s.eigenvectors.T
     return KernelMatrix(alpha=float(alpha), matrix=(M + M.T) / 2.0)
 
 

@@ -189,6 +189,18 @@ class TestExitCodes:
         code = run("lagrange", "--graph", g_csv, "--nodes", nodes, "--center", 0, "--alpha", 8, "-o", tmp_path / "x.csv")
         assert code == 3
 
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError("dsysv failed"), MemoryError()])
+    def test_lapack_and_memory_failures_are_three(self, monkeypatch, tmp_path, cycle_csv, capsys, error):
+        def failing(problem):
+            raise error
+
+        monkeypatch.setattr(cli, "solve_interpolant", failing)
+        known = tmp_path / "known.csv"
+        known.write_text("vertex,value\n0,1\n2,0\n")
+        assert run("interp", "--graph", cycle_csv, "--known", known, "-o", tmp_path / "o.csv") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
     def test_help_on_every_subcommand(self, capsys):
         helps = [
             ["--help"],

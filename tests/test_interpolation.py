@@ -4,6 +4,7 @@ import pytest
 from graphsplines import (
     InterpolationProblem,
     LaplacianKind,
+    build_graph,
     cycle_graph,
     decompose_graph,
     evaluate,
@@ -87,6 +88,40 @@ class TestSolveInterpolant:
         k = pseudo_inverse_power(s, 8.0)
         with pytest.raises(SingularSystem):
             lagrange_basis(k, s, g, np.arange(64))
+
+
+def dirichlet_oracle(g, alpha, nodes, data):
+    """Interpolant from ``s_U = -(L^a)_UU^-1 (L^a)_UK F``, built with plain numpy.
+
+    The spline has ``(L^a s)_U = 0`` on the unknown vertices U, so this solve
+    needs neither the kernel nor the bordered system.
+    """
+    n = g.n_vertices
+    dinv = 1.0 / np.sqrt(g.weights.sum(axis=1))
+    lam, vecs = np.linalg.eigh(np.eye(n) - g.weights * np.outer(dinv, dinv))
+    lam[0] = 0.0
+    power = (vecs * lam**alpha) @ vecs.T
+    unknown = np.setdiff1d(np.arange(n), nodes)
+    out = np.empty(n)
+    out[nodes] = data
+    if unknown.size:
+        out[unknown] = -np.linalg.solve(power[np.ix_(unknown, unknown)], power[np.ix_(unknown, nodes)] @ data)
+    return out
+
+
+class TestDirichletOracle:
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+    def test_bordered_solve_matches_oracle(self, alpha):
+        rng = np.random.default_rng(int(alpha * 10))
+        for trial in range(12):
+            n = int(rng.integers(4, 41))
+            size = (1, n, int(rng.integers(2, n)))[trial % 3]
+            g, s, k, nodes = make_setup(n, rng, n_nodes=size, alpha=alpha)
+            data = rng.standard_normal(size)
+            p = InterpolationProblem(g, s, k, nodes, data)
+            values = evaluate(solve_interpolant(p), p)
+            expected = dirichlet_oracle(g, alpha, nodes, data)
+            assert np.abs(values - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
 
 
 class TestEvaluate:
@@ -242,6 +277,22 @@ class TestLocalLagrange:
         inside = nodes[g.metric[0, nodes] <= 24.0]
         expected = (inside == 0).astype(float)
         assert np.allclose(local[inside], expected, atol=1e-8)
+
+    def test_cardinality_on_uneven_cycle_weights(self):
+        # uneven weights spread the kernel's pivots over many orders of
+        # magnitude; the radius-24 system stays well posed and must be solved
+        n = 256
+        nodes = np.arange(0, n, 4)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            weights = rng.uniform(0.5, 2.0, n)
+            g = build_graph([(min(i, (i + 1) % n), max(i, (i + 1) % n), weights[i], 1.0) for i in range(n)])
+            s = decompose_graph(g, LaplacianKind.NORMALIZED)
+            k = pseudo_inverse_power(s, 2.0)
+            center = int(rng.choice(nodes))
+            local = local_lagrange(k, s, g, nodes, center, 24.0)
+            inside = nodes[g.metric[center, nodes] <= 24.0]
+            assert np.allclose(local[inside], (inside == center).astype(float), atol=1e-8)
 
     def test_center_must_be_a_node(self, cycle256_setup):
         g, s, k, nodes, _ = cycle256_setup
