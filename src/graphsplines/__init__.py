@@ -1,12 +1,5 @@
 """Polyharmonic spline interpolation and Lagrange bases on finite weighted graphs."""
 
-import os as _os
-
-# Cap BLAS parallelism before numpy is imported anywhere in the package.
-if "GSK_THREADS" in _os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["GSK_THREADS"])
-
 __version__ = "0.1.0"
 
 from . import errors

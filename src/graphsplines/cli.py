@@ -148,7 +148,7 @@ def _cmd_decay(args) -> int:
         raise ValidationError("function file must cover every vertex")
     f = np.zeros(g.n_vertices)
     f[vertices] = data
-    bin_width = args.bin_width if args.bin_width is not None else graph_metrics(g).rho_max
+    bin_width = args.bin_width if args.bin_width is not None else max(ell for _, _, _, ell in g.edges)
     profile = decay_profile(f, g, args.center, bin_width)
     gio.write_profile_csv(args.output, profile)
     _manifest(args, "decay", [args.graph, args.function])

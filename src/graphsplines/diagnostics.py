@@ -60,7 +60,7 @@ def decay_profile(f: np.ndarray, g: WeightedGraph, center: int, bin_width: float
     if bin_width <= 0:
         raise ValueError(f"bin width must be positive, got {bin_width}")
     f = np.asarray(f, dtype=float)
-    d = g.metric[center]
+    d = g.distances_from(center)
     bins = np.floor(d / bin_width + 0.5).astype(int)
     uniq = np.unique(bins)
     envelopes = np.array([np.abs(f[bins == b]).max() for b in uniq])

@@ -7,7 +7,6 @@ direct edge that is longer than some indirect route is overridden by the route.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,9 +32,10 @@ class WeightedGraph:
     """Undirected weighted graph, immutable after construction.
 
     Use :func:`build_graph` (or one of the generators below) instead of the
-    constructor; they validate the edge list and check connectivity. The
-    all-pairs metric is computed on first access and cached under a lock, so
-    instances are safe to share between threads.
+    constructor; they validate the edge list and check connectivity. Weights
+    are held as a dense matrix, lengths as a sparse one; distances are computed
+    on each query and nothing is cached, so instances are safe to share
+    between threads.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge]):
@@ -44,15 +44,13 @@ class WeightedGraph:
             sorted((min(u, v), max(u, v), float(w), float(ell)) for u, v, w, ell in edges)
         )
         n = self.n_vertices
-        weights = np.zeros((n, n))
-        lengths = np.zeros((n, n))
-        for u, v, w, ell in self.edges:
-            weights[u, v] = weights[v, u] = w
-            lengths[u, v] = lengths[v, u] = ell
-        self._weights = weights
-        self._lengths = lengths
-        self._metric: np.ndarray | None = None
-        self._metric_lock = threading.Lock()
+        table = np.array(self.edges, dtype=float).reshape(-1, 4)
+        u, v = table[:, 0].astype(int), table[:, 1].astype(int)
+        self._weights = np.zeros((n, n))
+        self._weights[u, v] = self._weights[v, u] = table[:, 2]
+        self._sparse_lengths = csr_matrix(
+            (np.tile(table[:, 3], 2), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)
+        )
 
     @property
     def weights(self) -> np.ndarray:
@@ -61,18 +59,17 @@ class WeightedGraph:
 
     @property
     def lengths(self) -> np.ndarray:
-        """Dense matrix of edge lengths (zero where no edge)."""
-        return self._lengths
+        """Dense matrix of edge lengths (zero where no edge), built on each access."""
+        return self._sparse_lengths.toarray()
 
     @property
     def metric(self) -> np.ndarray:
-        """All-pairs shortest-path distances induced by edge lengths."""
-        if self._metric is None:
-            with self._metric_lock:
-                if self._metric is None:
-                    sparse_lengths = csr_matrix(self._lengths)
-                    self._metric = dijkstra(sparse_lengths, directed=False)
-        return self._metric
+        """All-pairs shortest-path distances, computed on each access."""
+        return dijkstra(self._sparse_lengths, directed=False)
+
+    def distances_from(self, sources: int | Sequence[int]) -> np.ndarray:
+        """Distance from every vertex to the nearest of ``sources`` (one vertex or several)."""
+        return dijkstra(self._sparse_lengths, directed=False, indices=sources, min_only=True)
 
     def neighbors(self, v: int) -> np.ndarray:
         return np.flatnonzero(self._weights[v] > 0)
@@ -135,13 +132,13 @@ def build_graph(edge_list: Iterable[Edge], n_vertices: int | None = None) -> Wei
         if key in seen:
             raise DuplicateEdge(f"edge {key} listed more than once")
         seen.add(key)
-        if w <= 0:
+        if not 0 < w < np.inf:
             raise NonPositiveWeight(f"edge {key} has weight {w}")
-        if ell <= 0:
+        if not 0 < ell < np.inf:
             raise NonPositiveLength(f"edge {key} has length {ell}")
 
     g = WeightedGraph(n_vertices, edges)
-    n_comp, _ = connected_components(csr_matrix(g.weights > 0), directed=False)
+    n_comp, _ = connected_components(g._sparse_lengths, directed=False)
     if n_comp != 1:
         raise DisconnectedGraph(f"graph has {n_comp} connected components")
     return g
@@ -213,14 +210,14 @@ def ball(g: WeightedGraph, center: int, r: float) -> np.ndarray:
     """Closed metric ball: vertices v with rho(v, center) <= r."""
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    return np.flatnonzero(g.metric[center] <= r)
+    return np.flatnonzero(g.distances_from(center) <= r)
 
 
 def annulus(g: WeightedGraph, center: int, r0: float, r1: float) -> np.ndarray:
     """Vertices in the closed ball of radius r1 but not in that of r0."""
     if r0 > r1:
         raise ValueError(f"need r0 <= r1, got {r0} > {r1}")
-    d = g.metric[center]
+    d = g.distances_from(center)
     return np.flatnonzero((d > r0) & (d <= r1))
 
 
@@ -233,13 +230,13 @@ def complement(g: WeightedGraph, vertices: np.ndarray) -> np.ndarray:
 def fill_distance(g: WeightedGraph, nodes: Sequence[int]) -> float:
     """Worst-case distance from any vertex to the nearest node.
 
-    ``max over v of min over nodes of rho(v, node)``; zero when the node set
-    is all of the vertex set.
+    ``max over v of min over nodes of rho(node, v)``, from one multi-source
+    shortest-path search; zero when the node set is all of the vertex set.
     """
     nodes = np.asarray(nodes, dtype=int)
     if nodes.size == 0:
         raise EmptyNodeSet("fill distance needs a nonempty node set")
-    return float(g.metric[:, nodes].min(axis=1).max())
+    return float(g.distances_from(nodes).max())
 
 
 def random_connected_graph(

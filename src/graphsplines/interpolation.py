@@ -34,6 +34,19 @@ from .errors import (
 from .graphs import WeightedGraph
 from .spectral import KernelMatrix, SpectralDecomposition
 
+
+def _check_nodes(nodes: Sequence[int], n_vertices: int) -> np.ndarray:
+    """Node set as an int array; nonempty, without duplicates, every index in range."""
+    nodes = np.asarray(nodes, dtype=int)
+    if nodes.size == 0:
+        raise InconsistentDimensions("node set is empty")
+    if np.unique(nodes).size != nodes.size:
+        raise InconsistentDimensions("node set contains duplicates")
+    if nodes.min() < 0 or nodes.max() >= n_vertices:
+        raise InconsistentDimensions("node index out of range")
+    return nodes
+
+
 @dataclass
 class InterpolationProblem:
     """Data to interpolate: a graph, its decomposition and kernel, nodes, values."""
@@ -45,17 +58,11 @@ class InterpolationProblem:
     values: np.ndarray
 
     def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=int)
         self.values = np.asarray(self.values, dtype=float)
         n = self.graph.n_vertices
         if self.decomposition.n != n or self.kernel.matrix.shape != (n, n):
             raise InconsistentDimensions("graph, decomposition, and kernel sizes differ")
-        if self.nodes.size == 0:
-            raise InconsistentDimensions("node set is empty")
-        if np.unique(self.nodes).size != self.nodes.size:
-            raise InconsistentDimensions("node set contains duplicates")
-        if self.nodes.min() < 0 or self.nodes.max() >= n:
-            raise InconsistentDimensions("node index out of range")
+        self.nodes = _check_nodes(self.nodes, n)
         if self.values.shape[0] != self.nodes.size:
             raise InconsistentDimensions(
                 f"{self.values.shape[0]} values for {self.nodes.size} nodes"
@@ -146,7 +153,7 @@ class LocalLagrangeConfig:
 
     def nodes_within(self, graph: WeightedGraph, nodes: np.ndarray) -> np.ndarray:
         """Interpolation nodes inside the ball; must contain the center."""
-        neighborhood = nodes[graph.metric[self.center, nodes] <= self.radius]
+        neighborhood = nodes[graph.distances_from(self.center)[nodes] <= self.radius]
         if neighborhood.size == 0:
             raise EmptyNeighborhood(
                 f"no nodes within distance {self.radius} of vertex {self.center}"
@@ -194,9 +201,7 @@ def lagrange_basis(
     nodes: Sequence[int],
 ) -> LagrangeBasis:
     """Solve all cardinal problems on ``nodes`` with a single factorization."""
-    nodes = np.asarray(nodes, dtype=int)
-    if nodes.size == 0:
-        raise InconsistentDimensions("node set is empty")
+    nodes = _check_nodes(nodes, graph.n_vertices)
     beta, constants = _solve_bordered(kernel, decomposition, nodes, np.eye(nodes.size))
     columns = kernel.matrix[:, nodes] @ beta + np.outer(decomposition.kernel_vector, constants)
     return LagrangeBasis(
@@ -250,7 +255,7 @@ def local_lagrange(
     result is still evaluated on every vertex since the kernel columns are
     global.
     """
-    nodes = np.asarray(nodes, dtype=int)
+    nodes = _check_nodes(nodes, graph.n_vertices)
     if center not in nodes:
         raise ValueError(f"center {center} must be one of the interpolation nodes")
     config = LocalLagrangeConfig(center=center, radius=radius)

@@ -20,7 +20,7 @@ from .errors import (
     ZeroVarianceColumn,
 )
 from .graphs import WeightedGraph, complement, knn_graph
-from .interpolation import _solve_bordered
+from .interpolation import _check_nodes, _solve_bordered
 from .spectral import (
     KernelMatrix,
     LaplacianKind,
@@ -177,7 +177,7 @@ def spline_regress(
     precomputed decomposition/kernel to amortize the spectral work across
     calls on the same graph.
     """
-    known = np.unique(np.asarray(known, dtype=int))
+    known = _check_nodes(known, g.n_vertices)
     values = np.asarray(values, dtype=float)
     if decomposition is None:
         decomposition = decompose_graph(g, LaplacianKind.NORMALIZED)

@@ -68,6 +68,11 @@ class TestLagrangeCommand:
             # radius covers the whole 4-cycle, so both match the full function
             assert np.allclose(values, [1.0, 0.5, 0.0, 0.5], atol=1e-9)
 
+    def test_out_of_range_node_is_two(self, tmp_path, cycle_csv):
+        nodes = tmp_path / "nodes.csv"
+        gio.write_nodes_csv(nodes, [0, 4])
+        assert run("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 0, "--truncate", 4, "-o", tmp_path / "x.csv") == 2
+
     def test_local_requires_radius(self, tmp_path, cycle_csv):
         nodes = tmp_path / "nodes.csv"
         gio.write_nodes_csv(nodes, [0, 2])
@@ -168,6 +173,29 @@ class TestMLCommands:
         body = out.read_text().splitlines()
         assert body[0] == "seminorm,error"
         assert len(body) == 3
+
+
+def test_same_inputs_give_byte_identical_outputs_and_manifests(tmp_path, cycle_csv):
+    nodes = tmp_path / "nodes.csv"
+    gio.write_nodes_csv(nodes, [0, 2])
+    known = tmp_path / "known.csv"
+    known.write_text("vertex,value\n0,1\n2,0\n")
+    rng = np.random.default_rng(0)
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,y\n" + "".join(f"{a},{b},{a - b}\n" for a, b in rng.normal(size=(30, 2))))
+    runs = {
+        "chi.csv": ("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 0, "--truncate", 4),
+        "values.csv": ("interp", "--graph", cycle_csv, "--known", known, "--alpha", 2),
+        "report.csv": ("ml", "cv", "--data", data, "--features", "a,b", "--targets", "y",
+                       "--k", 4, "--folds", 3, "--repeats", 2, "--seed", 9),
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        manifest = tmp_path / f"{name}.manifest.json"
+        assert run(*argv, "-o", out) == 0
+        first = out.read_bytes(), manifest.read_bytes()
+        assert run(*argv, "-o", out) == 0
+        assert (out.read_bytes(), manifest.read_bytes()) == first
 
 
 class TestExitCodes:

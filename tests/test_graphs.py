@@ -50,6 +50,13 @@ class TestBuildGraph:
         with pytest.raises(NonPositiveLength):
             build_graph([(0, 1, 1.0, -2.0)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weight_and_length(self, bad):
+        with pytest.raises(NonPositiveWeight):
+            build_graph([(0, 1, bad, 1.0), (1, 2, 1.0, 1.0)])
+        with pytest.raises(NonPositiveLength):
+            build_graph([(0, 1, 1.0, bad), (1, 2, 1.0, 1.0)])
+
     def test_rejects_single_vertex(self):
         with pytest.raises(TooFewVertices):
             build_graph([], n_vertices=1)
@@ -158,6 +165,17 @@ class TestMetricSets:
         # rho(u,v) <= rho(u,w) + rho(w,v) for all triples
         via = rho[:, :, None] + rho[None, :, :]
         assert np.all(rho <= via.min(axis=1) + 1e-9)
+
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_distances_from_match_metric_rows_exactly(self, n, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(n, rng)
+        rho = g.metric
+        center = int(rng.integers(n))
+        assert np.array_equal(g.distances_from(center), rho[center])
+        nodes = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        assert np.array_equal(g.distances_from(nodes), rho[nodes].min(axis=0))
 
     def test_metric_against_floyd_warshall(self):
         g = random_connected_graph(25, np.random.default_rng(5))

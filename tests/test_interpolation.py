@@ -81,6 +81,16 @@ class TestSolveInterpolant:
         with pytest.raises(InconsistentDimensions):
             InterpolationProblem(g, s, k, np.array([0, 2]), np.array([1.0]))
 
+    @pytest.mark.parametrize("nodes", [[], [0, 2, -1], [0, 2, 4], [0, 2, 2]])
+    def test_bad_node_sets_rejected_by_every_solve(self, cycle4_setup, nodes):
+        g, s, k = cycle4_setup
+        with pytest.raises(InconsistentDimensions):
+            InterpolationProblem(g, s, k, np.array(nodes, dtype=int), np.zeros(len(nodes)))
+        with pytest.raises(InconsistentDimensions):
+            lagrange_basis(k, s, g, nodes)
+        with pytest.raises(InconsistentDimensions):
+            local_lagrange(k, s, g, nodes, 0, 4.0)
+
     def test_singular_system_on_extreme_smoothness(self):
         # kernel eigenvalue spread ~ lambda_1^-16 drives the pivot ratio under the floor
         g = cycle_graph(64)

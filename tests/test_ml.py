@@ -19,6 +19,7 @@ from graphsplines import (
     wendland_bump,
 )
 from graphsplines.errors import (
+    InconsistentDimensions,
     MissingValue,
     NonNumericColumn,
     TooFewRows,
@@ -154,6 +155,16 @@ class TestSplineRegress:
         assert np.abs(full[known] - values).max() < 1e-8
         preds = spline_regress(g, known, values, 2.0, s, k)
         assert np.allclose(preds, full[complement(g, known)], atol=1e-10)
+
+    def test_unsorted_known_keeps_values_paired(self):
+        g = cycle_graph(8)
+        sorted_preds = spline_regress(g, [0, 4], np.array([1.0, 0.0]))
+        assert np.allclose(spline_regress(g, [4, 0], np.array([0.0, 1.0])), sorted_preds, atol=1e-12)
+
+    @pytest.mark.parametrize("known", [[0, 2, -1], [0, 2, 4], [0, 2, 2]])
+    def test_bad_known_sets_rejected(self, known):
+        with pytest.raises(InconsistentDimensions):
+            spline_regress(cycle_graph(4), known, np.zeros(len(known)))
 
     def test_near_duplicate_neighbor_dominates(self):
         # the twin edge weight (1e11) dwarfs every other weight (~0.3)
