@@ -65,6 +65,7 @@ from .spectral import (
     graph_fourier,
     inverse_graph_fourier,
     laplacian,
+    laplacian_power,
     pseudo_inverse_power,
     sobolev_seminorm,
 )

@@ -26,7 +26,6 @@ from .errors import GraphSplinesError, NumericalError, ValidationError
 from .graphs import (
     cycle_graph,
     fill_distance,
-    graph_metrics,
     knn_graph,
     lattice_graph,
     random_connected_graph,
@@ -245,7 +244,7 @@ def _verify_bulk_ratio(args):
     basis = lagrange_basis(kernel, decomposition, g, nodes)
     chi = basis.columns[:, basis.center_index(0)]
     h = fill_distance(g, nodes)
-    rho_max = graph_metrics(g).rho_max
+    rho_max = max(ell for _, _, _, ell in g.edges)
     side = max(1, int(np.sqrt(args.trials)))
     r2_values = 3 * rho_max + 2 * h + 1 + 2.0 * np.arange(side)
     gaps = 2.0 * (1 + np.arange(side))

@@ -167,6 +167,9 @@ def lattice_graph(rows: int, cols: int, weight: float = 1.0, length: float = 1.0
     return build_graph(edges, rows * cols)
 
 
+_KNN_BLOCK_ROWS = 128
+
+
 def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     """Symmetrized k-nearest-neighbor graph of a point cloud.
 
@@ -187,12 +190,18 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.any(dist[off_diag] == 0.0):
-        i, j = np.argwhere((dist == 0.0) & off_diag)[0]
-        raise DuplicatePoint(f"points {i} and {j} coincide")
+    # row blocks keep the difference tensor at block x n x d instead of n x n x d
+    dist = np.empty((n, n))
+    for lo in range(0, n, _KNN_BLOCK_ROWS):
+        hi = min(lo + _KNN_BLOCK_ROWS, n)
+        diff = pts[lo:hi, None, :] - pts[None, :, :]
+        block = dist[lo:hi]
+        np.sqrt((diff * diff).sum(axis=2), out=block)
+        zero = block == 0.0
+        zero[np.arange(hi - lo), np.arange(lo, hi)] = False
+        if zero.any():
+            i, j = np.argwhere(zero)[0]
+            raise DuplicatePoint(f"points {lo + i} and {j} coincide")
 
     pairs: set[tuple[int, int]] = set()
     indices = np.arange(n)

@@ -15,6 +15,12 @@ and solves it with one LAPACK symmetric-indefinite solve (``dsysv``) carrying
 every right-hand side (the Lagrange basis needs one per node). A system whose
 reciprocal condition estimate is below machine epsilon is refused with
 :class:`SingularSystem`.
+
+Predictions alone need no coefficients: the same interpolant satisfies
+``(L^alpha s)_U = 0`` on the unknown vertices U, and ``_solve_dirichlet``
+finds ``s_U`` from that Dirichlet form with one Cholesky solve under the same
+refusal rule. The bordered system stays where kernel coefficients are
+published (``solve_interpolant``, ``lagrange_basis``, ``local_lagrange``).
 """
 from __future__ import annotations
 
@@ -110,6 +116,32 @@ def _solve_bordered(
     if values.ndim == 1:
         return sol[:-1, 0], sol[-1, 0]
     return sol[:-1], sol[-1]
+
+
+def _solve_dirichlet(
+    A: np.ndarray, known: np.ndarray, unknown: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Values on ``unknown`` of the spline through ``values`` on ``known``.
+
+    ``A`` is ``L^alpha``. The spline has ``(L^alpha s)_U = 0`` on the unknown
+    set U, so ``s_U = -(A_UU)^-1 A_UK F``; ``A_UU`` is positive definite for a
+    proper nonempty U, and one LAPACK Cholesky solve carries every value
+    column. Returns one row per unknown vertex, shaped like ``values``.
+    """
+    values = np.asarray(values, dtype=float)
+    block = A[np.ix_(unknown, unknown)]
+    rhs = -(A[np.ix_(unknown, known)] @ values.reshape(known.size, -1))
+    anorm = np.linalg.norm(block, 1)
+    factor, info = lapack.dpotrf(block, lower=0, clean=0, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    if info > 0:
+        raise SingularSystem(f"non-positive pivot at row {info}")
+    rcond, _ = lapack.dpocon(factor, anorm)
+    if rcond < np.finfo(float).eps:
+        raise SingularSystem(f"reciprocal condition estimate {rcond:.3e} below machine epsilon")
+    sol, _ = lapack.dpotrs(factor, rhs, lower=0, overwrite_b=1)
+    return sol[:, 0] if values.ndim == 1 else sol
 
 
 def solve_interpolant(p: InterpolationProblem) -> Interpolant:

@@ -1,9 +1,15 @@
-"""Kernel regression harness: tabular datasets, cross-validation, smoothness study.
+"""Spline regression harness: tabular datasets, cross-validation, smoothness study.
 
 The regression experiment is transductive: a k-nearest-neighbor graph is built
-over all rows (known and unknown together), the spline method interpolates the
-known targets through the graph kernel, and the baseline predicts each unknown
+over all rows (known and unknown together), the spline method extends the
+known targets to the unknown rows, and the baseline predicts each unknown
 vertex as the weighted average of its known neighbors.
+
+The spline is the minimal-norm polyharmonic interpolant, found from its
+Dirichlet form: it satisfies ``(L^alpha s)_U = 0`` on the unknown set U, so
+``s_U = -(L^alpha)_UU^-1 (L^alpha)_UK F`` with one Cholesky solve per known
+set. For an integer alpha ``L^alpha`` is a sparse product of Laplacians, so no
+eigendecomposition, kernel matrix or bordered system is built here.
 """
 from __future__ import annotations
 
@@ -14,21 +20,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    InconsistentDimensions,
     MissingValue,
     NonNumericColumn,
     TooFewRows,
     ZeroVarianceColumn,
 )
 from .graphs import WeightedGraph, complement, knn_graph
-from .interpolation import _check_nodes, _solve_bordered
-from .spectral import (
-    KernelMatrix,
-    LaplacianKind,
-    SpectralDecomposition,
-    decompose_graph,
-    pseudo_inverse_power,
-    sobolev_seminorm,
-)
+from .interpolation import _check_nodes, _solve_dirichlet
+from .spectral import LaplacianKind, SpectralDecomposition, laplacian, laplacian_power
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none", "?"}
 
@@ -168,28 +168,30 @@ def spline_regress(
     values: np.ndarray,
     alpha: float = 2.0,
     decomposition: SpectralDecomposition | None = None,
-    kernel: KernelMatrix | None = None,
+    kernel: object = None,
 ) -> np.ndarray:
-    """Interpolate known values through the graph kernel; predict the rest.
+    """Extend known values to the rest of the graph; predict the unknown vertices.
 
     Returns predictions at the unknown vertices in ascending vertex order.
-    ``values`` may be a vector or a matrix with one column per target; pass a
-    precomputed decomposition/kernel to amortize the spectral work across
-    calls on the same graph.
+    ``values`` may be a vector or a matrix with one column per target. The
+    prediction is the minimal-norm spline, solved in its Dirichlet form from
+    ``L^alpha`` (see :func:`laplacian_power`). ``kernel`` is not read; it is
+    kept so existing calls still work. ``decomposition`` is read only for its
+    ``kind`` and, for a fractional ``alpha``, for its eigenpairs; without it the
+    normalized Laplacian is used.
     """
     known = _check_nodes(known, g.n_vertices)
     values = np.asarray(values, dtype=float)
-    if decomposition is None:
-        decomposition = decompose_graph(g, LaplacianKind.NORMALIZED)
-    if kernel is None:
-        kernel = pseudo_inverse_power(decomposition, alpha)
+    if values.ndim == 0 or values.shape[0] != known.size:
+        count = 1 if values.ndim == 0 else values.shape[0]
+        raise InconsistentDimensions(f"{count} values for {known.size} known vertices")
+    if not np.all(np.isfinite(values)):
+        raise InconsistentDimensions("values must be finite")
+    power = laplacian_power(g, alpha, decomposition)
     unknown = complement(g, known)
     if unknown.size == 0:
         return values[:0].copy()
-    beta, constant = _solve_bordered(kernel, decomposition, known, values)
-    return kernel.matrix[np.ix_(unknown, known)] @ beta + np.multiply.outer(
-        decomposition.kernel_vector[unknown], constant
-    )
+    return _solve_dirichlet(power, known, unknown, values)
 
 
 @dataclass
@@ -243,8 +245,7 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
         raise TooFewRows(f"{d.n_rows} rows cannot be split into {cfg.folds} folds")
     normalized = normalize(d)
     g = knn_graph(normalized.features, cfg.k_neighbors)
-    decomposition = decompose_graph(g, LaplacianKind.NORMALIZED)
-    kernel = pseudo_inverse_power(decomposition, cfg.alpha)
+    power = laplacian_power(g, cfg.alpha)
 
     n, t = d.n_rows, d.targets.shape[1]
     repeat_mse = {"spline": np.zeros((cfg.repeats, t)), "nnr": np.zeros((cfg.repeats, t))}
@@ -262,7 +263,7 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
             known_values = d.targets[known]
             truth = d.targets[unknown]
 
-            preds = spline_regress(g, known, known_values, cfg.alpha, decomposition, kernel)
+            preds = _solve_dirichlet(power, known, unknown, known_values)
             fold_mse["spline"][fi] = ((preds - truth) ** 2).mean(axis=0)
 
             nnr, isolated = _nnr_predictions(g, known, known_values, unknown)
@@ -321,8 +322,7 @@ def smoothness_experiment(
     rng = np.random.default_rng(seed)
     sites = rng.uniform(0.0, 1.0, size=(n_points, 2))
     g = knn_graph(sites, k_neighbors)
-    decomposition = decompose_graph(g, LaplacianKind.NORMALIZED)
-    kernel = pseudo_inverse_power(decomposition, alpha)
+    lap = laplacian(g, LaplacianKind.NORMALIZED)
 
     grid = (np.arange(n_bumps_per_axis) + 0.5) / n_bumps_per_axis
     centers = np.array([(x, y) for x in grid for y in grid])
@@ -333,11 +333,8 @@ def smoothness_experiment(
     known = np.sort(half[: n_points // 2])
     unknown = np.sort(half[n_points // 2 :])
 
-    results = []
-    for magnitude in magnitudes:
-        f = magnitude * base
-        preds = spline_regress(g, known, f[known], alpha, decomposition, kernel)
-        error = float(np.linalg.norm(preds - f[unknown]))
-        seminorm = sobolev_seminorm(decomposition, f, 2.0)
-        results.append((seminorm, error))
-    return results
+    # one column per magnitude; the order-2 semi-norm ||L^(2/2) f|| is ||L f||
+    fields = np.outer(base, np.asarray(magnitudes, dtype=float))
+    errors = np.linalg.norm(spline_regress(g, known, fields[known], alpha) - fields[unknown], axis=0)
+    seminorms = np.linalg.norm(lap @ fields, axis=0)
+    return [(float(a), float(b)) for a, b in zip(seminorms, errors)]

@@ -1,7 +1,9 @@
 """Graph Laplacians, eigendecompositions, and spectral calculus.
 
-All decay estimates in this package are phrased through powers of a Laplacian
-applied via its eigendecomposition: kernel matrices are pseudo-inverse powers,
+All decay estimates in this package are phrased through powers of a Laplacian.
+Kernel matrices are pseudo-inverse powers applied via the eigendecomposition;
+``L^alpha`` itself (read by Dirichlet-form regression) is a sparse product of
+Laplacians for an integer alpha and needs no eigendecomposition;
 Sobolev-type semi-norms are ``||L^(alpha/2) f||`` restricted to a vertex set,
 and the graph Fourier transform is the change of basis to the eigenvectors.
 """
@@ -13,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csr_matrix
 
 from .errors import (
     DimensionMismatch,
@@ -167,6 +170,33 @@ def pseudo_inverse_power(s: SpectralDecomposition, alpha: float) -> KernelMatrix
         raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
     M = (s.eigenvectors * s.eigenvalue_powers(-alpha)) @ s.eigenvectors.T
     return KernelMatrix(alpha=float(alpha), matrix=(M + M.T) / 2.0)
+
+
+def laplacian_power(
+    g: WeightedGraph, alpha: float, decomposition: SpectralDecomposition | None = None
+) -> np.ndarray:
+    """Dense ``L^alpha`` of the graph's Laplacian.
+
+    The kind is ``decomposition.kind`` when a decomposition is given and
+    normalized otherwise. An integer ``alpha`` is formed by sparse products of
+    the Laplacian and needs no eigendecomposition; a fractional one is built
+    from the eigenpairs (of ``decomposition``, or of a fresh one) and
+    symmetrised like :func:`pseudo_inverse_power`.
+    """
+    if alpha <= 0:
+        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
+    kind = decomposition.kind if decomposition is not None else LaplacianKind.NORMALIZED
+    if float(alpha).is_integer():
+        L = csr_matrix(laplacian(g, kind))
+        power = L
+        for _ in range(int(alpha) - 1):
+            power = power @ L
+        return power.toarray()
+    if decomposition is None:
+        decomposition = decompose_graph(g, kind)
+    Q = decomposition.eigenvectors
+    M = (Q * decomposition.eigenvalue_powers(alpha)) @ Q.T
+    return (M + M.T) / 2.0
 
 
 def sobolev_seminorm(

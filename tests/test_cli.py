@@ -249,3 +249,13 @@ class TestExitCodes:
             assert run(*argv) == 0
             out = capsys.readouterr().out
             assert "usage" in out.lower()
+
+
+def test_bulk_ratio_builds_no_all_pairs_metric(monkeypatch, tmp_path):
+    from graphsplines import WeightedGraph
+
+    def refuse(self):
+        raise AssertionError("all-pairs metric built")
+
+    monkeypatch.setattr(WeightedGraph, "metric", property(refuse))
+    assert run("verify", "bulk-ratio", "--trials", 1, "-o", tmp_path / "bulk.csv") == 0

@@ -189,3 +189,34 @@ class TestMetricSets:
         # edge 0-2 is longer than the route through vertex 1
         g = build_graph([(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, 1.0, 10.0)])
         assert g.metric[0, 2] == 2.0
+
+
+def knn_reference(points, k):
+    """Edges of the k-NN graph from the full n x n x d difference tensor."""
+    diff = points[:, None, :] - points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    n = points.shape[0]
+    pairs = set()
+    for i in range(n):
+        order = np.lexsort((np.arange(n), dist[i]))
+        for j in order[order != i][:k]:
+            pairs.add((min(i, int(j)), max(i, int(j))))
+    return [(u, v, 1.0 / dist[u, v], dist[u, v]) for u, v in sorted(pairs)]
+
+
+class TestKnnBlocks:
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_integer_grid_with_exact_ties_matches_full_tensor(self, k):
+        # 400 points span several row blocks; grid distances tie exactly
+        grid = np.array([(x, y) for x in range(20) for y in range(20)], dtype=float)
+        assert list(knn_graph(grid, k).edges) == knn_reference(grid, k)
+
+    def test_random_cloud_matches_full_tensor(self):
+        pts = np.random.default_rng(5).normal(size=(300, 3))
+        assert list(knn_graph(pts, 5).edges) == knn_reference(pts, 5)
+
+    def test_duplicate_point_in_a_later_block(self):
+        pts = np.random.default_rng(6).normal(size=(200, 2))
+        pts[190] = pts[150]
+        with pytest.raises(DuplicatePoint, match="points 150 and 190"):
+            knn_graph(pts, 3)

@@ -249,3 +249,105 @@ class TestSmoothnessExperiment:
     def test_requires_even_count(self):
         with pytest.raises(ValueError):
             smoothness_experiment(61, magnitudes=[1.0], seed=0)
+
+
+class TestDirichletRegression:
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_bordered_interpolant(self, alpha):
+        # two independent solve paths: the Dirichlet form against the kernel + bordered system
+        from graphsplines import InterpolationProblem, evaluate, random_connected_graph, solve_interpolant
+
+        rng = np.random.default_rng(int(alpha * 100))
+        for trial in range(10):
+            n = int(rng.integers(4, 41))
+            g = random_connected_graph(n, rng)
+            size = 1 if trial % 2 else int(rng.integers(2, n))
+            known = rng.choice(n, size=size, replace=False)
+            values = rng.standard_normal(size)
+            s = decompose_graph(g)
+            p = InterpolationProblem(g, s, pseudo_inverse_power(s, alpha), known, values)
+            expected = evaluate(solve_interpolant(p), p)[complement(g, known)]
+            preds = spline_regress(g, known, values, alpha)
+            assert np.abs(preds - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
+
+    def test_single_node_at_alpha_3_solves(self):
+        # the bordered system refuses this; (L^3)_UU has rcond ~ 8.5e-13
+        from graphsplines import laplacian_power
+
+        g = cycle_graph(256)
+        preds = spline_regress(g, [0], [1.0], alpha=3.0)
+        s = np.concatenate([[1.0], preds])
+        # one node: the spline is the kernel vector scaled to the datum, all ones on a uniform cycle
+        assert np.abs(preds - 1.0).max() < 1e-3
+        assert np.abs((laplacian_power(g, 3.0) @ s)[1:]).max() < 1e-12
+
+    def test_single_node_at_alpha_4_refused(self):
+        from graphsplines.errors import SingularSystem
+
+        with pytest.raises(SingularSystem):
+            spline_regress(cycle_graph(256), [0], [1.0], alpha=4.0)
+
+    def test_value_count_must_match_known(self):
+        with pytest.raises(InconsistentDimensions, match="3 values for 2"):
+            spline_regress(cycle_graph(8), [0, 4], [1.0, 0.0, 5.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InconsistentDimensions):
+            spline_regress(cycle_graph(8), [0, 4], [1.0, bad])
+
+    def test_matrix_values_solve_column_by_column(self):
+        g = cycle_graph(12)
+        values = np.array([[1.0, -2.0], [0.5, 3.0], [0.0, 1.0]])
+        both = spline_regress(g, [0, 5, 7], values)
+        for j in range(2):
+            assert np.allclose(both[:, j], spline_regress(g, [0, 5, 7], values[:, j]), atol=1e-12)
+
+
+class TestCrossValidateSolvePaths:
+    def make_dataset(self):
+        return TestCrossValidate().make_dataset()
+
+    def test_integer_alpha_needs_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition called")
+
+        monkeypatch.setattr("graphsplines.spectral.eigendecompose", refuse)
+        report = cross_validate(self.make_dataset(), CVConfig(k_neighbors=4, folds=4, repeats=2, alpha=2.0, seed=1))
+        assert all(np.isfinite(row.mean_mse) and row.mean_mse >= 0.0 for row in report.rows)
+
+    def test_fractional_alpha_decomposes_once(self, monkeypatch):
+        import graphsplines.spectral as spectral
+
+        calls = []
+        original = spectral.eigendecompose
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigendecompose", counted)
+        d = self.make_dataset()
+        fractional = cross_validate(d, CVConfig(k_neighbors=4, folds=4, repeats=2, alpha=1.5, seed=1))
+        assert len(calls) == 1
+        integer = cross_validate(d, CVConfig(k_neighbors=4, folds=4, repeats=2, alpha=2.0, seed=1))
+        spline = [(r.mean_mse, r.std_mse) for r in fractional.rows if r.method == "spline"]
+        assert all(np.isfinite(m) and m >= 0.0 for m, _ in spline)
+        assert spline != [(r.mean_mse, r.std_mse) for r in integer.rows if r.method == "spline"]
+        # the baseline does not depend on alpha
+        assert [r for r in fractional.rows if r.method == "nnr"] == [r for r in integer.rows if r.method == "nnr"]
+
+
+class TestSmoothnessSeminorm:
+    def test_matches_spectral_seminorm(self):
+        # ||L f|| from the Laplacian equals the order-2 semi-norm from the eigenpairs
+        from graphsplines import sobolev_seminorm
+
+        rng = np.random.default_rng(2)
+        sites = rng.uniform(0.0, 1.0, size=(60, 2))
+        g = knn_graph(sites, 6)
+        pairs = smoothness_experiment(60, magnitudes=[1.0], k_neighbors=6, seed=2)
+        centers = (np.arange(4) + 0.5) / 4
+        dist = np.linalg.norm(sites[:, None, :] - np.array([(x, y) for x in centers for y in centers])[None], axis=2)
+        f = wendland_bump(dist * 4).sum(axis=1)
+        assert pairs[0][0] == pytest.approx(sobolev_seminorm(decompose_graph(g), f, 2.0), rel=1e-10)

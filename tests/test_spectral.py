@@ -204,3 +204,43 @@ class TestSpectralInvariants:
             s = decompose_graph(random_connected_graph(int(rng.integers(2, 40)), rng), NORM)
             assert s.eigenvalues[0] >= -1e-9
             assert s.eigenvalues[-1] <= 2.0 + 1e-9
+
+
+class TestLaplacianPower:
+    @pytest.mark.parametrize("kind", [NORM, UNNORM])
+    def test_integer_power_matches_eigenpairs(self, kind):
+        from graphsplines import laplacian_power
+
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            g = random_connected_graph(int(rng.integers(3, 30)), rng)
+            s = decompose_graph(g, kind)
+            for alpha in (1, 2, 3):
+                expected = (s.eigenvectors * s.eigenvalues**alpha) @ s.eigenvectors.T
+                got = laplacian_power(g, float(alpha), s)
+                assert np.allclose(got, expected, atol=1e-10)
+        assert np.array_equal(laplacian_power(g, 1.0), laplacian(g, NORM))
+
+    def test_integer_power_needs_no_eigendecomposition(self, monkeypatch):
+        from graphsplines import laplacian_power
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition called")
+
+        monkeypatch.setattr("graphsplines.spectral.eigendecompose", refuse)
+        L = laplacian(cycle_graph(9), NORM)
+        assert np.allclose(laplacian_power(cycle_graph(9), 2.0), L @ L, atol=1e-15)
+
+    def test_fractional_power_is_symmetric_square_root(self):
+        from graphsplines import laplacian_power
+
+        g = random_connected_graph(12, np.random.default_rng(15))
+        half = laplacian_power(g, 0.5)
+        assert np.array_equal(half, half.T)
+        assert np.allclose(half @ half, laplacian(g, NORM), atol=1e-12)
+
+    def test_non_positive_alpha_rejected(self):
+        from graphsplines import laplacian_power
+
+        with pytest.raises(NonPositiveAlpha):
+            laplacian_power(cycle_graph(5), 0.0)
