@@ -143,11 +143,11 @@ def _cmd_interp(args) -> int:
 def _cmd_decay(args) -> int:
     g = _load_graph(args.graph)
     vertices, data = gio.read_function_csv(args.function)
-    if vertices.size != g.n_vertices:
-        raise ValidationError("function file must cover every vertex")
+    if not np.array_equal(np.sort(vertices), np.arange(g.n_vertices)):
+        raise ValidationError(f"function file must list each of the {g.n_vertices} vertices exactly once")
     f = np.zeros(g.n_vertices)
     f[vertices] = data
-    bin_width = args.bin_width if args.bin_width is not None else max(ell for _, _, _, ell in g.edges)
+    bin_width = args.bin_width if args.bin_width is not None else g.rho_max
     profile = decay_profile(f, g, args.center, bin_width)
     gio.write_profile_csv(args.output, profile)
     _manifest(args, "decay", [args.graph, args.function])
@@ -244,7 +244,7 @@ def _verify_bulk_ratio(args):
     basis = lagrange_basis(kernel, decomposition, g, nodes)
     chi = basis.columns[:, basis.center_index(0)]
     h = fill_distance(g, nodes)
-    rho_max = max(ell for _, _, _, ell in g.edges)
+    rho_max = g.rho_max
     side = max(1, int(np.sqrt(args.trials)))
     r2_values = 3 * rho_max + 2 * h + 1 + 2.0 * np.arange(side)
     gaps = 2.0 * (1 + np.arange(side))

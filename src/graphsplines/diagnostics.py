@@ -281,7 +281,7 @@ def ml_cover_constant(g: WeightedGraph, known) -> MLCoverReport:
     known_set = set(int(v) for v in known)
     unknown_set = set(range(g.n_vertices)) - known_set
 
-    rho_max = max(ell for _, _, _, ell in g.edges)
+    rho_max = g.rho_max
     for u, v, w, ell in g.edges:
         if u in unknown_set and v in unknown_set:
             raise HypothesisViolated(f"edge ({u},{v}) joins two unknown vertices")

@@ -32,24 +32,24 @@ class WeightedGraph:
     """Undirected weighted graph, immutable after construction.
 
     Use :func:`build_graph` (or one of the generators below) instead of the
-    constructor; they validate the edge list and check connectivity. Weights
-    are held as a dense matrix, lengths as a sparse one; distances are computed
-    on each query and nothing is cached, so instances are safe to share
-    between threads.
+    constructor; they validate the edges and check connectivity. The edges form
+    one (m, 4) table of ``(u, v, weight, length)`` rows, oriented ``u < v`` and
+    sorted; ``edges``, the dense weights and the sparse lengths come from it.
+    Distances are computed on each query and nothing is cached, so instances
+    are safe to share between threads.
     """
 
-    def __init__(self, n_vertices: int, edges: Sequence[Edge]):
-        self.n_vertices = int(n_vertices)
-        self.edges: tuple[Edge, ...] = tuple(
-            sorted((min(u, v), max(u, v), float(w), float(ell)) for u, v, w, ell in edges)
-        )
-        n = self.n_vertices
-        table = np.array(self.edges, dtype=float).reshape(-1, 4)
-        u, v = table[:, 0].astype(int), table[:, 1].astype(int)
+    def __init__(self, n_vertices: int, edges: Sequence[Edge] | np.ndarray):
+        self.n_vertices = n = int(n_vertices)
+        table = np.asarray(edges, dtype=float).reshape(-1, 4)
+        u, v = np.sort(table[:, :2], axis=1).astype(int).T
+        order = np.lexsort((v, u))
+        u, v, w, ell = u[order], v[order], table[order, 2], table[order, 3]
+        self.edges: tuple[Edge, ...] = tuple(zip(u.tolist(), v.tolist(), w.tolist(), ell.tolist()))
         self._weights = np.zeros((n, n))
-        self._weights[u, v] = self._weights[v, u] = table[:, 2]
+        self._weights[u, v] = self._weights[v, u] = w
         self._sparse_lengths = csr_matrix(
-            (np.tile(table[:, 3], 2), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)
+            (np.tile(ell, 2), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)
         )
 
     @property
@@ -67,8 +67,17 @@ class WeightedGraph:
         """All-pairs shortest-path distances, computed on each access."""
         return dijkstra(self._sparse_lengths, directed=False)
 
+    @property
+    def rho_max(self) -> float:
+        """Longest edge length."""
+        return float(self._sparse_lengths.data.max())
+
     def distances_from(self, sources: int | Sequence[int]) -> np.ndarray:
         """Distance from every vertex to the nearest of ``sources`` (one vertex or several)."""
+        src = np.asarray(sources)
+        bad = src[(src < 0) | (src >= self.n_vertices)]
+        if bad.size:
+            raise ValueError(f"source vertex {bad[0]} out of range for {self.n_vertices} vertices")
         return dijkstra(self._sparse_lengths, directed=False, indices=sources, min_only=True)
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -95,47 +104,53 @@ class GraphMetrics:
 def graph_metrics(g: WeightedGraph) -> GraphMetrics:
     return GraphMetrics(
         max_degree=int(g.degrees.max()),
-        rho_max=max(ell for _, _, _, ell in g.edges),
+        rho_max=g.rho_max,
         diameter=float(g.metric.max()),
     )
 
 
-def build_graph(edge_list: Iterable[Edge], n_vertices: int | None = None) -> WeightedGraph:
+def build_graph(edge_list: Iterable[Edge] | np.ndarray, n_vertices: int | None = None) -> WeightedGraph:
     """Validate an undirected edge list and return a connected graph.
 
     Parameters
     ----------
-    edge_list : iterable of (u, v, weight, length)
+    edge_list : iterable of (u, v, weight, length), or an (m, 4) array
         One entry per undirected edge; listing both orientations of the same
         pair is rejected as a duplicate.
     n_vertices : int, optional
         Number of vertices; defaults to ``max index + 1``. Declaring more
         vertices than the edges touch raises :class:`DisconnectedGraph`.
+
+    Each check runs over all edges before the next and names the first failing
+    edge: vertex range (``ValueError``), :class:`SelfLoop`, :class:`DuplicateEdge`,
+    then ``0 < x < inf`` for weights and lengths (:class:`NonPositiveWeight`/``Length``).
     """
-    edges = list(edge_list)
+    rows = edge_list if isinstance(edge_list, np.ndarray) else list(edge_list)
+    edges = np.array(rows, dtype=float).reshape(len(rows), 4)
     if n_vertices is None:
-        if not edges:
+        if not len(edges):
             raise TooFewVertices("graph needs at least 2 vertices and an edge list")
-        n_vertices = max(max(u, v) for u, v, _, _ in edges) + 1
+        n_vertices = int(edges[:, :2].max()) + 1
     n_vertices = int(n_vertices)
     if n_vertices < 2:
         raise TooFewVertices(f"graph needs at least 2 vertices, got {n_vertices}")
 
-    seen: set[tuple[int, int]] = set()
-    for u, v, w, ell in edges:
-        u, v = int(u), int(v)
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise ValueError(f"edge ({u},{v}) out of range for {n_vertices} vertices")
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DuplicateEdge(f"edge {key} listed more than once")
-        seen.add(key)
-        if not 0 < w < np.inf:
-            raise NonPositiveWeight(f"edge {key} has weight {w}")
-        if not 0 < ell < np.inf:
-            raise NonPositiveLength(f"edge {key} has length {ell}")
+    u, v, w, ell = edges.T
+
+    def reject(bad: np.ndarray, error: type[Exception], what: str) -> None:
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise error(f"edge {i} ({u[i]:.17g},{v[i]:.17g}) " + what.format(w=w[i], ell=ell[i]))
+
+    in_range = (0 <= edges[:, :2]) & (edges[:, :2] < n_vertices)
+    reject(~in_range.all(axis=1), ValueError, f"out of range for {n_vertices} vertices")
+    reject(u == v, SelfLoop, "is a self-loop")
+    keys = np.minimum(u, v) * n_vertices + np.maximum(u, v)
+    repeated = np.ones(len(edges), dtype=bool)
+    repeated[np.unique(keys, return_index=True)[1]] = False
+    reject(repeated, DuplicateEdge, "is listed more than once")
+    reject(~((0 < w) & (w < np.inf)), NonPositiveWeight, "has weight {w}")
+    reject(~((0 < ell) & (ell < np.inf)), NonPositiveLength, "has length {ell}")
 
     g = WeightedGraph(n_vertices, edges)
     n_comp, _ = connected_components(g._sparse_lengths, directed=False)
@@ -156,15 +171,11 @@ def lattice_graph(rows: int, cols: int, weight: float = 1.0, length: float = 1.0
     """4-neighbor grid with ``rows * cols`` vertices in row-major order."""
     if rows * cols < 2:
         raise TooFewVertices("lattice needs at least 2 vertices")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1, weight, length))
-            if r + 1 < rows:
-                edges.append((v, v + cols, weight, length))
-    return build_graph(edges, rows * cols)
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    right = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
+    down = np.column_stack([idx[:-1].ravel(), idx[1:].ravel()])
+    pairs = np.concatenate([right, down])
+    return build_graph(np.column_stack([pairs, np.full((len(pairs), 2), (weight, length))]), rows * cols)
 
 
 _KNN_BLOCK_ROWS = 128
@@ -189,30 +200,29 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
         raise TooFewVertices("need at least 2 points")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
 
-    # row blocks keep the difference tensor at block x n x d instead of n x n x d
+    # row blocks keep the difference tensor at block x n x d and the sort at block x n;
+    # a stable sort breaks ties by lower index, so each row starts with its own point
+    kk = min(k, n - 1)
     dist = np.empty((n, n))
+    nearest = np.empty((n, kk + 1), dtype=np.intp)
     for lo in range(0, n, _KNN_BLOCK_ROWS):
         hi = min(lo + _KNN_BLOCK_ROWS, n)
         diff = pts[lo:hi, None, :] - pts[None, :, :]
-        block = dist[lo:hi]
-        np.sqrt((diff * diff).sum(axis=2), out=block)
-        zero = block == 0.0
-        zero[np.arange(hi - lo), np.arange(lo, hi)] = False
-        if zero.any():
-            i, j = np.argwhere(zero)[0]
-            raise DuplicatePoint(f"points {lo + i} and {j} coincide")
+        np.sqrt((diff * diff).sum(axis=2), out=dist[lo:hi])
+        nearest[lo:hi] = np.argsort(dist[lo:hi], axis=1, kind="stable")[:, : kk + 1]
 
-    pairs: set[tuple[int, int]] = set()
-    indices = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((indices, dist[i]))
-        order = order[order != i][: min(k, n - 1)]
-        for j in order:
-            pairs.add((min(i, int(j)), max(i, int(j))))
+    rows = np.arange(n)
+    coincide = np.flatnonzero(dist[rows, nearest[:, 1]] == 0.0)
+    if coincide.size:
+        raise DuplicatePoint(f"points {coincide[0]} and {nearest[coincide[0], 1]} coincide")
 
-    edges = [(u, v, 1.0 / dist[u, v], dist[u, v]) for u, v in sorted(pairs)]
-    return build_graph(edges, n)
+    ends = np.sort(np.column_stack([np.repeat(rows, kk), nearest[:, 1:].ravel()]), axis=1)
+    u, v = np.divmod(np.unique(ends[:, 0] * n + ends[:, 1]), n)
+    d = dist[u, v]
+    return build_graph(np.column_stack([u, v, 1.0 / d, d]), n)
 
 
 def ball(g: WeightedGraph, center: int, r: float) -> np.ndarray:
@@ -248,24 +258,17 @@ def fill_distance(g: WeightedGraph, nodes: Sequence[int]) -> float:
     return float(g.distances_from(nodes).max())
 
 
-def random_connected_graph(
-    n: int,
-    rng: np.random.Generator,
-    extra_edge_fraction: float = 0.5,
-    unit_lengths: bool = False,
-) -> WeightedGraph:
-    """Random spanning tree plus extra random edges; used by test harnesses.
+def random_connected_graph(n: int, rng: np.random.Generator) -> WeightedGraph:
+    """Random spanning tree plus ``n // 2`` extra random edges; used by test harnesses.
 
-    Weights are drawn from (0.5, 2.0); lengths from (0.5, 1.5) unless
-    ``unit_lengths`` is set. Deterministic for a given generator state.
+    Weights are drawn from (0.5, 2.0), lengths from (0.5, 1.5); a repeated extra
+    pair is redrawn, up to 20n times. Deterministic for a given generator state.
     """
     if n < 2:
         raise TooFewVertices(f"need at least 2 vertices, got {n}")
 
     def draw(u: int, v: int) -> Edge:
-        w = float(rng.uniform(0.5, 2.0))
-        ell = 1.0 if unit_lengths else float(rng.uniform(0.5, 1.5))
-        return (u, v, w, ell)
+        return (u, v, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 1.5)))
 
     order = rng.permutation(n)
     pairs: set[tuple[int, int]] = set()
@@ -276,7 +279,7 @@ def random_connected_graph(
         pairs.add((min(u, v), max(u, v)))
         edges.append(draw(u, v))
 
-    n_extra = int(extra_edge_fraction * n)
+    n_extra = n // 2
     attempts = 0
     while n_extra > 0 and attempts < 20 * n:
         attempts += 1

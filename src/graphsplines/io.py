@@ -42,7 +42,11 @@ def _read_rows(path, expected_header: Sequence[str]) -> list[list[str]]:
     header = [c.strip() for c in rows[0]]
     if header != list(expected_header):
         raise ValidationError(f"{path}: expected header {','.join(expected_header)}, got {','.join(header)}")
-    return [r for r in rows[1:] if any(cell.strip() for cell in r)]
+    body = [(i, r) for i, r in enumerate(rows[1:], start=2) if any(cell.strip() for cell in r)]
+    for i, r in body:
+        if len(r) != len(header):
+            raise ValidationError(f"{path}: row {i} has {len(r)} cells, expected {len(header)}")
+    return [r for _, r in body]
 
 
 # --- graphs -------------------------------------------------------------------

@@ -259,3 +259,31 @@ def test_bulk_ratio_builds_no_all_pairs_metric(monkeypatch, tmp_path):
 
     monkeypatch.setattr(WeightedGraph, "metric", property(refuse))
     assert run("verify", "bulk-ratio", "--trials", 1, "-o", tmp_path / "bulk.csv") == 0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "edges, known",
+        [
+            ("u,v,weight,length\n0,1,1,1\n1,2,1\n2,0,1,1\n", "vertex,value\n0,1\n1,0\n"),
+            ("u,v,weight,length\n0,1,1,1\n1,2,1,1\n2,0,1,1\n", "vertex,value\n0,1\n1\n"),
+        ],
+    )
+    def test_short_csv_row_is_two(self, tmp_path, capsys, edges, known):
+        (tmp_path / "g.csv").write_text(edges)
+        (tmp_path / "k.csv").write_text(known)
+        code = run("interp", "--graph", tmp_path / "g.csv", "--known", tmp_path / "k.csv", "-o", tmp_path / "o.csv")
+        assert code == 2
+        assert "row 3 has" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vertices", [(0, 1, 1, 3), (0, 1, 2, 5), (-1, 0, 1, 2)])
+    def test_decay_needs_each_vertex_exactly_once(self, tmp_path, cycle_csv, vertices):
+        fn = tmp_path / "f.csv"
+        fn.write_text("vertex,value\n" + "".join(f"{v},1\n" for v in vertices))
+        assert run("decay", "--graph", cycle_csv, "--function", fn, "--center", 0, "-o", tmp_path / "p.csv") == 2
+
+    @pytest.mark.parametrize("center", [-1, 4])
+    def test_decay_center_out_of_range_is_two(self, tmp_path, cycle_csv, center):
+        fn = tmp_path / "f.csv"
+        gio.write_function_csv(fn, np.arange(4.0))
+        assert run("decay", "--graph", cycle_csv, "--function", fn, "--center", center, "-o", tmp_path / "p.csv") == 2

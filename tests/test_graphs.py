@@ -220,3 +220,93 @@ class TestKnnBlocks:
         pts[190] = pts[150]
         with pytest.raises(DuplicatePoint, match="points 150 and 190"):
             knn_graph(pts, 3)
+
+
+class TestEdgeTable:
+    def test_array_input_matches_tuple_list(self):
+        rng = np.random.default_rng(3)
+        edges = list(random_connected_graph(30, rng).edges)
+        rng.shuffle(edges)
+        edges = [(v, u, w, ell) if i % 2 else (u, v, w, ell) for i, (u, v, w, ell) in enumerate(edges)]
+        from_list = build_graph(edges, 30)
+        from_array = build_graph(np.array(edges), 30)
+        assert from_array.edges == from_list.edges
+        assert all(type(u) is int and type(v) is int and u < v for u, v, _, _ in from_array.edges)
+        assert np.array_equal(from_array.weights, from_list.weights)
+        assert np.array_equal(from_array.lengths, from_list.lengths)
+
+    def test_each_error_names_the_first_offending_edge(self):
+        path = [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0)]
+        with pytest.raises(DuplicateEdge, match=r"edge 3 \(2,1\) is listed more than once"):
+            build_graph(path + [(2, 1, 1.0, 1.0), (1, 0, 1.0, 1.0)])
+        with pytest.raises(NonPositiveLength, match=r"edge 2 \(2,3\) has length -1"):
+            build_graph(path[:2] + [(2, 3, 1.0, -1.0), (3, 0, 1.0, 0.0)])
+        with pytest.raises(ValueError, match=r"edge 1 \(1,7\) out of range for 4"):
+            build_graph(path[:1] + [(1, 7, 1.0, 1.0)] + path[1:], n_vertices=4)
+
+    def test_checks_run_in_order_across_the_whole_list(self):
+        # a bad weight on edge 0 loses to the self-loop on edge 3
+        edges = [(0, 1, -1.0, 1.0), (1, 2, 1.0, 1.0), (2, 0, 1.0, 1.0), (2, 2, 1.0, 1.0)]
+        with pytest.raises(SelfLoop, match=r"edge 3 \(2,2\)"):
+            build_graph(edges)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (3, 4), (5, 1)])
+    def test_lattice_matches_loop_reference(self, rows, cols):
+        expected = sorted(
+            [(r * cols + c, r * cols + c + 1, 2.0, 0.5) for r in range(rows) for c in range(cols - 1)]
+            + [(r * cols + c, (r + 1) * cols + c, 2.0, 0.5) for r in range(rows - 1) for c in range(cols)]
+        )
+        assert list(lattice_graph(rows, cols, weight=2.0, length=0.5).edges) == expected
+
+    def test_rows_must_have_four_fields(self):
+        with pytest.raises(ValueError):
+            build_graph([(0, 1, 1.0), (1, 2, 1.0)])
+
+    def test_rho_max_is_the_longest_edge(self):
+        for seed in range(5):
+            g = random_connected_graph(25, np.random.default_rng(seed))
+            assert g.rho_max == graph_metrics(g).rho_max == max(ell for _, _, _, ell in g.edges)
+        assert knn_graph(np.array([[0.0], [1.0], [3.0]]), k=1).rho_max == 2.0
+
+    def test_seeded_random_graphs_are_unchanged(self):
+        # digest of the edge tables these seeds gave before the edge table was vectorised
+        import hashlib
+
+        h = hashlib.sha256()
+        for n in (2, 3, 5, 17, 40, 101):
+            for seed in range(5):
+                h.update(np.array(random_connected_graph(n, np.random.default_rng(seed)).edges).tobytes())
+        assert h.hexdigest() == "f8b35e0019060a7068c95ba29a279dec3afdf9a8fe784f61003aae5a4c2ef5b0"
+
+    @pytest.mark.parametrize("source", [-1, 8, [0, 8], np.array([3, -2])])
+    def test_out_of_range_sources_are_rejected(self, source):
+        g = cycle_graph(8)
+        with pytest.raises(ValueError, match="out of range for 8 vertices"):
+            g.distances_from(source)
+        with pytest.raises(ValueError):
+            fill_distance(g, source if np.ndim(source) else [source])
+        if np.ndim(source) == 0:
+            with pytest.raises(ValueError):
+                ball(g, source, 1.0)
+
+
+class TestKnnSelection:
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_k_at_least_n_minus_one_gives_the_complete_graph(self, extra):
+        pts = np.random.default_rng(8).normal(size=(150, 2))
+        edges = list(knn_graph(pts, 149 + extra).edges)
+        assert len(edges) == 150 * 149 // 2
+        assert edges == knn_reference(pts, 149)
+
+    def test_three_coincident_points_report_the_lowest_pair(self):
+        pts = np.random.default_rng(9).normal(size=(200, 3))
+        pts[[60, 140]] = pts[170]
+        with pytest.raises(DuplicatePoint, match="points 60 and 140 coincide"):
+            knn_graph(pts, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_is_rejected(self, bad):
+        pts = np.random.default_rng(10).normal(size=(20, 2))
+        pts[5, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            knn_graph(pts, 3)
