@@ -60,10 +60,6 @@ def _magnitudes(spec: str) -> list[float]:
     return [float(tok) for tok in spec.split(",") if tok.strip()]
 
 
-def _load_graph(path):
-    return gio.read_edge_csv(path)
-
-
 def _setup(graph, alpha: float):
     decomposition = decompose_graph(graph, LaplacianKind.NORMALIZED)
     kernel = pseudo_inverse_power(decomposition, alpha)
@@ -102,7 +98,7 @@ def _cmd_graph_knn(args) -> int:
 # --- interpolation --------------------------------------------------------------
 
 def _cmd_lagrange(args) -> int:
-    g = _load_graph(args.graph)
+    g = gio.read_edge_csv(args.graph)
     nodes = gio.read_nodes_csv(args.nodes)
     decomposition, kernel = _setup(g, args.alpha)
     if args.local:
@@ -126,7 +122,7 @@ def _cmd_lagrange(args) -> int:
 
 
 def _cmd_interp(args) -> int:
-    g = _load_graph(args.graph)
+    g = gio.read_edge_csv(args.graph)
     vertices, data = gio.read_function_csv(args.known)
     decomposition, kernel = _setup(g, args.alpha)
     problem = InterpolationProblem(g, decomposition, kernel, vertices, data)
@@ -141,7 +137,7 @@ def _cmd_interp(args) -> int:
 
 
 def _cmd_decay(args) -> int:
-    g = _load_graph(args.graph)
+    g = gio.read_edge_csv(args.graph)
     vertices, data = gio.read_function_csv(args.function)
     if not np.array_equal(np.sort(vertices), np.arange(g.n_vertices)):
         raise ValidationError(f"function file must list each of the {g.n_vertices} vertices exactly once")
@@ -149,12 +145,11 @@ def _cmd_decay(args) -> int:
     f[vertices] = data
     bin_width = args.bin_width if args.bin_width is not None else g.rho_max
     profile = decay_profile(f, g, args.center, bin_width)
+    fit = fit_exponential_decay(profile, scale=args.fit_scale) if args.fit else None
     gio.write_profile_csv(args.output, profile)
     _manifest(args, "decay", [args.graph, args.function])
-    if args.fit:
-        fit = fit_exponential_decay(profile, scale=args.fit_scale)
-        fit_path = str(args.output) + ".fit.csv"
-        gio.write_fit_csv(fit_path, fit)
+    if fit is not None:
+        gio.write_fit_csv(str(args.output) + ".fit.csv", fit)
     return 0
 
 

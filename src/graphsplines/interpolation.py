@@ -53,6 +53,16 @@ def _check_nodes(nodes: Sequence[int], n_vertices: int) -> np.ndarray:
     return nodes
 
 
+def _check_values(values, count: int) -> np.ndarray:
+    """Values as a float array with one finite entry or row per node."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0 or values.shape[0] != count:
+        raise InconsistentDimensions(f"{values.shape[0] if values.ndim else 1} values for {count} nodes")
+    if not np.all(np.isfinite(values)):
+        raise InconsistentDimensions("values must be finite")
+    return values
+
+
 @dataclass
 class InterpolationProblem:
     """Data to interpolate: a graph, its decomposition and kernel, nodes, values."""
@@ -64,17 +74,11 @@ class InterpolationProblem:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
         n = self.graph.n_vertices
         if self.decomposition.n != n or self.kernel.matrix.shape != (n, n):
             raise InconsistentDimensions("graph, decomposition, and kernel sizes differ")
         self.nodes = _check_nodes(self.nodes, n)
-        if self.values.shape[0] != self.nodes.size:
-            raise InconsistentDimensions(
-                f"{self.values.shape[0]} values for {self.nodes.size} nodes"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise InconsistentDimensions("values must be finite")
+        self.values = _check_values(self.values, self.nodes.size)
 
 
 @dataclass
@@ -144,6 +148,11 @@ def _solve_dirichlet(
     return sol[:, 0] if values.ndim == 1 else sol
 
 
+def _combine(kernel: KernelMatrix, decomposition: SpectralDecomposition, nodes, beta, constant) -> np.ndarray:
+    """``Phi(., nodes) @ beta + constant * v0``; ``constant`` is a float or one per column of ``beta``."""
+    return kernel.matrix[:, nodes] @ beta + np.multiply.outer(decomposition.kernel_vector, constant)
+
+
 def solve_interpolant(p: InterpolationProblem) -> Interpolant:
     """Solve the bordered system for one data vector."""
     beta, constant = _solve_bordered(p.kernel, p.decomposition, p.nodes, p.values)
@@ -154,7 +163,7 @@ def evaluate(i: Interpolant, p: InterpolationProblem) -> np.ndarray:
     """Evaluate the interpolant on every vertex of the graph."""
     if i.nodes.size != p.nodes.size or np.any(i.nodes != p.nodes):
         raise InconsistentDimensions("interpolant nodes do not match the problem nodes")
-    return p.kernel.matrix[:, i.nodes] @ i.coefficients + i.constant * p.decomposition.kernel_vector
+    return _combine(p.kernel, p.decomposition, i.nodes, i.coefficients, i.constant)
 
 
 def native_semi_inner_product(
@@ -235,7 +244,7 @@ def lagrange_basis(
     """Solve all cardinal problems on ``nodes`` with a single factorization."""
     nodes = _check_nodes(nodes, graph.n_vertices)
     beta, constants = _solve_bordered(kernel, decomposition, nodes, np.eye(nodes.size))
-    columns = kernel.matrix[:, nodes] @ beta + np.outer(decomposition.kernel_vector, constants)
+    columns = _combine(kernel, decomposition, nodes, beta, constants)
     return LagrangeBasis(
         graph=graph,
         decomposition=decomposition,
@@ -269,7 +278,7 @@ def truncated_lagrange(
     if reimpose_side_condition:
         u = basis.decomposition.kernel_vector[kept_nodes]
         beta -= (beta @ u) / (u @ u) * u
-    return basis.kernel.matrix[:, kept_nodes] @ beta + basis.constants[j] * basis.decomposition.kernel_vector
+    return _combine(basis.kernel, basis.decomposition, kept_nodes, beta, basis.constants[j])
 
 
 def local_lagrange(
@@ -294,4 +303,4 @@ def local_lagrange(
     neighborhood = config.nodes_within(graph, nodes)
     cardinal = (neighborhood == center).astype(float)
     beta, constant = _solve_bordered(kernel, decomposition, neighborhood, cardinal)
-    return kernel.matrix[:, neighborhood] @ beta + constant * decomposition.kernel_vector
+    return _combine(kernel, decomposition, neighborhood, beta, constant)

@@ -11,15 +11,19 @@ import csv
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .diagnostics import DecayFit, DecayProfile
-from .errors import ValidationError
+from .errors import MissingValue, NonNumericColumn, TooFewRows, ValidationError
 from .graphs import WeightedGraph, build_graph
-from .interpolation import Interpolant
-from .ml import RegressionReport
+
+if TYPE_CHECKING:
+    from .diagnostics import DecayFit, DecayProfile
+    from .interpolation import Interpolant
+    from .ml import RegressionReport
+
+_MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none", "?"}
 
 
 def fmt(x: float) -> str:
@@ -34,19 +38,69 @@ def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
-def _read_rows(path, expected_header: Sequence[str]) -> list[list[str]]:
+def read_table(path, header: bool | Sequence[str] = True, vertex_columns: int = 0) -> tuple[list[str], np.ndarray]:
+    """The one reader of input files: column names and a float array of a numeric CSV/TSV file.
+
+    The delimiter is a tab when the first line holds one, else a comma; blank
+    lines are skipped. ``header`` is True when the first line names the columns,
+    False when there is none (columns ``col0, col1, ...``), or the names it must
+    hold. Every row must be as wide as the first and every cell finite: a
+    missing token (``""``, ``NA``, ``nan``, ...) raises :class:`MissingValue`,
+    any other bad cell :class:`NonNumericColumn`, as does a cell of the first
+    ``vertex_columns`` columns that is not an integer below 2**53 in size.
+    Messages name the file, the row by its line in the file, and the column.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        delimiter = "\t" if "\t" in fh.readline() else ","
+        fh.seek(0)
+        reader = csv.reader(fh, delimiter=delimiter)
+        lines, rows = [], []
+        for row in reader:
+            if "".join(row).strip():
+                lines.append(reader.line_num)
+                rows.append(row)
     if not rows:
-        raise ValidationError(f"{path} is empty")
-    header = [c.strip() for c in rows[0]]
-    if header != list(expected_header):
-        raise ValidationError(f"{path}: expected header {','.join(expected_header)}, got {','.join(header)}")
-    body = [(i, r) for i, r in enumerate(rows[1:], start=2) if any(cell.strip() for cell in r)]
-    for i, r in body:
-        if len(r) != len(header):
-            raise ValidationError(f"{path}: row {i} has {len(r)} cells, expected {len(header)}")
-    return [r for _, r in body]
+        raise TooFewRows(f"{path} is empty")
+    if header is False:
+        names = [f"col{j}" for j in range(len(rows[0]))]
+    else:
+        names = [cell.strip() for cell in rows[0]]
+        if header is not True and names != list(header):
+            raise ValidationError(f"{path}: expected header {','.join(header)}, got {','.join(names)}")
+        lines, rows = lines[1:], rows[1:]
+    for line, row in zip(lines, rows):
+        if len(row) != len(names):
+            raise ValidationError(f"{path}: row {line} has {len(row)} cells, expected {len(names)}")
+    try:
+        data = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all() or not _are_vertex_ids(data[:, :vertex_columns]):
+        _reject_first_bad_cell(path, names, lines, rows, vertex_columns)
+    return names, data
+
+
+def _are_vertex_ids(x) -> bool:
+    """Integers that a float holds exactly, so that a cast to int keeps them."""
+    return bool(np.all((x % 1 == 0) & (np.abs(x) < 2.0**53)))
+
+
+def _reject_first_bad_cell(path, names: list[str], lines: list[int], rows: list[list[str]], vertex_columns: int) -> None:
+    """Raise for the first cell, in file order, that :func:`read_table` refuses."""
+    for line, row in zip(lines, rows):
+        for j, cell in enumerate(row):
+            token = cell.strip()
+            where = f"{path}: row {line}, column {names[j]!r}"
+            if token.lower() in _MISSING_TOKENS:
+                raise MissingValue(f"{where}: missing value {token!r}")
+            try:
+                x = float(token)
+            except ValueError:
+                raise NonNumericColumn(f"{where}: non-numeric value {token!r}") from None
+            if not np.isfinite(x):
+                raise NonNumericColumn(f"{where}: non-finite value {token!r}")
+            if j < vertex_columns and not _are_vertex_ids(x):
+                raise NonNumericColumn(f"{where}: vertex {token!r} is not an integer below 2**53 in size")
 
 
 # --- graphs -------------------------------------------------------------------
@@ -56,23 +110,12 @@ def write_edge_csv(path, g: WeightedGraph) -> None:
 
 
 def read_edge_csv(path) -> WeightedGraph:
-    rows = _read_rows(path, ["u", "v", "weight", "length"])
-    edges = [(int(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in rows]
-    return build_graph(edges)
+    return build_graph(read_table(path, ["u", "v", "weight", "length"], vertex_columns=2)[1])
 
 
 def read_points_csv(path, header: bool = True) -> np.ndarray:
     """Point cloud: one row per point, numeric columns only."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
-    if header:
-        rows = rows[1:]
-    if not rows:
-        raise ValidationError(f"{path} has no data rows")
-    try:
-        return np.array([[float(c) for c in row] for row in rows])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric cell ({exc})") from None
+    return read_table(path, header)[1]
 
 
 # --- vertex functions and node sets --------------------------------------------
@@ -83,10 +126,8 @@ def write_function_csv(path, values: np.ndarray) -> None:
 
 def read_function_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (vertices, values); the file may cover only a subset of vertices."""
-    rows = _read_rows(path, ["vertex", "value"])
-    vertices = np.array([int(r[0]) for r in rows])
-    values = np.array([float(r[1]) for r in rows])
-    return vertices, values
+    data = read_table(path, ["vertex", "value"], vertex_columns=1)[1]
+    return data[:, 0].astype(int), data[:, 1]
 
 
 def write_nodes_csv(path, nodes) -> None:
@@ -94,8 +135,7 @@ def write_nodes_csv(path, nodes) -> None:
 
 
 def read_nodes_csv(path) -> np.ndarray:
-    rows = _read_rows(path, ["vertex"])
-    return np.array([int(r[0]) for r in rows])
+    return read_table(path, ["vertex"], vertex_columns=1)[1][:, 0].astype(int)
 
 
 # --- interpolants, profiles, reports -------------------------------------------

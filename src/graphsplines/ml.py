@@ -13,24 +13,16 @@ eigendecomposition, kernel matrix or bordered system is built here.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    InconsistentDimensions,
-    MissingValue,
-    NonNumericColumn,
-    TooFewRows,
-    ZeroVarianceColumn,
-)
+from .errors import TooFewRows, ZeroVarianceColumn
 from .graphs import WeightedGraph, complement, knn_graph
-from .interpolation import _check_nodes, _solve_dirichlet
+from .interpolation import _check_nodes, _check_values, _solve_dirichlet
+from .io import read_table
 from .spectral import LaplacianKind, SpectralDecomposition, laplacian, laplacian_power
-
-_MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none", "?"}
 
 
 @dataclass
@@ -47,74 +39,38 @@ class Dataset:
         return self.features.shape[0]
 
 
-def _resolve_columns(selected, header: list[str] | None, width: int) -> list[int]:
+def _resolve_columns(selected, names: list[str]) -> list[int]:
     indices = []
     for col in selected:
         if isinstance(col, int) or (isinstance(col, str) and col.lstrip("-").isdigit()):
             idx = int(col)
-        elif header is not None and col in header:
-            idx = header.index(col)
+        elif col in names:
+            idx = names.index(col)
         else:
             raise ValueError(f"unknown column {col!r}")
-        if not (0 <= idx < width):
-            raise ValueError(f"column index {idx} out of range for {width} columns")
+        if not (0 <= idx < len(names)):
+            raise ValueError(f"column index {idx} out of range for {len(names)} columns")
         indices.append(idx)
     return indices
 
 
-def _parse_cell(text: str, row: int, column: str) -> float:
-    stripped = text.strip()
-    if stripped.lower() in _MISSING_TOKENS:
-        raise MissingValue(f"missing value in column {column!r}, row {row}")
-    try:
-        return float(stripped)
-    except ValueError:
-        raise NonNumericColumn(f"non-numeric value {stripped!r} in column {column!r}, row {row}") from None
-
-
 def load_dataset(path, feature_columns: Sequence, target_columns: Sequence, header: bool = True) -> Dataset:
-    """Read a CSV/TSV file and select feature and target columns.
+    """Read a CSV/TSV table (see :func:`graphsplines.io.read_table`) and select columns.
 
-    Columns may be named (requires a header row) or given as zero-based
-    indices. The delimiter is a tab when the first line contains one,
-    otherwise a comma.
+    Columns may be named or given as zero-based indices; a table without a
+    header names its columns ``col0, col1, ...``.
     """
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first:
-            raise TooFewRows(f"{path} is empty")
-        delimiter = "\t" if "\t" in first else ","
-        fh.seek(0)
-        rows = list(csv.reader(fh, delimiter=delimiter))
-
-    names = [c.strip() for c in rows[0]] if header else None
-    data_rows = rows[1:] if header else rows
-    data_rows = [r for r in data_rows if any(cell.strip() for cell in r)]
-    if len(data_rows) < 2:
-        raise TooFewRows(f"need at least 2 data rows, got {len(data_rows)}")
-
-    width = len(data_rows[0])
-    feat_idx = _resolve_columns(feature_columns, names, width)
-    targ_idx = _resolve_columns(target_columns, names, width)
-
-    def colname(i: int) -> str:
-        return names[i] if names else f"col{i}"
-
-    features = np.empty((len(data_rows), len(feat_idx)))
-    targets = np.empty((len(data_rows), len(targ_idx)))
-    for r, row in enumerate(data_rows):
-        if len(row) != width:
-            raise NonNumericColumn(f"row {r} has {len(row)} cells, expected {width}")
-        for j, i in enumerate(feat_idx):
-            features[r, j] = _parse_cell(row[i], r, colname(i))
-        for j, i in enumerate(targ_idx):
-            targets[r, j] = _parse_cell(row[i], r, colname(i))
-
+    names, data = read_table(path, header)
+    if data.shape[0] < 2:
+        raise TooFewRows(f"{path}: need at least 2 data rows, got {data.shape[0]}")
+    feat_idx = _resolve_columns(feature_columns, names)
+    targ_idx = _resolve_columns(target_columns, names)
+    # take() returns C-ordered columns, so the per-column sums in normalize() run as before
     return Dataset(
-        features=features,
-        targets=targets,
-        feature_names=[colname(i) for i in feat_idx],
-        target_names=[colname(i) for i in targ_idx],
+        features=data.take(feat_idx, axis=1),
+        targets=data.take(targ_idx, axis=1),
+        feature_names=[names[i] for i in feat_idx],
+        target_names=[names[i] for i in targ_idx],
     )
 
 
@@ -181,12 +137,7 @@ def spline_regress(
     normalized Laplacian is used.
     """
     known = _check_nodes(known, g.n_vertices)
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 0 or values.shape[0] != known.size:
-        count = 1 if values.ndim == 0 else values.shape[0]
-        raise InconsistentDimensions(f"{count} values for {known.size} known vertices")
-    if not np.all(np.isfinite(values)):
-        raise InconsistentDimensions("values must be finite")
+    values = _check_values(values, known.size)
     power = laplacian_power(g, alpha, decomposition)
     unknown = complement(g, known)
     if unknown.size == 0:

@@ -160,6 +160,12 @@ def decompose_graph(g: WeightedGraph, kind: LaplacianKind = LaplacianKind.NORMAL
     return eigendecompose(laplacian(g, kind), kind)
 
 
+def _spectral_power(s: SpectralDecomposition, power: float) -> np.ndarray:
+    """``Q diag(eigenvalue_powers(power)) Q^T``, symmetrised exactly."""
+    M = (s.eigenvectors * s.eigenvalue_powers(power)) @ s.eigenvectors.T
+    return (M + M.T) / 2.0
+
+
 def pseudo_inverse_power(s: SpectralDecomposition, alpha: float) -> KernelMatrix:
     """The matrix ``sum_{k>=1} lambda_k^(-alpha) v_k v_k^T``.
 
@@ -168,8 +174,7 @@ def pseudo_inverse_power(s: SpectralDecomposition, alpha: float) -> KernelMatrix
     """
     if alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
-    M = (s.eigenvectors * s.eigenvalue_powers(-alpha)) @ s.eigenvectors.T
-    return KernelMatrix(alpha=float(alpha), matrix=(M + M.T) / 2.0)
+    return KernelMatrix(alpha=float(alpha), matrix=_spectral_power(s, -alpha))
 
 
 def laplacian_power(
@@ -194,9 +199,7 @@ def laplacian_power(
         return power.toarray()
     if decomposition is None:
         decomposition = decompose_graph(g, kind)
-    Q = decomposition.eigenvectors
-    M = (Q * decomposition.eigenvalue_powers(alpha)) @ Q.T
-    return (M + M.T) / 2.0
+    return _spectral_power(decomposition, alpha)
 
 
 def sobolev_seminorm(

@@ -287,3 +287,56 @@ class TestInputChecks:
         fn = tmp_path / "f.csv"
         gio.write_function_csv(fn, np.arange(4.0))
         assert run("decay", "--graph", cycle_csv, "--function", fn, "--center", center, "-o", tmp_path / "p.csv") == 2
+
+    def test_decay_rejects_nan_in_function(self, tmp_path):
+        g_csv = tmp_path / "c3.csv"
+        assert run("graph", "cycle", "--n", 3, "-o", g_csv) == 0
+        fn = tmp_path / "f.csv"
+        fn.write_text("vertex,value\n0,nan\n1,1\n2,1\n")
+        assert run("decay", "--graph", g_csv, "--function", fn, "--center", 0, "-o", tmp_path / "p.csv") == 2
+
+    def test_failed_decay_fit_writes_nothing(self, tmp_path, cycle_csv):
+        fn = tmp_path / "f.csv"
+        gio.write_function_csv(fn, np.array([1.0, 0.0, 0.0, 0.0]))
+        out = tmp_path / "p.csv"
+        assert run("decay", "--graph", cycle_csv, "--function", fn, "--center", 0, "--fit", "-o", out) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cycle.csv", "cycle.csv.manifest.json", "f.csv"]
+
+
+# Each input kind: its header, two good data rows, and the arguments that read it
+# (other inputs of the command are good). The bad row sits on file line 4, after a
+# blank line, so a message must count file lines, not data rows.
+_INPUT_KINDS = {
+    "edges": ("u,v,weight,length", ["0,1,1,1", "1,2,1,1", "2,3,1,1", "3,0,1,1"],
+              lambda bad, good: ["interp", "--graph", bad, "--known", good["known"]]),
+    "function": ("vertex,value", ["0,1", "1,0", "2,1"],
+                 lambda bad, good: ["interp", "--graph", good["graph"], "--known", bad]),
+    "nodes": ("vertex", ["0", "2", "1"],
+              lambda bad, good: ["lagrange", "--graph", good["graph"], "--nodes", bad, "--center", 0]),
+    "points": ("x,y", ["0,0", "1,0", "0,1"],
+               lambda bad, good: ["graph", "knn", "--points", bad, "--k", 1]),
+    "table": ("a,b,y", ["0,1,2", "1,0,3", "1,1,4"],
+              lambda bad, good: ["ml", "cv", "--data", bad, "--features", "a,b", "--targets", "y", "--k", 1]),
+}
+
+_DEFECTS = {
+    # a one-column row cannot be short without being blank, so it gets an extra cell
+    "short row": lambda cells: cells[:-1] if len(cells) > 1 else cells + ["0"],
+    "non-numeric cell": lambda cells: cells[:-1] + ["abc"],
+    "missing token": lambda cells: cells[:-1] + ["NA"],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+@pytest.mark.parametrize("kind", sorted(_INPUT_KINDS))
+def test_bad_input_row_names_file_and_line(tmp_path, capsys, cycle_csv, kind, defect):
+    header, rows, argv = _INPUT_KINDS[kind]
+    known = tmp_path / "known.csv"
+    known.write_text("vertex,value\n0,1\n2,0\n")
+    bad_row = ",".join(_DEFECTS[defect](rows[1].split(",")))
+    bad = tmp_path / f"bad-{kind}.csv"
+    bad.write_text("\n".join([header, rows[0], "", bad_row, *rows[2:]]) + "\n")
+    code = run(*argv(bad, {"graph": cycle_csv, "known": known}), "-o", tmp_path / "out.csv")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(bad) in err and "row 4" in err

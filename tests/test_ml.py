@@ -50,6 +50,12 @@ class TestLoadDataset:
         with pytest.raises(NonNumericColumn):
             load_dataset(path, ["a"], ["y"])
 
+    @pytest.mark.parametrize("token", ["inf", "-Infinity"])
+    def test_infinite_value_is_rejected_on_read(self, tmp_path, token):
+        path = write_csv(tmp_path / "d.tsv", f"a\ty\n1\t2\n3\t{token}\n5\t6\n")
+        with pytest.raises(NonNumericColumn, match=r"d.tsv: row 3, column 'y'"):
+            load_dataset(path, ["a"], ["y"])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope.csv", ["a"], ["y"])
