@@ -1,5 +1,6 @@
 """Command-line interface: graph generation, interpolation, diagnostics, experiments.
 
+Parsing, file I/O and dispatch only; the ``verify`` suites live in ``diagnostics``.
 Every data-producing subcommand writes CSV plus a ``<output>.manifest.json``
 recording flags, seed, and input digests. Exit codes: 0 success, 1 usage,
 2 input validation, 3 numerical failure, 4 verification failure.
@@ -13,34 +14,19 @@ import numpy as np
 
 from . import __version__
 from . import io as gio
-from .diagnostics import (
-    bulk_ratio,
-    cycle_cover_constant,
-    decay_profile,
-    fit_exponential_decay,
-    ml_cover_constant,
-    random_known_unknown_graph,
-    zeros_lemma_check,
-)
+from .diagnostics import SUITES, decay_profile, fit_exponential_decay
 from .errors import GraphSplinesError, NumericalError, ValidationError
-from .graphs import (
-    cycle_graph,
-    fill_distance,
-    knn_graph,
-    lattice_graph,
-    random_connected_graph,
-)
+from .graphs import cycle_graph, knn_graph, lattice_graph
 from .interpolation import (
     InterpolationProblem,
     evaluate,
     lagrange_basis,
     local_lagrange,
-    native_semi_inner_product,
     solve_interpolant,
     truncated_lagrange,
 )
 from .ml import CVConfig, cross_validate, load_dataset, smoothness_experiment
-from .spectral import LaplacianKind, decompose_graph, pseudo_inverse_power, sobolev_seminorm
+from .spectral import _normalized_kernel, decompose_graph  # noqa: F401  bench/tracing.py wraps cli.decompose_graph
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,12 +44,6 @@ def _columns(spec: str) -> list[str]:
 
 def _magnitudes(spec: str) -> list[float]:
     return [float(tok) for tok in spec.split(",") if tok.strip()]
-
-
-def _setup(graph, alpha: float):
-    decomposition = decompose_graph(graph, LaplacianKind.NORMALIZED)
-    kernel = pseudo_inverse_power(decomposition, alpha)
-    return decomposition, kernel
 
 
 def _manifest(args, subcommand: str, inputs) -> None:
@@ -100,7 +80,7 @@ def _cmd_graph_knn(args) -> int:
 def _cmd_lagrange(args) -> int:
     g = gio.read_edge_csv(args.graph)
     nodes = gio.read_nodes_csv(args.nodes)
-    decomposition, kernel = _setup(g, args.alpha)
+    decomposition, kernel = _normalized_kernel(g, args.alpha)
     if args.local:
         if args.radius is None:
             raise ValidationError("--local requires --radius")
@@ -124,7 +104,7 @@ def _cmd_lagrange(args) -> int:
 def _cmd_interp(args) -> int:
     g = gio.read_edge_csv(args.graph)
     vertices, data = gio.read_function_csv(args.known)
-    decomposition, kernel = _setup(g, args.alpha)
+    decomposition, kernel = _normalized_kernel(g, args.alpha)
     problem = InterpolationProblem(g, decomposition, kernel, vertices, data)
     interpolant = solve_interpolant(problem)
     gio.write_function_csv(args.output, evaluate(interpolant, problem))
@@ -155,144 +135,7 @@ def _cmd_decay(args) -> int:
 
 # --- verification suites ---------------------------------------------------------
 
-def _verify_zeros_lemma(args):
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    violations = 0
-    rows = []
-    for _ in range(args.trials):
-        n = int(rng.integers(2, 65))
-        g = random_connected_graph(n, rng)
-        for alpha in (1.0, 2.0, 4.0):
-            report = zeros_lemma_check(g, alpha, trials=1, seed=int(rng.integers(2**31)))
-            worst = max(worst, report.max_ratio)
-            violations += len(report.violations)
-            rows.append((n, alpha, gio.fmt(report.max_ratio)))
-    ok = violations == 0
-    lines = [f"zeros-lemma: graphs={args.trials} alphas=1,2,4 max_ratio={worst:.12f} violations={violations}"]
-    return ok, lines, ["n_vertices", "alpha", "ratio"], rows
-
-
-def _verify_min_norm(args):
-    rng = np.random.default_rng(args.seed)
-    worst_ip = 0.0
-    failures = 0
-    rows = []
-    for _ in range(args.trials):
-        n = int(rng.integers(4, 65))
-        g = random_connected_graph(n, rng)
-        decomposition, kernel = _setup(g, 2.0)
-        m = int(rng.integers(2, n + 1))
-        nodes = np.sort(rng.choice(n, size=m, replace=False))
-        problem = InterpolationProblem(g, decomposition, kernel, nodes, rng.standard_normal(m))
-        s_fun = evaluate(solve_interpolant(problem), problem)
-        s_norm = sobolev_seminorm(decomposition, s_fun, 2.0)
-
-        perturbation = rng.standard_normal(n)
-        perturbation[nodes] = 0.0
-        inner = native_semi_inner_product(decomposition, perturbation, s_fun, 2.0)
-        scale = max(1.0, sobolev_seminorm(decomposition, perturbation, 2.0) * s_norm)
-        rel = abs(inner) / scale
-        worst_ip = max(worst_ip, rel)
-        competitor = sobolev_seminorm(decomposition, s_fun + perturbation, 2.0)
-        ok_trial = rel <= 1e-9 and competitor >= s_norm * (1 - 1e-12)
-        failures += 0 if ok_trial else 1
-        rows.append((n, m, gio.fmt(rel), gio.fmt(competitor - s_norm)))
-    ok = failures == 0
-    lines = [f"min-norm: trials={args.trials} max_rel_inner_product={worst_ip:.3e} failures={failures}"]
-    return ok, lines, ["n_vertices", "n_nodes", "rel_inner_product", "norm_gap"], rows
-
-
-def _verify_coeff_symmetry(args):
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    failures = 0
-    rows = []
-    for _ in range(args.trials):
-        n = int(rng.integers(4, 101))
-        g = random_connected_graph(n, rng)
-        decomposition, kernel = _setup(g, 2.0)
-        m = int(rng.integers(2, min(n, 30) + 1))
-        nodes = np.sort(rng.choice(n, size=m, replace=False))
-        basis = lagrange_basis(kernel, decomposition, g, nodes)
-        coeffs = basis.coefficients
-        asym = float(np.abs(coeffs - coeffs.T).max())
-
-        lam = decomposition.eigenvalue_powers(2.0)
-        hat = decomposition.eigenvectors.T @ basis.columns
-        gram = hat.T @ (lam[:, None] * hat)
-        mismatch = float(np.abs(gram - coeffs).max())
-
-        worst = max(worst, asym, mismatch)
-        if asym > 1e-8 or mismatch > 1e-8:
-            failures += 1
-        rows.append((n, m, gio.fmt(asym), gio.fmt(mismatch)))
-    ok = failures == 0
-    lines = [f"coeff-symmetry: trials={args.trials} max_deviation={worst:.3e} failures={failures}"]
-    return ok, lines, ["n_vertices", "n_nodes", "asymmetry", "gram_mismatch"], rows
-
-
-def _verify_bulk_ratio(args):
-    g = cycle_graph(256)
-    nodes = np.arange(0, 256, 4)
-    decomposition, kernel = _setup(g, 2.0)
-    basis = lagrange_basis(kernel, decomposition, g, nodes)
-    chi = basis.columns[:, basis.center_index(0)]
-    h = fill_distance(g, nodes)
-    rho_max = g.rho_max
-    side = max(1, int(np.sqrt(args.trials)))
-    r2_values = 3 * rho_max + 2 * h + 1 + 2.0 * np.arange(side)
-    gaps = 2.0 * (1 + np.arange(side))
-    worst = 0.0
-    rows = []
-    for r2 in r2_values:
-        for gap in gaps:
-            ratio = bulk_ratio(chi, decomposition, g, 0, r2, r2 + gap, h, rho_max)
-            worst = max(worst, ratio)
-            rows.append((gio.fmt(r2), gio.fmt(r2 + gap), gio.fmt(ratio)))
-    ok = worst < 1.0
-    lines = [f"bulk-ratio: cycle-256 sweep {side}x{side} max_ratio={worst:.6f}"]
-    return ok, lines, ["r2", "r3", "ratio"], rows
-
-
-def _verify_cover_constant(args):
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-    rows = []
-    for _ in range(args.trials):
-        spacing = int(rng.choice([1, 2, 4]))
-        n_nodes = int(rng.integers(3, 11))
-        n = spacing * n_nodes
-        g = cycle_graph(n)
-        nodes = np.arange(0, n, spacing)
-        constant = cycle_cover_constant(g, nodes)
-        shift = int(rng.integers(n))
-        rotated = cycle_cover_constant(g, (nodes + shift) % n)
-        drift = abs(constant - rotated) / constant
-        cycle_ok = constant > 0 and drift <= 1e-9
-
-        n_known = int(rng.integers(2, 13))
-        n_unknown = int(rng.integers(1, 13))
-        gm, known = random_known_unknown_graph(n_known, n_unknown, rng)
-        report = ml_cover_constant(gm, known)
-        ml_ok = report.empirical_bound <= report.formula_bound
-        if not (cycle_ok and ml_ok):
-            failures += 1
-        rows.append(
-            (n, spacing, gio.fmt(constant), gio.fmt(drift), gio.fmt(report.empirical_bound), gio.fmt(report.formula_bound))
-        )
-    ok = failures == 0
-    lines = [f"cover-constant: trials={args.trials} failures={failures}"]
-    return ok, lines, ["cycle_n", "spacing", "constant", "rotation_drift", "ml_empirical", "ml_formula"], rows
-
-
-_VERIFIERS = {
-    "zeros-lemma": _verify_zeros_lemma,
-    "min-norm": _verify_min_norm,
-    "coeff-symmetry": _verify_coeff_symmetry,
-    "bulk-ratio": _verify_bulk_ratio,
-    "cover-constant": _verify_cover_constant,
-}
+_VERIFIERS = {name: (lambda args, suite=suite: suite(args.trials, args.seed)) for name, suite in SUITES.items()}
 
 
 def _cmd_verify(args) -> int:

@@ -5,12 +5,17 @@ magnitude envelopes and their exponential fits, the ratio of semi-norm tails
 outside nested balls, the vanishing-point norm bound, and the Dirichlet
 eigenvalue constants of the covering constructions for cycles and for
 known/unknown machine-learning graphs.
+
+The suites in :data:`SUITES` run these checks, and the interpolants' minimal-norm
+and coefficient-symmetry properties, on seeded random trials against their own
+pass thresholds, returning ``(ok, lines, header, rows)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import depth_first_order
 
 from .errors import (
     DegenerateDenominator,
@@ -19,10 +24,19 @@ from .errors import (
     NotACycle,
     TooFewNodes,
 )
-from .graphs import WeightedGraph, ball, build_graph, complement
+from .graphs import WeightedGraph, build_graph, cycle_graph, fill_distance, random_connected_graph
+from .interpolation import (
+    InterpolationProblem,
+    evaluate,
+    lagrange_basis,
+    native_semi_inner_product,
+    solve_interpolant,
+)
+from .io import fmt
 from .spectral import (
     LaplacianKind,
     SpectralDecomposition,
+    _normalized_kernel,
     decompose_graph,
     dirichlet_eigenvalue,
     sobolev_seminorm,
@@ -77,7 +91,10 @@ def fit_exponential_decay(p: DecayProfile, scale: float = 1.0) -> DecayFit:
 
     Needs at least three strictly positive envelope entries. ``r_squared`` is
     reported as 1.0 for an exactly constant (perfectly fit) envelope.
+    ``scale`` must be positive and finite.
     """
+    if not (0.0 < scale < np.inf):
+        raise ValueError(f"fit scale must be positive and finite, got {scale}")
     positive = p.envelopes > 0
     if np.count_nonzero(positive) < 3:
         raise InsufficientData("need at least 3 positive envelope bins to fit")
@@ -117,7 +134,8 @@ def bulk_ratio(
         raise ValueError(f"need 3*rho_max + 2h < r2 < r3, got r2={r2}, r3={r3}")
     r1 = r2 - 2.0 * rho_max - 2.0 * h
     r4 = r3 + 2.0 * h
-    outside_r1 = complement(g, ball(g, center, r1))
+    d = g.distances_from(center)
+    outside_r1 = np.flatnonzero(d > r1)
     if outside_r1.size == 0:
         raise DegenerateDenominator(f"ball of radius {r1} already covers the graph")
     denominator = sobolev_seminorm(s, chi, 2.0, outside_r1)
@@ -125,7 +143,7 @@ def bulk_ratio(
     floor = g.n_vertices * np.finfo(float).eps * sobolev_seminorm(s, chi, 2.0)
     if denominator <= floor:
         raise DegenerateDenominator(f"semi-norm outside radius {r1} vanishes")
-    outside_r4 = complement(g, ball(g, center, r4))
+    outside_r4 = np.flatnonzero(d > r4)
     numerator = 0.0 if outside_r4.size == 0 else sobolev_seminorm(s, chi, 2.0, outside_r4)
     return numerator / denominator
 
@@ -144,6 +162,11 @@ def zeros_bound_ratio(s: SpectralDecomposition, f: np.ndarray, alpha: float) -> 
     seminorm = sobolev_seminorm(s, f, alpha)
     allowed = np.sqrt(s.n) / s.eigenvalues[1] ** (alpha / 2.0) * seminorm
     return norm / allowed
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
 
 
 @dataclass
@@ -168,8 +191,7 @@ def zeros_lemma_check(
     and records the observed/allowed ratio. Ratios above ``1 + tolerance`` are
     collected as violations together with the witness function.
     """
-    if trials < 1:
-        raise ValueError(f"need at least 1 trial, got {trials}")
+    _check_trials(trials)
     s = decompose_graph(g, LaplacianKind.UNNORMALIZED)
     rng = np.random.default_rng(seed)
     report = ZerosLemmaReport(alpha=float(alpha), trials=trials, skipped=0, max_ratio=0.0)
@@ -187,20 +209,6 @@ def zeros_lemma_check(
     return report
 
 
-def _cycle_order(g: WeightedGraph) -> list[int]:
-    """Vertex ids in ring order, starting from vertex 0."""
-    if len(g.edges) != g.n_vertices or np.any(g.degrees != 2):
-        raise NotACycle("graph is not a single cycle")
-    order = [0]
-    prev, cur = -1, 0
-    for _ in range(g.n_vertices - 1):
-        a, b = g.neighbors(cur)
-        nxt = int(a) if int(a) != prev else int(b)
-        prev, cur = cur, nxt
-        order.append(nxt)
-    return order
-
-
 def cycle_cover_constant(g: WeightedGraph, nodes) -> float:
     """Covering constant for a cycle: twice the worst inverse Dirichlet eigenvalue squared.
 
@@ -209,7 +217,9 @@ def cycle_cover_constant(g: WeightedGraph, nodes) -> float:
     interiors). The interiors' smallest Laplacian-submatrix eigenvalues give
     the constant ``2 * max_k (1 / lambda_k)^2``.
     """
-    order = _cycle_order(g)
+    if len(g.edges) != g.n_vertices or np.any(g.degrees != 2):
+        raise NotACycle("graph is not a single cycle")
+    order = depth_first_order(g.weights, 0, directed=False, return_predecessors=False).tolist()  # ring order
     position = {v: i for i, v in enumerate(order)}
     nodes = np.unique(np.asarray(nodes, dtype=int))
     if nodes.size < 2:
@@ -277,13 +287,11 @@ def ml_cover_constant(g: WeightedGraph, known) -> MLCoverReport:
     Dirichlet eigenvalue over the grown neighborhood subgraphs (times the same
     overlap factor M).
     """
-    known = np.unique(np.asarray(known, dtype=int))
-    known_set = set(int(v) for v in known)
-    unknown_set = set(range(g.n_vertices)) - known_set
+    unknown = ~np.isin(np.arange(g.n_vertices), known)
 
     rho_max = g.rho_max
     for u, v, w, ell in g.edges:
-        if u in unknown_set and v in unknown_set:
+        if unknown[u] and unknown[v]:
             raise HypothesisViolated(f"edge ({u},{v}) joins two unknown vertices")
         if ell < rho_max / 2.0 - 1e-12:
             raise HypothesisViolated(
@@ -297,13 +305,10 @@ def ml_cover_constant(g: WeightedGraph, known) -> MLCoverReport:
 
     min_lam = np.inf
     for v0 in range(g.n_vertices):
-        neighborhood = set(int(u) for u in g.neighbors(v0))
-        omega = {v0} | neighborhood
-        for u in neighborhood & unknown_set:
-            omega |= set(int(x) for x in g.neighbors(u))
-        # Dirichlet interior: the unknown core plus the seed vertex itself;
-        # everything adjacent to it from outside is known by hypothesis.
-        interior = sorted({v0} | (omega & unknown_set))
+        # Dirichlet interior: the seed vertex and its unknown neighbours. As no edge joins
+        # two unknowns, growing the neighbourhood by a second hop adds only known vertices.
+        neighborhood = g.neighbors(v0)
+        interior = np.union1d([v0], neighborhood[unknown[neighborhood]])
         lam = dirichlet_eigenvalue(g, interior, LaplacianKind.NORMALIZED)
         min_lam = min(min_lam, lam)
 
@@ -314,3 +319,150 @@ def ml_cover_constant(g: WeightedGraph, known) -> MLCoverReport:
         max_degree=M,
         min_dirichlet=float(min_lam),
     )
+
+
+# --- verification suites ---------------------------------------------------------
+
+def verify_zeros_lemma(trials: int, seed: int):
+    """Vanishing-point norm bound on random graphs at alpha 1, 2 and 4."""
+    _check_trials(trials)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    violations = 0
+    rows = []
+    for _ in range(trials):
+        n = int(rng.integers(2, 65))
+        g = random_connected_graph(n, rng)
+        for alpha in (1.0, 2.0, 4.0):
+            report = zeros_lemma_check(g, alpha, trials=1, seed=int(rng.integers(2**31)))
+            worst = max(worst, report.max_ratio)
+            violations += len(report.violations)
+            rows.append((n, alpha, fmt(report.max_ratio)))
+    line = f"zeros-lemma: graphs={trials} alphas=1,2,4 max_ratio={worst:.12f} violations={violations}"
+    return violations == 0, [line], ["n_vertices", "alpha", "ratio"], rows
+
+
+def _random_nodes(rng: np.random.Generator, max_n: int, max_m: int) -> tuple[WeightedGraph, np.ndarray]:
+    """Random graph on 4..max_n vertices and a sorted node set of 2..max_m of them."""
+    n = int(rng.integers(4, max_n + 1))
+    g = random_connected_graph(n, rng)
+    m = int(rng.integers(2, min(n, max_m) + 1))
+    return g, np.sort(rng.choice(n, size=m, replace=False))
+
+
+def verify_min_norm(trials: int, seed: int):
+    """An interpolant is orthogonal to, and no longer than, itself plus a perturbation vanishing on the nodes."""
+    _check_trials(trials)
+    rng = np.random.default_rng(seed)
+    worst_ip = 0.0
+    failures = 0
+    rows = []
+    for _ in range(trials):
+        g, nodes = _random_nodes(rng, 64, 64)
+        n, m = g.n_vertices, nodes.size
+        decomposition, kernel = _normalized_kernel(g, 2.0)
+        problem = InterpolationProblem(g, decomposition, kernel, nodes, rng.standard_normal(m))
+        s_fun = evaluate(solve_interpolant(problem), problem)
+        s_norm = sobolev_seminorm(decomposition, s_fun, 2.0)
+
+        perturbation = rng.standard_normal(n)
+        perturbation[nodes] = 0.0
+        inner = native_semi_inner_product(decomposition, perturbation, s_fun, 2.0)
+        scale = max(1.0, sobolev_seminorm(decomposition, perturbation, 2.0) * s_norm)
+        rel = abs(inner) / scale
+        worst_ip = max(worst_ip, rel)
+        competitor = sobolev_seminorm(decomposition, s_fun + perturbation, 2.0)
+        if not (rel <= 1e-9 and competitor >= s_norm * (1 - 1e-12)):
+            failures += 1
+        rows.append((n, m, fmt(rel), fmt(competitor - s_norm)))
+    line = f"min-norm: trials={trials} max_rel_inner_product={worst_ip:.3e} failures={failures}"
+    return failures == 0, [line], ["n_vertices", "n_nodes", "rel_inner_product", "norm_gap"], rows
+
+
+def verify_coeff_symmetry(trials: int, seed: int):
+    """Lagrange coefficients are symmetric and equal the Gram matrix of the basis."""
+    _check_trials(trials)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    failures = 0
+    rows = []
+    for _ in range(trials):
+        g, nodes = _random_nodes(rng, 100, 30)
+        decomposition, kernel = _normalized_kernel(g, 2.0)
+        basis = lagrange_basis(kernel, decomposition, g, nodes)
+        coeffs = basis.coefficients
+        asym = float(np.abs(coeffs - coeffs.T).max())
+
+        lam = decomposition.eigenvalue_powers(2.0)
+        hat = decomposition.eigenvectors.T @ basis.columns
+        gram = hat.T @ (lam[:, None] * hat)
+        mismatch = float(np.abs(gram - coeffs).max())
+
+        worst = max(worst, asym, mismatch)
+        if asym > 1e-8 or mismatch > 1e-8:
+            failures += 1
+        rows.append((g.n_vertices, nodes.size, fmt(asym), fmt(mismatch)))
+    line = f"coeff-symmetry: trials={trials} max_deviation={worst:.3e} failures={failures}"
+    return failures == 0, [line], ["n_vertices", "n_nodes", "asymmetry", "gram_mismatch"], rows
+
+
+def verify_bulk_ratio(trials: int, seed: int):
+    """Semi-norm tail ratios of a cycle-256 Lagrange function on a deterministic radius sweep (``seed`` unused)."""
+    _check_trials(trials)
+    g = cycle_graph(256)
+    nodes = np.arange(0, 256, 4)
+    decomposition, kernel = _normalized_kernel(g, 2.0)
+    basis = lagrange_basis(kernel, decomposition, g, nodes)
+    chi = basis.columns[:, basis.center_index(0)]
+    h = fill_distance(g, nodes)
+    rho_max = g.rho_max
+    side = int(np.sqrt(trials))
+    r2_values = 3 * rho_max + 2 * h + 1 + 2.0 * np.arange(side)
+    gaps = 2.0 * (1 + np.arange(side))
+    worst = 0.0
+    rows = []
+    for r2 in r2_values:
+        for gap in gaps:
+            ratio = bulk_ratio(chi, decomposition, g, 0, r2, r2 + gap, h, rho_max)
+            worst = max(worst, ratio)
+            rows.append((fmt(r2), fmt(r2 + gap), fmt(ratio)))
+    line = f"bulk-ratio: cycle-256 sweep {side}x{side} max_ratio={worst:.6f}"
+    return worst < 1.0, [line], ["r2", "r3", "ratio"], rows
+
+
+def verify_cover_constant(trials: int, seed: int):
+    """Cycle covering constants are rotation invariant; known/unknown ones stay below the degree formula."""
+    _check_trials(trials)
+    rng = np.random.default_rng(seed)
+    failures = 0
+    rows = []
+    for _ in range(trials):
+        spacing = int(rng.choice([1, 2, 4]))
+        n_nodes = int(rng.integers(3, 11))
+        n = spacing * n_nodes
+        g = cycle_graph(n)
+        nodes = np.arange(0, n, spacing)
+        constant = cycle_cover_constant(g, nodes)
+        shift = int(rng.integers(n))
+        rotated = cycle_cover_constant(g, (nodes + shift) % n)
+        drift = abs(constant - rotated) / constant
+        cycle_ok = constant > 0 and drift <= 1e-9
+
+        n_known = int(rng.integers(2, 13))
+        n_unknown = int(rng.integers(1, 13))
+        gm, known = random_known_unknown_graph(n_known, n_unknown, rng)
+        report = ml_cover_constant(gm, known)
+        if not (cycle_ok and report.empirical_bound <= report.formula_bound):
+            failures += 1
+        rows.append((n, spacing, fmt(constant), fmt(drift), fmt(report.empirical_bound), fmt(report.formula_bound)))
+    line = f"cover-constant: trials={trials} failures={failures}"
+    return failures == 0, [line], ["cycle_n", "spacing", "constant", "rotation_drift", "ml_empirical", "ml_formula"], rows
+
+
+SUITES = {
+    "zeros-lemma": verify_zeros_lemma,
+    "min-norm": verify_min_norm,
+    "coeff-symmetry": verify_coeff_symmetry,
+    "bulk-ratio": verify_bulk_ratio,
+    "cover-constant": verify_cover_constant,
+}

@@ -225,15 +225,6 @@ class LagrangeBasis:
             raise ValueError(f"vertex {center} is not an interpolation node")
         return int(idx[0])
 
-    def interpolant(self, center: int) -> Interpolant:
-        j = self.center_index(center)
-        return Interpolant(
-            constant=float(self.constants[j]),
-            coefficients=self.coefficients[:, j].copy(),
-            alpha=self.kernel.alpha,
-            nodes=self.nodes,
-        )
-
 
 def lagrange_basis(
     kernel: KernelMatrix,

@@ -270,6 +270,8 @@ def smoothness_experiment(
     """
     if n_points < 4 or n_points % 2:
         raise ValueError(f"n_points must be even and at least 4, got {n_points}")
+    if n_bumps_per_axis < 1:
+        raise ValueError(f"need at least 1 bump per axis, got {n_bumps_per_axis}")
     rng = np.random.default_rng(seed)
     sites = rng.uniform(0.0, 1.0, size=(n_points, 2))
     g = knn_graph(sites, k_neighbors)

@@ -177,6 +177,12 @@ def pseudo_inverse_power(s: SpectralDecomposition, alpha: float) -> KernelMatrix
     return KernelMatrix(alpha=float(alpha), matrix=_spectral_power(s, -alpha))
 
 
+def _normalized_kernel(g: WeightedGraph, alpha: float) -> tuple[SpectralDecomposition, KernelMatrix]:
+    """Normalized-Laplacian decomposition of ``g`` and its order-``alpha`` kernel, as a bordered solve takes them."""
+    decomposition = decompose_graph(g, LaplacianKind.NORMALIZED)
+    return decomposition, pseudo_inverse_power(decomposition, alpha)
+
+
 def laplacian_power(
     g: WeightedGraph, alpha: float, decomposition: SpectralDecomposition | None = None
 ) -> np.ndarray:

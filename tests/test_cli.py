@@ -340,3 +340,54 @@ def test_bad_input_row_names_file_and_line(tmp_path, capsys, cycle_csv, kind, de
     err = capsys.readouterr().err
     assert code == 2
     assert str(bad) in err and "row 4" in err
+
+
+_VERIFY_FLAGS = {
+    "zeros-lemma": ("--trials", 2, "--seed", 3),
+    "min-norm": ("--trials", 2, "--seed", 1),
+    "coeff-symmetry": ("--trials", 2, "--seed", 2),
+    "bulk-ratio": ("--trials", 1),
+    "cover-constant": ("--trials", 2, "--seed", 4),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_VERIFY_FLAGS))
+def test_verify_gives_byte_identical_outputs_and_manifests(tmp_path, capsys, check):
+    out = tmp_path / "verify.csv"
+    manifest = tmp_path / "verify.csv.manifest.json"
+    argv = ("verify", check, *_VERIFY_FLAGS[check], "-o", out)
+    assert run(*argv) == 0
+    first = capsys.readouterr().out, out.read_bytes(), manifest.read_bytes()
+    assert run(*argv) == 0
+    assert (capsys.readouterr().out, out.read_bytes(), manifest.read_bytes()) == first
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("check", sorted(_VERIFY_FLAGS))
+def test_verify_refuses_fewer_than_one_trial(tmp_path, capsys, check, trials):
+    out = tmp_path / "verify.csv"
+    assert run("verify", check, "--trials", trials, "-o", out) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "at least 1 trial" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_decay_fit_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
+    g_csv = tmp_path / "g.csv"
+    assert run("graph", "cycle", "--n", 32, "-o", g_csv) == 0
+    fn = tmp_path / "f.csv"
+    gio.write_function_csv(fn, np.exp(-0.3 * gio.read_edge_csv(g_csv).distances_from(0)))
+    out = tmp_path / "prof.csv"
+    argv = ("decay", "--graph", g_csv, "--function", fn, "--center", 0, "--fit", "--fit-scale", scale, "-o", out)
+    assert run(*argv) == 2
+    assert "fit scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_smoothness_needs_a_bump_per_axis(tmp_path, capsys):
+    out = tmp_path / "sm.csv"
+    assert run("experiment", "smoothness", "--n", 60, "--bumps-per-axis", 0, "--k", 6, "-o", out) == 2
+    assert "bump per axis" in capsys.readouterr().err
+    assert not out.exists()

@@ -89,6 +89,12 @@ class TestFitExponentialDecay:
         with pytest.raises(InsufficientData):
             fit_exponential_decay(profile)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        profile = DecayProfile(center=0, distances=np.arange(5.0), envelopes=np.exp(-0.5 * np.arange(5.0)))
+        with pytest.raises(ValueError, match="fit scale"):
+            fit_exponential_decay(profile, scale=scale)
+
 
 class TestBulkRatio:
     def test_below_one_on_cycle(self, cycle256_setup):
@@ -179,6 +185,27 @@ class TestCycleCoverConstant:
         with pytest.raises(TooFewNodes):
             cycle_cover_constant(cycle_graph(6), [2])
 
+    def test_relabelled_uneven_cycles_against_hand_walked_ring(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            n = int(rng.integers(3, 40))
+            perm = rng.permutation(n)
+            g = build_graph([(int(perm[i]), int(perm[(i + 1) % n]), float(rng.uniform(0.3, 3.0)), 1.0) for i in range(n)])
+            nodes = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+            # reference: walk the ring from vertex 0, then eigensolve each two-gap path interior
+            order = [0]
+            while len(order) < n:
+                order.append(next(int(v) for v in g.neighbors(order[-1]) if len(order) < 2 or v != order[-2]))
+            pos = sorted(order.index(int(v)) for v in nodes)
+            L = laplacian(g, LaplacianKind.NORMALIZED)
+            worst = 0.0
+            for k in range(len(pos)):
+                end = pos[(k + 2) % len(pos)] + (n if k + 2 >= len(pos) else 0)
+                interior = sorted(order[p % n] for p in range(pos[k] + 1, end))
+                lam = scipy.linalg.eigh(L[np.ix_(interior, interior)], eigvals_only=True)[0]
+                worst = max(worst, (1.0 / lam) ** 2)
+            assert cycle_cover_constant(g, nodes) == pytest.approx(2.0 * worst, rel=1e-12)
+
 
 class TestMLCoverConstant:
     def test_formula_for_max_degree_two(self):
@@ -209,6 +236,21 @@ class TestMLCoverConstant:
         report = ml_cover_constant(g, known=np.arange(1, 6))
         assert report.empirical_bound <= report.formula_bound
         assert report.min_dirichlet > 0
+
+    def test_interiors_match_the_grown_two_hop_neighbourhoods(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            g, known = random_known_unknown_graph(int(rng.integers(2, 13)), int(rng.integers(1, 13)), rng)
+            unknown = set(range(g.n_vertices)) - set(known.tolist())
+            L = laplacian(g, LaplacianKind.NORMALIZED)
+            smallest = np.inf
+            for v0 in range(g.n_vertices):
+                omega = {v0, *g.neighbors(v0).tolist()}
+                for u in omega & unknown:
+                    omega |= set(g.neighbors(u).tolist())
+                interior = sorted({v0} | (omega & unknown))
+                smallest = min(smallest, scipy.linalg.eigh(L[np.ix_(interior, interior)], eigvals_only=True)[0])
+            assert ml_cover_constant(g, known).min_dirichlet == pytest.approx(smallest, rel=1e-12)
 
     def test_random_split_graphs_satisfy_bound(self):
         rng = np.random.default_rng(31)

@@ -256,6 +256,11 @@ class TestSmoothnessExperiment:
         with pytest.raises(ValueError):
             smoothness_experiment(61, magnitudes=[1.0], seed=0)
 
+    @pytest.mark.parametrize("bumps", [0, -2])
+    def test_requires_a_bump_per_axis(self, bumps):
+        with pytest.raises(ValueError, match="bump per axis"):
+            smoothness_experiment(60, n_bumps_per_axis=bumps, magnitudes=[1.0], k_neighbors=6, seed=0)
+
 
 class TestDirichletRegression:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
