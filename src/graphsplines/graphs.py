@@ -34,9 +34,10 @@ class WeightedGraph:
     Use :func:`build_graph` (or one of the generators below) instead of the
     constructor; they validate the edges and check connectivity. The edges form
     one (m, 4) table of ``(u, v, weight, length)`` rows, oriented ``u < v`` and
-    sorted; ``edges``, the dense weights and the sparse lengths come from it.
-    Distances are computed on each query and nothing is cached, so instances
-    are safe to share between threads.
+    sorted; ``edges``, the CSR ``adjacency`` of edge weights and the CSR lengths
+    come from it, and no dense array is kept. Dense views and distances are
+    computed on each access and nothing is cached, so instances are safe to
+    share between threads.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge] | np.ndarray):
@@ -46,16 +47,14 @@ class WeightedGraph:
         order = np.lexsort((v, u))
         u, v, w, ell = u[order], v[order], table[order, 2], table[order, 3]
         self.edges: tuple[Edge, ...] = tuple(zip(u.tolist(), v.tolist(), w.tolist(), ell.tolist()))
-        self._weights = np.zeros((n, n))
-        self._weights[u, v] = self._weights[v, u] = w
-        self._sparse_lengths = csr_matrix(
-            (np.tile(ell, 2), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)
-        )
+        ends = (np.concatenate([u, v]), np.concatenate([v, u]))
+        self.adjacency = csr_matrix((np.tile(w, 2), ends), shape=(n, n))
+        self._sparse_lengths = csr_matrix((np.tile(ell, 2), ends), shape=(n, n))
 
     @property
     def weights(self) -> np.ndarray:
-        """Dense adjacency matrix of edge weights (zero where no edge)."""
-        return self._weights
+        """Dense adjacency matrix of edge weights (zero where no edge), built on each access."""
+        return self.adjacency.toarray()
 
     @property
     def lengths(self) -> np.ndarray:
@@ -81,12 +80,13 @@ class WeightedGraph:
         return dijkstra(self._sparse_lengths, directed=False, indices=sources, min_only=True)
 
     def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self._weights[v] > 0)
+        """Neighbours of ``v`` in ascending order."""
+        return self.adjacency[v].indices.astype(np.intp)
 
     @property
     def degrees(self) -> np.ndarray:
         """Neighbor counts (unweighted degrees)."""
-        return np.count_nonzero(self._weights, axis=1)
+        return np.diff(self.adjacency.indptr)
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n_vertices={self.n_vertices}, n_edges={len(self.edges)})"
@@ -203,26 +203,27 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
 
-    # row blocks keep the difference tensor at block x n x d and the sort at block x n;
+    # row blocks keep the difference tensor at block x n x d and the distances at block x n;
     # a stable sort breaks ties by lower index, so each row starts with its own point
     kk = min(k, n - 1)
-    dist = np.empty((n, n))
     nearest = np.empty((n, kk + 1), dtype=np.intp)
+    near_dist = np.empty((n, kk + 1))
     for lo in range(0, n, _KNN_BLOCK_ROWS):
         hi = min(lo + _KNN_BLOCK_ROWS, n)
         diff = pts[lo:hi, None, :] - pts[None, :, :]
-        np.sqrt((diff * diff).sum(axis=2), out=dist[lo:hi])
-        nearest[lo:hi] = np.argsort(dist[lo:hi], axis=1, kind="stable")[:, : kk + 1]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        nearest[lo:hi] = np.argsort(dist, axis=1, kind="stable")[:, : kk + 1]
+        near_dist[lo:hi] = np.take_along_axis(dist, nearest[lo:hi], axis=1)
 
-    rows = np.arange(n)
-    coincide = np.flatnonzero(dist[rows, nearest[:, 1]] == 0.0)
+    coincide = np.flatnonzero(near_dist[:, 1] == 0.0)
     if coincide.size:
         raise DuplicatePoint(f"points {coincide[0]} and {nearest[coincide[0], 1]} coincide")
 
-    ends = np.sort(np.column_stack([np.repeat(rows, kk), nearest[:, 1:].ravel()]), axis=1)
-    u, v = np.divmod(np.unique(ends[:, 0] * n + ends[:, 1]), n)
-    d = dist[u, v]
-    return build_graph(np.column_stack([u, v, 1.0 / d, d]), n)
+    # (a - b)**2 == (b - a)**2, so both rows of a pair kept the same distance for it
+    ends = np.sort(np.column_stack([np.repeat(np.arange(n), kk), nearest[:, 1:].ravel()]), axis=1)
+    pairs, first = np.unique(ends[:, 0] * n + ends[:, 1], return_index=True)
+    d = near_dist[:, 1:].ravel()[first]
+    return build_graph(np.column_stack([*np.divmod(pairs, n), 1.0 / d, d]), n)
 
 
 def ball(g: WeightedGraph, center: int, r: float) -> np.ndarray:

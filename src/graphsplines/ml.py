@@ -108,7 +108,7 @@ def _nnr_predictions(
     Returns the predictions (one row per query) and the mask of queries with
     no known neighbor, which get the column means of the known values.
     """
-    weights = g.weights[np.ix_(queries, known)]
+    weights = g.adjacency[queries][:, known].toarray()
     totals = weights.sum(axis=1)
     isolated = totals == 0.0
     base = known_values.mean(axis=0)
@@ -208,9 +208,7 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
         fold_mse = {"spline": np.zeros((cfg.folds, t)), "nnr": np.zeros((cfg.folds, t))}
         for fi, fold in enumerate(folds):
             unknown = np.sort(fold)
-            mask = np.ones(n, dtype=bool)
-            mask[unknown] = False
-            known = np.flatnonzero(mask)
+            known = complement(g, unknown)
             known_values = d.targets[known]
             truth = d.targets[unknown]
 

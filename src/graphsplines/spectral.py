@@ -36,17 +36,20 @@ class LaplacianKind(Enum):
 
 
 def laplacian(g: WeightedGraph, kind: LaplacianKind) -> np.ndarray:
-    """Dense Laplacian of the given kind; exactly symmetric by construction."""
-    A = g.weights
-    deg = A.sum(axis=1)
+    """Dense Laplacian of the given kind, filled from the sparse adjacency; exactly symmetric by construction."""
+    A = g.adjacency.tocoo()
+    L = np.zeros((g.n_vertices, g.n_vertices))
+    L[A.row, A.col] = -A.data
+    deg = -L.sum(axis=1)  # summed over zeros too, as a dense weight matrix was: same last bits
     if np.any(deg <= 0):
         v = int(np.argmax(deg <= 0))
         raise IsolatedVertex(f"vertex {v} has zero weighted degree")
-    L = np.diag(deg) - A
     if kind is LaplacianKind.NORMALIZED:
         dinv = 1.0 / np.sqrt(deg)
-        # outer(d, d) is exactly symmetric, so L stays exactly symmetric
-        L = L * np.outer(dinv, dinv)
+        # dinv[i] * dinv[j] is the same number for (i, j) and (j, i), so L stays exactly symmetric
+        L[A.row, A.col] *= dinv[A.row] * dinv[A.col]
+        deg = deg * (dinv * dinv)
+    np.fill_diagonal(L, deg)
     return L
 
 
@@ -106,12 +109,11 @@ class KernelMatrix:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its first entry larger than 1e-12 in magnitude is positive."""
+    # a C-ordered copy: the layout picks the BLAS kernels of later products, and so their last bits
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
+    # argmax finds the first such entry; a column without one reads its row 0, which is >= -1e-12
+    first = out[np.argmax(np.abs(out) > 1e-12, axis=0), np.arange(out.shape[1])]
+    out[:, first < -1e-12] *= -1.0
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -36,6 +37,26 @@ class TestGraphCommands:
         assert run("graph", "knn", "--points", pts, "--k", 1, "-o", out) == 0
         g = gio.read_edge_csv(out)
         assert len(g.edges) == 2
+
+    # SHA-256 of the edge CSV that `graph knn --k 6` wrote for these clouds before knn_graph
+    # kept only the k + 1 nearest distances of each row; the lattice has exact distance ties
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("cloud", "e69ecf030754593ca8f5de5eea5312c224c0d56f9a0cbb753a9c9b860d318cf0"),
+            ("lattice", "3c0a71cbcb19b7f662b15173c0908c72ae4669887a70948007e6403ca19c30cf"),
+        ],
+    )
+    def test_knn_edge_bytes_are_pinned(self, tmp_path, name, digest):
+        if name == "cloud":
+            points = np.random.default_rng(400).random((400, 2))
+        else:
+            points = np.column_stack(np.divmod(np.arange(400), 20))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in points.tolist()))
+        out = tmp_path / "knn.csv"
+        assert run("graph", "knn", "--points", pts, "--k", 6, "-o", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_outputs_are_reproducible(self, tmp_path, cycle_csv):
         again = tmp_path / "again.csv"
@@ -77,6 +98,14 @@ class TestLagrangeCommand:
         nodes = tmp_path / "nodes.csv"
         gio.write_nodes_csv(nodes, [0, 2])
         assert run("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 0, "--local", "-o", tmp_path / "x.csv") == 2
+
+    def test_center_outside_node_set_is_two(self, tmp_path, cycle_csv, capsys):
+        nodes = tmp_path / "nodes.csv"
+        gio.write_nodes_csv(nodes, [0, 2])
+        out = tmp_path / "x.csv"
+        assert run("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 1, "-o", out) == 2
+        assert "not in the node set" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInterpAndDecay:
@@ -166,6 +195,28 @@ class TestMLCommands:
         body = out.read_text().splitlines()
         assert body[0] == "method,target,k,mean_mse,std_mse"
         assert len(body) == 3  # spline + nnr for one target
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--features", "a,nope"), "unknown column 'nope'"),
+            (("--features", "a,3"), "column index 3 out of range"),
+            (("--folds", 1), "at least 2 folds"),
+            (("--repeats", 0), "at least 1 repeat"),
+            (("--k", 0), "k_neighbors >= 1"),
+        ],
+    )
+    def test_cv_refusals_are_two(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "d.csv"
+        rng = np.random.default_rng(0)
+        data.write_text("a,b,y\n" + "".join(f"{a},{b},{a - b}\n" for a, b in rng.normal(size=(30, 2))))
+        defaults = {"--features": "a,b", "--k": 4, "--folds": 3, "--repeats": 2}
+        defaults[flags[0]] = flags[1]
+        out = tmp_path / "report.csv"
+        argv = [x for item in defaults.items() for x in item]
+        assert run("ml", "cv", "--data", data, "--targets", "y", *argv, "-o", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_smoothness_pairs(self, tmp_path):
         out = tmp_path / "sm.csv"

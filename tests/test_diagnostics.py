@@ -149,6 +149,42 @@ class TestZerosBound:
                 assert report.max_ratio <= 1.0 + 1e-9
 
 
+def test_zeros_lemma_suite_decomposes_each_graph_once(monkeypatch):
+    from graphsplines import spectral
+    from graphsplines.diagnostics import verify_zeros_lemma
+
+    calls = []
+    original = spectral.eigendecompose
+
+    def counting(L, kind):
+        calls.append(kind)
+        return original(L, kind)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counting)
+    ok, _, _, rows = verify_zeros_lemma(10, 0)
+    assert ok and len(rows) == 30
+    assert calls == [LaplacianKind.UNNORMALIZED] * 10
+
+
+def test_bulk_ratio_filters_the_function_once(monkeypatch):
+    from graphsplines.spectral import SpectralDecomposition
+
+    g = cycle_graph(64)
+    s = decompose_graph(g, LaplacianKind.NORMALIZED)
+    chi = np.exp(-0.5 * g.distances_from(0))
+    calls = []
+    original = SpectralDecomposition.apply_power
+
+    def counting(self, f, power):
+        calls.append(power)
+        return original(self, f, power)
+
+    monkeypatch.setattr(SpectralDecomposition, "apply_power", counting)
+    ratio = bulk_ratio(chi, s, g, 0, 8.0, 12.0, 1.0, 1.0)
+    assert 0.0 < ratio < 1.0
+    assert calls == [1.0]
+
+
 class TestCycleCoverConstant:
     def test_all_vertices_are_nodes(self):
         # every covering path has a single interior vertex with diagonal 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -310,3 +312,41 @@ class TestKnnSelection:
         pts[5, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             knn_graph(pts, 3)
+
+
+def traced_peak_mb(build):
+    """Peak traced allocation, in MB, while ``build()`` runs."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestSparseStorage:
+    def test_edges_are_stored_once_in_csr(self):
+        g = random_connected_graph(40, np.random.default_rng(11))
+        assert not [name for name, value in vars(g).items() if isinstance(value, np.ndarray)]
+        assert g.adjacency.format == "csr" and g.adjacency.nnz == 2 * len(g.edges)
+        dense = np.zeros((40, 40))
+        for u, v, w, _ in g.edges:
+            dense[u, v] = dense[v, u] = w
+        assert np.array_equal(g.weights, dense)
+
+    def test_neighbors_and_degrees_match_the_dense_weights(self):
+        for seed in range(5):
+            g = random_connected_graph(30, np.random.default_rng(seed))
+            W = g.weights
+            for v in range(g.n_vertices):
+                assert np.array_equal(g.neighbors(v), np.flatnonzero(W[v] > 0))
+            assert np.array_equal(g.degrees, np.count_nonzero(W, axis=1))
+
+    # one dense 1500 x 1500 float matrix is 18 MB; the kept k + 1 nearest are 0.2 MB
+    def test_knn_graph_builds_no_n_by_n_matrix(self):
+        pts = np.random.default_rng(1500).random((1500, 2))
+        assert traced_peak_mb(lambda: knn_graph(pts, 8)) < 18.0
+
+    # one dense weight matrix of the 3600 vertices would be 104 MB
+    def test_lattice_graph_builds_no_dense_weights(self):
+        assert traced_peak_mb(lambda: lattice_graph(60, 60)) < 10.0

@@ -11,6 +11,7 @@ from graphsplines import (
     eigendecompose,
     graph_fourier,
     inverse_graph_fourier,
+    knn_graph,
     laplacian,
     pseudo_inverse_power,
     random_connected_graph,
@@ -23,6 +24,7 @@ from graphsplines.errors import (
     MultipleZeroEigenvalues,
     NonPositiveAlpha,
 )
+from graphsplines.spectral import _fix_signs
 
 NORM = LaplacianKind.NORMALIZED
 UNNORM = LaplacianKind.UNNORMALIZED
@@ -49,6 +51,52 @@ class TestLaplacian:
         g = random_connected_graph(17, np.random.default_rng(0))
         L = laplacian(g, UNNORM)
         assert np.allclose(L.sum(axis=1), 0.0, atol=1e-12)
+
+
+def dense_laplacian(g, kind):
+    """The Laplacian from the dense weight matrix, as ``D - A`` scaled by ``outer(dinv, dinv)``."""
+    A = g.weights
+    deg = A.sum(axis=1)
+    L = np.diag(deg) - A
+    if kind is NORM:
+        dinv = 1.0 / np.sqrt(deg)
+        L = L * np.outer(dinv, dinv)
+    return L
+
+
+@pytest.mark.parametrize("kind", [NORM, UNNORM])
+def test_sparse_built_laplacian_equals_the_dense_formula_bit_for_bit(kind):
+    graphs = [random_connected_graph(n, np.random.default_rng(n)) for n in (2, 9, 64, 150)]
+    graphs.append(knn_graph(np.random.default_rng(4).normal(size=(300, 3)), 6))
+    for g in graphs:
+        L = laplacian(g, kind)
+        assert np.array_equal(L, dense_laplacian(g, kind))
+        assert np.array_equal(L, L.T)
+
+
+def fix_signs_loop(vectors):
+    """Column by column: flip so the first entry above 1e-12 in magnitude is positive."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0:
+            out[:, j] = -col
+    return out
+
+
+def test_vectorised_sign_fix_matches_the_column_loop():
+    matrices = [scipy.linalg.eigh(laplacian(cycle_graph(256), NORM))[1]]
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        g = random_connected_graph(int(rng.integers(2, 65)), rng)
+        matrices.append(scipy.linalg.eigh(laplacian(g, NORM))[1])
+    # columns led by tiny entries of either sign, and one with no entry above the threshold
+    matrices.append(np.array([[-1e-13, 1e-13, -1e-13], [0.5, -0.5, 1e-14], [-0.2, 0.3, -1e-15]]))
+    for Q in matrices:
+        fixed = _fix_signs(Q)
+        assert np.array_equal(fixed, fix_signs_loop(Q))
+        assert fixed.flags.c_contiguous
 
 
 class TestEigendecompose:
