@@ -80,20 +80,16 @@ def _cmd_graph_knn(args) -> int:
 def _cmd_lagrange(args) -> int:
     g = gio.read_edge_csv(args.graph)
     nodes = gio.read_nodes_csv(args.nodes)
+    if args.center not in nodes:
+        raise ValidationError(f"center {args.center} is not in the node set")
+    if args.local and args.radius is None:
+        raise ValidationError("--local requires --radius")
     decomposition, kernel = _normalized_kernel(g, args.alpha)
-    if args.local:
-        if args.radius is None:
-            raise ValidationError("--local requires --radius")
-        values = local_lagrange(kernel, decomposition, g, nodes, args.center, args.radius)
-    elif args.truncate is not None:
+    if args.truncate is not None and not args.local:
         basis = lagrange_basis(kernel, decomposition, g, nodes)
         values = truncated_lagrange(basis, args.center, args.truncate, reimpose_side_condition=not args.no_reproject)
-    else:
-        cardinal = (nodes == args.center).astype(float)
-        if not cardinal.any():
-            raise ValidationError(f"center {args.center} is not in the node set")
-        problem = InterpolationProblem(g, decomposition, kernel, nodes, cardinal)
-        values = evaluate(solve_interpolant(problem), problem)
+    else:  # the full function is the local one whose ball holds every node
+        values = local_lagrange(kernel, decomposition, g, nodes, args.center, args.radius if args.local else np.inf)
     gio.write_function_csv(args.output, values)
     if args.dump_kernel:
         gio.write_matrix_csv(args.dump_kernel, kernel.matrix)

@@ -36,9 +36,10 @@ from .io import fmt
 from .spectral import (
     LaplacianKind,
     SpectralDecomposition,
+    _dirichlet_eigenvalue,
     _normalized_kernel,
     decompose_graph,
-    dirichlet_eigenvalue,
+    laplacian,
     sobolev_seminorm,
 )
 
@@ -71,11 +72,11 @@ class DecayFit:
 
 def decay_profile(f: np.ndarray, g: WeightedGraph, center: int, bin_width: float) -> DecayProfile:
     """Assign every vertex to the nearest multiple of ``bin_width`` and take bin maxima."""
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
+    if not (0.0 < bin_width < np.inf):
+        raise ValueError(f"bin width must be positive and finite, got {bin_width}")
     f = np.asarray(f, dtype=float)
     d = g.distances_from(center)
-    bins = np.floor(d / bin_width + 0.5).astype(int)
+    bins = np.floor(d / bin_width + 0.5)  # whole floats: an int cast overflows for a tiny width
     uniq = np.unique(bins)
     envelopes = np.array([np.abs(f[bins == b]).max() for b in uniq])
     return DecayProfile(center=int(center), distances=uniq * bin_width, envelopes=envelopes)
@@ -234,6 +235,7 @@ def cycle_cover_constant(g: WeightedGraph, nodes) -> float:
     node_pos = sorted(position[int(v)] for v in nodes)
     n, n_nodes = g.n_vertices, len(node_pos)
 
+    L = laplacian(g, LaplacianKind.NORMALIZED)
     worst = 0.0
     for k in range(n_nodes):
         start = node_pos[k]
@@ -241,8 +243,7 @@ def cycle_cover_constant(g: WeightedGraph, nodes) -> float:
         if k + 2 >= n_nodes:
             end += n
         interior = [order[p % n] for p in range(start + 1, end)]
-        lam = dirichlet_eigenvalue(g, interior, LaplacianKind.NORMALIZED)
-        worst = max(worst, (1.0 / lam) ** 2)
+        worst = max(worst, (1.0 / _dirichlet_eigenvalue(L, interior)) ** 2)
     return 2.0 * worst
 
 
@@ -310,14 +311,14 @@ def ml_cover_constant(g: WeightedGraph, known) -> MLCoverReport:
     M = int(g.degrees.max())
     formula = 64.0 * (M + 1) ** 4 * M**5
 
+    L = laplacian(g, LaplacianKind.NORMALIZED)
     min_lam = np.inf
     for v0 in range(g.n_vertices):
         # Dirichlet interior: the seed vertex and its unknown neighbours. As no edge joins
         # two unknowns, growing the neighbourhood by a second hop adds only known vertices.
         neighborhood = g.neighbors(v0)
         interior = np.union1d([v0], neighborhood[unknown[neighborhood]])
-        lam = dirichlet_eigenvalue(g, interior, LaplacianKind.NORMALIZED)
-        min_lam = min(min_lam, lam)
+        min_lam = min(min_lam, _dirichlet_eigenvalue(L, interior))
 
     empirical = M * (1.0 / min_lam) ** 2
     return MLCoverReport(

@@ -94,11 +94,11 @@ class FullVertexSet(ValidationError):
 # --- interpolation -----------------------------------------------------------
 
 class SingularSystem(NumericalError):
-    """Augmented interpolation matrix is numerically rank deficient.
+    """A bordered or Dirichlet-form interpolation matrix is numerically rank deficient.
 
-    Raised when LAPACK's symmetric-indefinite factorization meets an exactly
-    zero pivot, or when its reciprocal condition estimate (1-norm) is below
-    machine epsilon, the threshold at which LAPACK's own drivers warn.
+    Raised by the one symmetric solve of both forms when LAPACK's factorization
+    meets an exactly zero pivot, or when its reciprocal condition estimate
+    (1-norm) is below machine epsilon, where LAPACK's own drivers warn.
     """
 
 

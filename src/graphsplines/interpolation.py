@@ -11,16 +11,16 @@ The coefficients solve the bordered symmetric system
 with ``Phi~`` the kernel submatrix on the nodes and ``v0~`` the kernel
 eigenvector restricted to them; the last row is the side condition that makes
 ``beta`` orthogonal to ``v0~``. Each call builds this matrix for its node set
-and solves it with one LAPACK symmetric-indefinite solve (``dsysv``) carrying
-every right-hand side (the Lagrange basis needs one per node). A system whose
-reciprocal condition estimate is below machine epsilon is refused with
-:class:`SingularSystem`.
+and solves it with ``_solve_symmetric``: one LAPACK symmetric-indefinite solve
+(``dsysv``) carrying every right-hand side (the Lagrange basis needs one per
+node), which refuses a system whose reciprocal condition estimate is smaller
+than the machine epsilon with :class:`SingularSystem`.
 
 Predictions alone need no coefficients: the same interpolant satisfies
 ``(L^alpha s)_U = 0`` on the unknown vertices U, and ``_solve_dirichlet``
-finds ``s_U`` from that Dirichlet form with one Cholesky solve under the same
-refusal rule. The bordered system stays where kernel coefficients are
-published (``solve_interpolant``, ``lagrange_basis``, ``local_lagrange``).
+finds ``s_U`` from that Dirichlet form with the same solve and refusal rule.
+The bordered system stays where kernel coefficients are published
+(``solve_interpolant``, ``lagrange_basis``, ``local_lagrange``).
 """
 from __future__ import annotations
 
@@ -91,24 +91,14 @@ class Interpolant:
     nodes: np.ndarray
 
 
-def _solve_bordered(
-    kernel: KernelMatrix, decomposition: SpectralDecomposition, nodes: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the bordered system on ``nodes`` for one or many value columns.
+def _solve_symmetric(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A x = rhs`` for a symmetric ``A`` with one LAPACK ``dsysv``; ``A`` and ``rhs`` may be overwritten.
 
-    Returns ``(coefficients, constants)``: a vector and a float for a vector of
-    values, or one column / entry per column of a matrix of values. All
-    right-hand sides go through one LAPACK symmetric-indefinite solve.
+    Refuses, with :class:`SingularSystem`, a system whose reciprocal condition
+    estimate (1-norm, ``dsycon``) is smaller than the machine epsilon.
     """
-    values = np.asarray(values, dtype=float)
-    m = nodes.size
-    A = np.zeros((m + 1, m + 1))
-    A[:m, :m] = kernel.matrix[np.ix_(nodes, nodes)]
-    A[:m, m] = A[m, :m] = decomposition.kernel_vector[nodes]
-    rhs = np.zeros((m + 1, 1 if values.ndim == 1 else values.shape[1]))
-    rhs[:m] = values.reshape(m, -1)
     anorm = np.linalg.norm(A, 1)
-    lwork, _ = lapack.dsysv_lwork(m + 1)
+    lwork, _ = lapack.dsysv_lwork(A.shape[0])
     factor, ipiv, sol, info = lapack.dsysv(A, rhs, lwork=int(lwork), overwrite_a=True, overwrite_b=True)
     if info < 0:
         raise ValueError(f"dsysv: illegal value in argument {-info}")
@@ -117,6 +107,25 @@ def _solve_bordered(
     rcond, _ = lapack.dsycon(factor, ipiv, anorm)
     if rcond < np.finfo(float).eps:
         raise SingularSystem(f"reciprocal condition estimate {rcond:.3e} below machine epsilon")
+    return sol
+
+
+def _solve_bordered(
+    kernel: KernelMatrix, decomposition: SpectralDecomposition, nodes: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the bordered system on ``nodes`` for one or many value columns.
+
+    Returns ``(coefficients, constants)``: a vector and a float for a vector of
+    values, or one column / entry per column of a matrix of values. All
+    right-hand sides go through one :func:`_solve_symmetric`.
+    """
+    m = nodes.size
+    A = np.zeros((m + 1, m + 1))
+    A[:m, :m] = kernel.matrix[np.ix_(nodes, nodes)]
+    A[:m, m] = A[m, :m] = decomposition.kernel_vector[nodes]
+    rhs = np.zeros((m + 1, 1 if values.ndim == 1 else values.shape[1]))
+    rhs[:m] = values.reshape(m, -1)
+    sol = _solve_symmetric(A, rhs)
     if values.ndim == 1:
         return sol[:-1, 0], sol[-1, 0]
     return sol[:-1], sol[-1]
@@ -129,22 +138,11 @@ def _solve_dirichlet(
 
     ``A`` is ``L^alpha``. The spline has ``(L^alpha s)_U = 0`` on the unknown
     set U, so ``s_U = -(A_UU)^-1 A_UK F``; ``A_UU`` is positive definite for a
-    proper nonempty U, and one LAPACK Cholesky solve carries every value
+    proper nonempty U, and one :func:`_solve_symmetric` carries every value
     column. Returns one row per unknown vertex, shaped like ``values``.
     """
-    values = np.asarray(values, dtype=float)
-    block = A[np.ix_(unknown, unknown)]
     rhs = -(A[np.ix_(unknown, known)] @ values.reshape(known.size, -1))
-    anorm = np.linalg.norm(block, 1)
-    factor, info = lapack.dpotrf(block, lower=0, clean=0, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"dpotrf: illegal value in argument {-info}")
-    if info > 0:
-        raise SingularSystem(f"non-positive pivot at row {info}")
-    rcond, _ = lapack.dpocon(factor, anorm)
-    if rcond < np.finfo(float).eps:
-        raise SingularSystem(f"reciprocal condition estimate {rcond:.3e} below machine epsilon")
-    sol, _ = lapack.dpotrs(factor, rhs, lower=0, overwrite_b=1)
+    sol = _solve_symmetric(A[np.ix_(unknown, unknown)], rhs)
     return sol[:, 0] if values.ndim == 1 else sol
 
 
@@ -170,8 +168,8 @@ def native_semi_inner_product(
     s: SpectralDecomposition, f: np.ndarray, g: np.ndarray, alpha: float
 ) -> float:
     """Semi-inner product ``<L^(alpha/2) f, L^(alpha/2) g>`` of the kernel's native space."""
-    if alpha < 0:
-        raise NonPositiveAlpha(f"alpha must be >= 0, got {alpha}")
+    if not (0 <= alpha < np.inf):
+        raise NonPositiveAlpha(f"alpha must be >= 0 and finite, got {alpha}")
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if f.shape[0] != s.n or g.shape[0] != s.n:

@@ -7,7 +7,7 @@ vertex as the weighted average of its known neighbors.
 
 The spline is the minimal-norm polyharmonic interpolant, found from its
 Dirichlet form: it satisfies ``(L^alpha s)_U = 0`` on the unknown set U, so
-``s_U = -(L^alpha)_UU^-1 (L^alpha)_UK F`` with one Cholesky solve per known
+``s_U = -(L^alpha)_UU^-1 (L^alpha)_UK F`` with one symmetric solve per known
 set. For an integer alpha ``L^alpha`` is a sparse product of Laplacians, so no
 eigendecomposition, kernel matrix or bordered system is built here.
 """

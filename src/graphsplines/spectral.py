@@ -174,8 +174,8 @@ def pseudo_inverse_power(s: SpectralDecomposition, alpha: float) -> KernelMatrix
     Symmetric positive semi-definite with the kernel eigenvector annihilated;
     its columns are the splines of smoothness order ``2 * alpha``.
     """
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
+    if not (0 < alpha < np.inf):
+        raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     return KernelMatrix(alpha=float(alpha), matrix=_spectral_power(s, -alpha))
 
 
@@ -196,8 +196,8 @@ def laplacian_power(
     from the eigenpairs (of ``decomposition``, or of a fresh one) and
     symmetrised like :func:`pseudo_inverse_power`.
     """
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
+    if not (0 < alpha < np.inf):
+        raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     kind = decomposition.kind if decomposition is not None else LaplacianKind.NORMALIZED
     if float(alpha).is_integer():
         L = csr_matrix(laplacian(g, kind))
@@ -217,8 +217,8 @@ def sobolev_seminorm(
     subset: Sequence[int] | None = None,
 ) -> float:
     """``||(L^(alpha/2) f)`` restricted to ``subset||_2``; subset defaults to all vertices."""
-    if alpha < 0:
-        raise NonPositiveAlpha(f"alpha must be >= 0, got {alpha}")
+    if not (0 <= alpha < np.inf):
+        raise NonPositiveAlpha(f"alpha must be >= 0 and finite, got {alpha}")
     g = s.apply_power(f, alpha / 2.0)
     if subset is None:
         return float(np.linalg.norm(g))
@@ -248,11 +248,15 @@ def dirichlet_eigenvalue(g: WeightedGraph, interior: Sequence[int], kind: Laplac
 
     Positive for any proper nonempty subset of a connected graph.
     """
+    return _dirichlet_eigenvalue(laplacian(g, kind), interior)
+
+
+def _dirichlet_eigenvalue(L: np.ndarray, interior: Sequence[int]) -> float:
+    """:func:`dirichlet_eigenvalue` on a dense Laplacian built once by the caller."""
     interior = np.unique(np.asarray(interior, dtype=int))
     if interior.size == 0:
         raise EmptyInterior("interior vertex set is empty")
-    if interior.size >= g.n_vertices:
+    if interior.size >= L.shape[0]:
         raise FullVertexSet("interior must be a proper subset of the vertex set")
-    L = laplacian(g, kind)
     sub = L[np.ix_(interior, interior)]
     return float(scipy.linalg.eigh(sub, eigvals_only=True)[0])

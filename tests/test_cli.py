@@ -442,3 +442,82 @@ def test_smoothness_needs_a_bump_per_axis(tmp_path, capsys):
     assert run("experiment", "smoothness", "--n", 60, "--bumps-per-axis", 0, "--k", 6, "-o", out) == 2
     assert "bump per axis" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [("--local", "--radius", 4), ("--truncate", 4)])
+def test_lagrange_center_outside_node_set_is_two_in_every_mode(tmp_path, cycle_csv, capsys, mode):
+    nodes = tmp_path / "nodes.csv"
+    gio.write_nodes_csv(nodes, [0, 2])
+    out = tmp_path / "x.csv"
+    assert run("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 1, *mode, "-o", out) == 2
+    assert "center 1 is not in the node set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _alpha_commands(tmp_path, cycle_csv):
+    nodes = tmp_path / "nodes.csv"
+    gio.write_nodes_csv(nodes, [0, 2])
+    known = tmp_path / "known.csv"
+    known.write_text("vertex,value\n0,1\n2,0\n")
+    data = tmp_path / "d.csv"
+    rng = np.random.default_rng(0)
+    data.write_text("a,b,y\n" + "".join(f"{a},{b},{a - b}\n" for a, b in rng.normal(size=(30, 2))))
+    return {
+        "lagrange": ("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 0),
+        "interp": ("interp", "--graph", cycle_csv, "--known", known),
+        "ml cv": ("ml", "cv", "--data", data, "--features", "a,b", "--targets", "y", "--k", 4, "--folds", 3, "--repeats", 1),
+        "smoothness": ("experiment", "smoothness", "--n", 60, "--k", 6),
+    }
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["lagrange", "interp", "ml cv", "smoothness"])
+def test_non_finite_alpha_is_two(tmp_path, cycle_csv, capsys, command, alpha):
+    out = tmp_path / "out.csv"
+    assert run(*_alpha_commands(tmp_path, cycle_csv)[command], "--alpha", alpha, "-o", out) == 2
+    assert f"alpha must be positive and finite, got {alpha}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width", ["nan", "inf", "0"])
+def test_decay_bin_width_must_be_positive_and_finite(tmp_path, cycle_csv, capsys, width):
+    fn = tmp_path / "f.csv"
+    gio.write_function_csv(fn, np.arange(4.0))
+    out = tmp_path / "p.csv"
+    assert run("decay", "--graph", cycle_csv, "--function", fn, "--center", 0, "--bin-width", width, "-o", out) == 2
+    assert "bin width must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decay_tiny_bin_width_keeps_distances(tmp_path, cycle_csv):
+    fn = tmp_path / "f.csv"
+    gio.write_function_csv(fn, np.arange(4.0))
+    out = tmp_path / "p.csv"
+    assert run("decay", "--graph", cycle_csv, "--function", fn, "--center", 0, "--bin-width", "1e-300", "-o", out) == 0
+    distances = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+    assert np.all(distances >= 0.0)
+    assert np.allclose(distances, [0.0, 1.0, 2.0], rtol=1e-12)
+
+
+def test_no_solve_uses_cholesky(monkeypatch, tmp_path):
+    import scipy.linalg.lapack
+
+    from graphsplines import CVConfig, Dataset, cross_validate, cycle_graph, spline_regress
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cholesky driver called")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", refuse)
+    g = cycle_graph(16)
+    for alpha in (2.0, 1.5):
+        assert np.all(np.isfinite(spline_regress(g, [0, 5, 9], [1.0, 0.0, 2.0], alpha)))
+    rng = np.random.default_rng(1)
+    features = rng.normal(size=(30, 2))
+    dataset = Dataset(features, features[:, :1] - features[:, 1:], ["a", "b"], ["y"])
+    assert cross_validate(dataset, CVConfig(k_neighbors=4, folds=3, repeats=1)).rows
+    g_csv, nodes = tmp_path / "g.csv", tmp_path / "nodes.csv"
+    assert run("graph", "cycle", "--n", 32, "-o", g_csv) == 0
+    gio.write_nodes_csv(nodes, range(0, 32, 4))
+    for mode in ((), ("--local", "--radius", 8), ("--truncate", 8)):
+        argv = ("lagrange", "--graph", g_csv, "--nodes", nodes, "--center", 8, *mode, "-o", tmp_path / "chi.csv")
+        assert run(*argv) == 0

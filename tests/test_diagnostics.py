@@ -294,3 +294,25 @@ class TestMLCoverConstant:
             g, known = random_known_unknown_graph(int(rng.integers(2, 10)), int(rng.integers(1, 10)), rng)
             report = ml_cover_constant(g, known)
             assert report.empirical_bound <= report.formula_bound
+
+
+@pytest.mark.parametrize("which", ["ml", "cycle"])
+def test_one_laplacian_per_cover_constant(monkeypatch, which):
+    from graphsplines import diagnostics, spectral
+
+    calls = []
+    real = spectral.laplacian
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "laplacian", counting)
+    monkeypatch.setattr(diagnostics, "laplacian", counting, raising=False)
+    if which == "ml":
+        g, known = random_known_unknown_graph(30, 30, np.random.default_rng(5))
+        report = ml_cover_constant(g, known)
+        assert report.min_dirichlet > 0
+    else:
+        assert cycle_cover_constant(cycle_graph(24), np.arange(0, 24, 4)) > 0
+    assert len(calls) == 1

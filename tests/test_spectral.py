@@ -292,3 +292,22 @@ class TestLaplacianPower:
 
         with pytest.raises(NonPositiveAlpha):
             laplacian_power(cycle_graph(5), 0.0)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_non_finite_alpha_is_refused(alpha):
+    from graphsplines import laplacian_power, native_semi_inner_product
+
+    g = cycle_graph(6)
+    s = decompose_graph(g, NORM)
+    f = np.arange(6.0)
+    with pytest.raises(NonPositiveAlpha, match="positive and finite"):
+        pseudo_inverse_power(s, alpha)
+    with pytest.raises(NonPositiveAlpha, match="positive and finite"):
+        laplacian_power(g, alpha)
+    with pytest.raises(NonPositiveAlpha, match=">= 0 and finite"):
+        sobolev_seminorm(s, f, alpha)
+    with pytest.raises(NonPositiveAlpha, match=">= 0 and finite"):
+        native_semi_inner_product(s, f, f, alpha)
+    assert sobolev_seminorm(s, f, 0.0) == pytest.approx(np.linalg.norm(f))
+    assert native_semi_inner_product(s, f, f, 0.0) == pytest.approx(f @ f)
