@@ -188,6 +188,14 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     (ties broken by lower index); the directed relation is symmetrized by
     union. Edge length is the Euclidean distance, edge weight its reciprocal.
 
+    Neighbours are picked in blocks of 128 rows. One matrix product per block
+    gives approximate squared distances of the centred points; every column
+    within their rounding error of the row's (k + 1)-th smallest value is a
+    candidate. Only the candidates' exact distances, ``sqrt(sum((a - b)**2))``,
+    are computed and ranked by (distance, index). Memory is O(128 n) plus the
+    candidates' coordinates, about k + 1 per row unless the points sit far
+    below the rounding scale of the cloud's spread.
+
     Raises :class:`DuplicatePoint` if two points coincide (a zero-length edge
     would have infinite weight) and :class:`DisconnectedGraph` if the union is
     not connected; the caller should raise ``k`` in that case.
@@ -195,7 +203,7 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    n = pts.shape[0]
+    n, dim = pts.shape
     if n < 2:
         raise TooFewVertices("need at least 2 points")
     if k < 1:
@@ -203,17 +211,33 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
 
-    # row blocks keep the difference tensor at block x n x d and the distances at block x n;
-    # a stable sort breaks ties by lower index, so each row starts with its own point
     kk = min(k, n - 1)
+    c = pts - pts.mean(axis=0)
+    sq = (c * c).sum(axis=1)
     nearest = np.empty((n, kk + 1), dtype=np.intp)
     near_dist = np.empty((n, kk + 1))
     for lo in range(0, n, _KNN_BLOCK_ROWS):
         hi = min(lo + _KNN_BLOCK_ROWS, n)
-        diff = pts[lo:hi, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        nearest[lo:hi] = np.argsort(dist, axis=1, kind="stable")[:, : kk + 1]
-        near_dist[lo:hi] = np.take_along_axis(dist, nearest[lo:hi], axis=1)
+        approx = (-2.0 * c[lo:hi]) @ c.T
+        approx += sq
+        approx += sq[lo:hi, None]
+        t = np.partition(approx, kk, axis=1)[:, kk]
+        # s bounds |approx - exact squared distance|: the rounding of the product,
+        # the sums, the centring and the ranked distances below. The kk + 1 columns
+        # at or below t have exact values <= t + s, so each true neighbour (ties
+        # included) is at most t + s exactly and at most t + 2s approximately, and
+        # no true neighbour is dropped. A nan or inf from overflow keeps the column.
+        s = 16 * (dim + 2) * np.finfo(float).eps * (sq[lo:hi] + sq.max())
+        row, col = np.divmod(np.flatnonzero(~(approx > (t + 2 * s)[:, None])), n)
+        diff = pts[lo + row] - pts[col]
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        # candidates come in (row, index) order and lexsort is stable, so this
+        # ranks by row, then distance, then lower index: each row starts with its own point
+        order = np.lexsort((dist, row))
+        start = np.searchsorted(row, np.arange(hi - lo))
+        take = order[start[:, None] + np.arange(kk + 1)]
+        nearest[lo:hi] = col[take]
+        near_dist[lo:hi] = dist[take]
 
     coincide = np.flatnonzero(near_dist[:, 1] == 0.0)
     if coincide.size:

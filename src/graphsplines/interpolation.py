@@ -187,7 +187,7 @@ class LocalLagrangeConfig:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:  # refuses nan too
             raise ValueError(f"radius must be positive, got {self.radius}")
 
     def nodes_within(self, graph: WeightedGraph, nodes: np.ndarray) -> np.ndarray:

@@ -200,7 +200,11 @@ def laplacian_power(
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     kind = decomposition.kind if decomposition is not None else LaplacianKind.NORMALIZED
     if float(alpha).is_integer():
-        L = csr_matrix(laplacian(g, kind))
+        # the nonzeros of L are the edges and the diagonal: no scan of the dense matrix
+        A = g.adjacency.tocoo()
+        rows = np.concatenate([A.row, np.arange(g.n_vertices)])
+        cols = np.concatenate([A.col, np.arange(g.n_vertices)])
+        L = csr_matrix((laplacian(g, kind)[rows, cols], (rows, cols)), shape=A.shape)
         power = L
         for _ in range(int(alpha) - 1):
             power = power @ L

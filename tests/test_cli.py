@@ -454,6 +454,16 @@ def test_lagrange_center_outside_node_set_is_two_in_every_mode(tmp_path, cycle_c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", [("--local", "--radius", "nan"), ("--truncate", "nan")])
+def test_lagrange_nan_radius_is_two(tmp_path, cycle_csv, capsys, mode):
+    nodes = tmp_path / "nodes.csv"
+    gio.write_nodes_csv(nodes, [0, 2])
+    out = tmp_path / "x.csv"
+    assert run("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 0, *mode, "-o", out) == 2
+    assert "radius must be positive, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _alpha_commands(tmp_path, cycle_csv):
     nodes = tmp_path / "nodes.csv"
     gio.write_nodes_csv(nodes, [0, 2])

@@ -224,6 +224,71 @@ class TestKnnBlocks:
             knn_graph(pts, 3)
 
 
+def knn_outcome(build, points, k):
+    """Edge tuples of ``build(points, k)``, or its exception type and message."""
+    try:
+        return list(build(points, k).edges)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def reference_graph(points, k):
+    """``knn_reference`` with ``knn_graph``'s coincident-point check in front of it."""
+    diff = points[:, None, :] - points[None, :, :]
+    zero = (diff * diff).sum(axis=2) == 0.0
+    np.fill_diagonal(zero, False)
+    if zero.any():
+        i = int(np.flatnonzero(zero.any(axis=1))[0])
+        raise DuplicatePoint(f"points {i} and {np.flatnonzero(zero[i])[0]} coincide")
+    return build_graph(knn_reference(points, k), points.shape[0])
+
+
+CLOUD_KINDS = ["gaussian", "offset", "lattice", "two scales", "offset lattice", "duplicate"]
+
+
+def adversarial_cloud(kind, seed):
+    """Seeded cloud of 20-700 points in 1-9 dimensions, and a k in 1-11."""
+    rng = np.random.default_rng([CLOUD_KINDS.index(kind), seed])
+    n, d, k = int(rng.integers(20, 701)), int(rng.integers(1, 10)), int(rng.integers(1, 12))
+    if kind in ("lattice", "offset lattice"):
+        side = int(np.ceil(n ** (1 / d))) + 1
+        cells = rng.choice(side**d, size=n, replace=False)
+        pts = np.stack(np.unravel_index(cells, (side,) * d), axis=1).astype(float)
+        if kind == "lattice" and seed % 3 == 0:
+            pts[rng.integers(n)] = pts[rng.integers(n)]
+        return (3.7 + 0.1 * pts if kind == "offset lattice" else pts), k
+    pts = rng.normal(size=(n, d))
+    if kind == "offset":
+        pts = 1e6 + 1e-7 * pts
+    elif kind == "two scales":
+        m = int(rng.integers(1, k + 1))
+        pts = np.concatenate([1e-9 * pts[:m], 1e5 + 1e4 * pts[m:]])
+    elif kind == "duplicate":
+        i, j = rng.choice(n, size=2, replace=False)
+        pts[j] = pts[i]
+    return pts, k
+
+
+class TestKnnCandidates:
+    # the matrix-product candidates are approximate; rounding must never drop a
+    # true neighbour or change a tie, on clouds whose distances round badly
+    @pytest.mark.parametrize("kind", CLOUD_KINDS)
+    def test_seeded_clouds_match_the_reference(self, kind):
+        for seed in range(10):
+            pts, k = adversarial_cloud(kind, seed)
+            assert knn_outcome(knn_graph, pts, k) == knn_outcome(reference_graph, pts, k), (kind, seed)
+
+    def test_overflowing_distances_match_the_reference(self):
+        pts = 1e160 * np.random.default_rng(12).normal(size=(50, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert knn_outcome(knn_graph, pts, 4) == knn_outcome(reference_graph, pts, 4)
+
+    # the former 128 x n x d difference tensor and full-row sort peaked at 56 MB here
+    def test_knn_graph_memory_is_a_few_row_blocks(self):
+        pts = np.random.default_rng(3000).normal(size=(3000, 8))
+        assert traced_peak_mb(lambda: knn_graph(pts, 10)) <= 28.0
+
+
 class TestEdgeTable:
     def test_array_input_matches_tuple_list(self):
         rng = np.random.default_rng(3)

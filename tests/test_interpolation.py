@@ -319,3 +319,17 @@ class TestLocalLagrange:
         assert 0 in cfg.nodes_within(g, nodes)
         with pytest.raises(EmptyNeighborhood):
             LocalLagrangeConfig(center=1, radius=0.5).nodes_within(g, nodes)
+
+
+def test_nan_radius_is_refused_and_infinite_radius_is_not(cycle256_setup):
+    from graphsplines import LocalLagrangeConfig
+
+    g, s, k, nodes, basis = cycle256_setup
+    for refuse in (
+        lambda: LocalLagrangeConfig(center=0, radius=float("nan")),
+        lambda: local_lagrange(k, s, g, nodes, 0, float("nan")),
+        lambda: truncated_lagrange(basis, 0, float("nan")),
+    ):
+        with pytest.raises(ValueError, match="radius must be positive, got nan"):
+            refuse()
+    assert LocalLagrangeConfig(center=0, radius=np.inf).nodes_within(g, nodes).size == nodes.size

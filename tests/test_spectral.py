@@ -279,6 +279,22 @@ class TestLaplacianPower:
         L = laplacian(cycle_graph(9), NORM)
         assert np.allclose(laplacian_power(cycle_graph(9), 2.0), L @ L, atol=1e-15)
 
+    @pytest.mark.parametrize("kind", [NORM, UNNORM])
+    def test_integer_power_is_the_product_of_the_sparse_laplacian(self, kind):
+        from scipy.sparse import csr_matrix
+
+        from graphsplines import laplacian_power
+
+        rng = np.random.default_rng(16)
+        for n in (3, 17, 60, 120):
+            g = random_connected_graph(n, rng)
+            s = decompose_graph(g, kind)
+            L = csr_matrix(laplacian(g, kind))
+            power = L
+            for alpha in (1, 2, 3):
+                assert np.array_equal(laplacian_power(g, float(alpha), s).view(np.uint64), power.toarray().view(np.uint64))
+                power = power @ L
+
     def test_fractional_power_is_symmetric_square_root(self):
         from graphsplines import laplacian_power
 
