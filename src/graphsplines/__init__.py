@@ -20,7 +20,6 @@ from .diagnostics import (
 from .graphs import (
     GraphMetrics,
     WeightedGraph,
-    annulus,
     ball,
     build_graph,
     complement,
@@ -49,7 +48,6 @@ from .ml import (
     RegressionReport,
     cross_validate,
     load_dataset,
-    nnr_predict,
     normalize,
     smoothness_experiment,
     spline_regress,
@@ -62,8 +60,6 @@ from .spectral import (
     decompose_graph,
     dirichlet_eigenvalue,
     eigendecompose,
-    graph_fourier,
-    inverse_graph_fourier,
     laplacian,
     laplacian_power,
     pseudo_inverse_power,

@@ -32,24 +32,29 @@ class WeightedGraph:
     """Undirected weighted graph, immutable after construction.
 
     Use :func:`build_graph` (or one of the generators below) instead of the
-    constructor; they validate the edges and check connectivity. The edges form
-    one (m, 4) table of ``(u, v, weight, length)`` rows, oriented ``u < v`` and
-    sorted; ``edges``, the CSR ``adjacency`` of edge weights and the CSR lengths
-    come from it, and no dense array is kept. Dense views and distances are
-    computed on each access and nothing is cached, so instances are safe to
-    share between threads.
+    constructor; they validate the edges and check connectivity. Each edge is
+    stored once, in two CSR matrices holding both orientations: ``adjacency``
+    of edge weights and the edge lengths. The ``edges`` tuples, dense views and
+    distances are built from them on each access and nothing is cached, so
+    instances are safe to share between threads.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[Edge] | np.ndarray):
         self.n_vertices = n = int(n_vertices)
         table = np.asarray(edges, dtype=float).reshape(-1, 4)
-        u, v = np.sort(table[:, :2], axis=1).astype(int).T
-        order = np.lexsort((v, u))
-        u, v, w, ell = u[order], v[order], table[order, 2], table[order, 3]
-        self.edges: tuple[Edge, ...] = tuple(zip(u.tolist(), v.tolist(), w.tolist(), ell.tolist()))
+        u, v = table[:, :2].astype(int).T
         ends = (np.concatenate([u, v]), np.concatenate([v, u]))
-        self.adjacency = csr_matrix((np.tile(w, 2), ends), shape=(n, n))
-        self._sparse_lengths = csr_matrix((np.tile(ell, 2), ends), shape=(n, n))
+        self.adjacency = csr_matrix((np.tile(table[:, 2], 2), ends), shape=(n, n))
+        self._sparse_lengths = csr_matrix((np.tile(table[:, 3], 2), ends), shape=(n, n))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """``(u, v, weight, length)`` per edge with ``u < v``, sorted by ``(u, v)``; built on each access."""
+        A = self.adjacency
+        rows = np.repeat(np.arange(self.n_vertices), np.diff(A.indptr))
+        upper = A.indices > rows  # the lengths share this sorted CSR pattern
+        columns = (rows[upper], A.indices[upper], A.data[upper], self._sparse_lengths.data[upper])
+        return tuple(zip(*(c.tolist() for c in columns)))
 
     @property
     def weights(self) -> np.ndarray:
@@ -89,7 +94,7 @@ class WeightedGraph:
         return np.diff(self.adjacency.indptr)
 
     def __repr__(self) -> str:
-        return f"WeightedGraph(n_vertices={self.n_vertices}, n_edges={len(self.edges)})"
+        return f"WeightedGraph(n_vertices={self.n_vertices}, n_edges={self.adjacency.nnz // 2})"
 
 
 @dataclass(frozen=True)
@@ -255,14 +260,6 @@ def ball(g: WeightedGraph, center: int, r: float) -> np.ndarray:
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     return np.flatnonzero(g.distances_from(center) <= r)
-
-
-def annulus(g: WeightedGraph, center: int, r0: float, r1: float) -> np.ndarray:
-    """Vertices in the closed ball of radius r1 but not in that of r0."""
-    if r0 > r1:
-        raise ValueError(f"need r0 <= r1, got {r0} > {r1}")
-    d = g.distances_from(center)
-    return np.flatnonzero((d > r0) & (d <= r1))
 
 
 def complement(g: WeightedGraph, vertices: np.ndarray) -> np.ndarray:

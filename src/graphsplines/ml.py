@@ -84,21 +84,6 @@ def normalize(d: Dataset) -> Dataset:
     return Dataset(features, d.targets.copy(), list(d.feature_names), list(d.target_names))
 
 
-def nnr_predict(g: WeightedGraph, known: Sequence[int], values: np.ndarray, query: int) -> float:
-    """Weighted average of the known neighbors of ``query``.
-
-    A query that is itself known returns its own value; a query with no known
-    neighbor falls back to the global mean of the known values.
-    """
-    known = np.asarray(known, dtype=int)
-    values = np.asarray(values, dtype=float)
-    own = np.flatnonzero(known == query)
-    if own.size:
-        return float(values[own[0]])
-    preds, _ = _nnr_predictions(g, known, values[:, None], np.array([query]))
-    return float(preds[0, 0])
-
-
 def _nnr_predictions(
     g: WeightedGraph, known: np.ndarray, known_values: np.ndarray, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -124,17 +109,15 @@ def spline_regress(
     values: np.ndarray,
     alpha: float = 2.0,
     decomposition: SpectralDecomposition | None = None,
-    kernel: object = None,
 ) -> np.ndarray:
     """Extend known values to the rest of the graph; predict the unknown vertices.
 
     Returns predictions at the unknown vertices in ascending vertex order.
     ``values`` may be a vector or a matrix with one column per target. The
     prediction is the minimal-norm spline, solved in its Dirichlet form from
-    ``L^alpha`` (see :func:`laplacian_power`). ``kernel`` is not read; it is
-    kept so existing calls still work. ``decomposition`` is read only for its
-    ``kind`` and, for a fractional ``alpha``, for its eigenpairs; without it the
-    normalized Laplacian is used.
+    ``L^alpha`` (see :func:`laplacian_power`). ``decomposition`` is read only
+    for its ``kind`` and, for a fractional ``alpha``, for its eigenpairs;
+    without it the normalized Laplacian is used.
     """
     known = _check_nodes(known, g.n_vertices)
     values = _check_values(values, known.size)

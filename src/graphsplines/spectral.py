@@ -1,11 +1,13 @@
 """Graph Laplacians, eigendecompositions, and spectral calculus.
 
 All decay estimates in this package are phrased through powers of a Laplacian.
-Kernel matrices are pseudo-inverse powers applied via the eigendecomposition;
-``L^alpha`` itself (read by Dirichlet-form regression) is a sparse product of
-Laplacians for an integer alpha and needs no eigendecomposition;
-Sobolev-type semi-norms are ``||L^(alpha/2) f||`` restricted to a vertex set,
-and the graph Fourier transform is the change of basis to the eigenvectors.
+The Laplacian is built once, as CSR from the adjacency and the degrees, and is
+made dense only on request: for ``eigh``, for Dirichlet submatrices and by the
+public :func:`laplacian`. Kernel matrices are pseudo-inverse powers applied via
+the eigendecomposition; ``L^alpha`` itself (read by Dirichlet-form regression)
+is a sparse product of Laplacians for an integer alpha and needs no
+eigendecomposition; Sobolev-type semi-norms are ``||L^(alpha/2) f||``
+restricted to a vertex set.
 """
 from __future__ import annotations
 
@@ -35,22 +37,39 @@ class LaplacianKind(Enum):
     UNNORMALIZED = "unnormalized"  # D - A
 
 
-def laplacian(g: WeightedGraph, kind: LaplacianKind) -> np.ndarray:
-    """Dense Laplacian of the given kind, filled from the sparse adjacency; exactly symmetric by construction."""
-    A = g.adjacency.tocoo()
-    L = np.zeros((g.n_vertices, g.n_vertices))
-    L[A.row, A.col] = -A.data
-    deg = -L.sum(axis=1)  # summed over zeros too, as a dense weight matrix was: same last bits
+_DEGREE_BLOCK_ROWS = 128
+
+
+def _sparse_laplacian(g: WeightedGraph, kind: LaplacianKind) -> csr_matrix:
+    """Canonical CSR Laplacian of the given kind: the edges and the diagonal; exactly symmetric.
+
+    Degrees are dense row sums over blocks of 128 rows, so they carry the last bits of a
+    sum over a dense weight matrix (summing only the stored weights rounds differently)
+    in O(128 n) memory.
+    """
+    A = g.adjacency
+    n = g.n_vertices
+    deg = np.concatenate(
+        [A[lo : lo + _DEGREE_BLOCK_ROWS].toarray().sum(axis=1) for lo in range(0, n, _DEGREE_BLOCK_ROWS)]
+    )
     if np.any(deg <= 0):
         v = int(np.argmax(deg <= 0))
         raise IsolatedVertex(f"vertex {v} has zero weighted degree")
+    A = A.tocoo()
+    off, diag = -A.data, deg
     if kind is LaplacianKind.NORMALIZED:
         dinv = 1.0 / np.sqrt(deg)
         # dinv[i] * dinv[j] is the same number for (i, j) and (j, i), so L stays exactly symmetric
-        L[A.row, A.col] *= dinv[A.row] * dinv[A.col]
-        deg = deg * (dinv * dinv)
-    np.fill_diagonal(L, deg)
-    return L
+        off = off * (dinv[A.row] * dinv[A.col])
+        diag = deg * (dinv * dinv)
+    idx = np.arange(n)
+    rows, cols = np.concatenate([A.row, idx]), np.concatenate([A.col, idx])
+    return csr_matrix((np.concatenate([off, diag]), (rows, cols)), shape=(n, n))
+
+
+def laplacian(g: WeightedGraph, kind: LaplacianKind) -> np.ndarray:
+    """Dense Laplacian of the given kind, for the paths that need every entry (``eigh``, submatrices)."""
+    return _sparse_laplacian(g, kind).toarray()
 
 
 @dataclass
@@ -200,11 +219,7 @@ def laplacian_power(
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     kind = decomposition.kind if decomposition is not None else LaplacianKind.NORMALIZED
     if float(alpha).is_integer():
-        # the nonzeros of L are the edges and the diagonal: no scan of the dense matrix
-        A = g.adjacency.tocoo()
-        rows = np.concatenate([A.row, np.arange(g.n_vertices)])
-        cols = np.concatenate([A.col, np.arange(g.n_vertices)])
-        L = csr_matrix((laplacian(g, kind)[rows, cols], (rows, cols)), shape=A.shape)
+        L = _sparse_laplacian(g, kind)
         power = L
         for _ in range(int(alpha) - 1):
             power = power @ L
@@ -230,21 +245,6 @@ def sobolev_seminorm(
     if subset.size == 0:
         raise EmptySubset("semi-norm restriction needs a nonempty vertex set")
     return float(np.linalg.norm(g[subset]))
-
-
-def graph_fourier(s: SpectralDecomposition, f: np.ndarray) -> np.ndarray:
-    """Coefficients of f in the eigenvector basis."""
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] != s.n:
-        raise DimensionMismatch(f"function has length {f.shape[0]}, expected {s.n}")
-    return s.eigenvectors.T @ f
-
-
-def inverse_graph_fourier(s: SpectralDecomposition, coeffs: np.ndarray) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != s.n:
-        raise DimensionMismatch(f"coefficients have length {coeffs.shape[0]}, expected {s.n}")
-    return s.eigenvectors @ coeffs
 
 
 def dirichlet_eigenvalue(g: WeightedGraph, interior: Sequence[int], kind: LaplacianKind) -> float:

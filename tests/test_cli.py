@@ -171,10 +171,10 @@ class TestVerifyCommands:
         assert run("verify", "cover-constant", "--trials", 3, "--seed", 4) == 0
 
     def test_failure_exits_four(self, monkeypatch, capsys):
-        def failing(args):
+        def failing(trials, seed):
             return False, ["synthetic check"], ["x"], [(1,)]
 
-        monkeypatch.setitem(cli._VERIFIERS, "zeros-lemma", failing)
+        monkeypatch.setitem(cli.SUITES, "zeros-lemma", failing)
         assert run("verify", "zeros-lemma") == 4
         assert "FAIL" in capsys.readouterr().out
 
@@ -411,6 +411,57 @@ def test_verify_gives_byte_identical_outputs_and_manifests(tmp_path, capsys, che
     first = capsys.readouterr().out, out.read_bytes(), manifest.read_bytes()
     assert run(*argv) == 0
     assert (capsys.readouterr().out, out.read_bytes(), manifest.read_bytes()) == first
+
+
+def _data_inputs(folder):
+    """Seeded input files for every data-producing command, named as the templates below use them."""
+    folder.mkdir()
+    rng = np.random.default_rng(11)
+    paths = {name: folder / f"{name}.csv" for name in ("points", "graph", "nodes", "known", "function", "table")}
+    paths["points"].write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rng.random((60, 2)).tolist()))
+    assert run("graph", "cycle", "--n", 32, "-o", paths["graph"]) == 0
+    gio.write_nodes_csv(paths["nodes"], range(0, 32, 4))
+    known = zip(range(0, 32, 4), rng.random(8).tolist())
+    paths["known"].write_text("vertex,value\n" + "".join(f"{v},{x!r}\n" for v, x in known))
+    gio.write_function_csv(paths["function"], np.exp(-0.3 * np.minimum(np.arange(32), 32 - np.arange(32))))
+    table = rng.normal(size=(40, 3))
+    paths["table"].write_text("a,b,y\n" + "".join(f"{a!r},{b!r},{y!r}\n" for a, b, y in table.tolist()))
+    return paths
+
+
+# argv before "-o", and the files a run writes beside its output and manifest
+_DATA_COMMANDS = {
+    "graph-knn": (("graph", "knn", "--points", "{points}", "--k", 5), ()),
+    "interp-coefficients": (
+        ("interp", "--graph", "{graph}", "--known", "{known}", "--coefficients", "{out}/coeffs.csv"),
+        ("coeffs.csv",),
+    ),
+    "lagrange": (("lagrange", "--graph", "{graph}", "--nodes", "{nodes}", "--center", 0), ()),
+    "lagrange-local": (("lagrange", "--graph", "{graph}", "--nodes", "{nodes}", "--center", 0, "--local", "--radius", 8), ()),
+    "lagrange-truncate": (("lagrange", "--graph", "{graph}", "--nodes", "{nodes}", "--center", 0, "--truncate", 8), ()),
+    "decay-fit": (("decay", "--graph", "{graph}", "--function", "{function}", "--center", 0, "--fit"), ("out.csv.fit.csv",)),
+    "ml-cv": (
+        ("ml", "cv", "--data", "{table}", "--features", "a,b", "--targets", "y", "--k", 5, "--folds", 3, "--repeats", 2),
+        (),
+    ),
+    "experiment-smoothness": (("experiment", "smoothness", "--n", 40, "--magnitudes", "1,2", "--seed", 1), ()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DATA_COMMANDS))
+def test_data_commands_give_byte_identical_outputs_and_manifests(tmp_path, command):
+    # the README's promise: runs with the same manifest produce byte-identical outputs
+    inputs = _data_inputs(tmp_path / "inputs")
+    template, extras = _DATA_COMMANDS[command]
+    argv = [str(a).format(**inputs, out=tmp_path) for a in template]
+    out = tmp_path / "out.csv"
+    written = [out, tmp_path / "out.csv.manifest.json", *(tmp_path / name for name in extras)]
+    assert run(*argv, "-o", out) == 0
+    first = [path.read_bytes() for path in written]
+    for path in written:
+        path.unlink()
+    assert run(*argv, "-o", out) == 0
+    assert [path.read_bytes() for path in written] == first
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -185,6 +185,25 @@ def test_bulk_ratio_filters_the_function_once(monkeypatch):
     assert calls == [1.0]
 
 
+def test_bulk_ratio_suite_filters_and_searches_once(monkeypatch):
+    from graphsplines import WeightedGraph
+    from graphsplines.diagnostics import verify_bulk_ratio
+    from graphsplines.spectral import SpectralDecomposition
+
+    calls = {"apply_power": 0, "distances_from": 0}
+    for cls, name in ((SpectralDecomposition, "apply_power"), (WeightedGraph, "distances_from")):
+
+        def counting(self, *args, _original=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    ok, _, _, rows = verify_bulk_ratio(16, 0)
+    assert ok and len(rows) == 16
+    # one filter of chi and one search from the center, beside the one in fill_distance
+    assert calls == {"apply_power": 1, "distances_from": 2}
+
+
 class TestCycleCoverConstant:
     def test_all_vertices_are_nodes(self):
         # every covering path has a single interior vertex with diagonal 1

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsplines import (
-    annulus,
     ball,
     build_graph,
     cycle_graph,
@@ -131,10 +130,6 @@ class TestMetricSets:
         g = cycle_graph(8)
         assert set(ball(g, 0, 1.0)) == {7, 0, 1}
         assert set(ball(g, 0, 0.0)) == {0}
-
-    def test_annulus_on_cycle(self):
-        g = cycle_graph(8)
-        assert set(annulus(g, 0, 1.0, 2.0)) == {2, 6}
 
     def test_ball_at_diameter_is_everything(self):
         g = cycle_graph(9)
@@ -398,6 +393,12 @@ class TestSparseStorage:
         for u, v, w, _ in g.edges:
             dense[u, v] = dense[v, u] = w
         assert np.array_equal(g.weights, dense)
+
+    def test_edges_are_built_from_the_csr_store(self):
+        g = random_connected_graph(40, np.random.default_rng(12))
+        assert "edges" not in vars(g)
+        assert all(type(w) is float and type(ell) is float for _, _, w, ell in g.edges)
+        assert repr(g) == f"WeightedGraph(n_vertices=40, n_edges={len(g.edges)})"
 
     def test_neighbors_and_degrees_match_the_dense_weights(self):
         for seed in range(5):

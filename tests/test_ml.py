@@ -11,7 +11,6 @@ from graphsplines import (
     decompose_graph,
     knn_graph,
     load_dataset,
-    nnr_predict,
     normalize,
     pseudo_inverse_power,
     smoothness_experiment,
@@ -25,6 +24,7 @@ from graphsplines.errors import (
     TooFewRows,
     ZeroVarianceColumn,
 )
+from graphsplines.ml import _nnr_predictions
 
 
 def write_csv(path, text):
@@ -111,28 +111,30 @@ class TestNormalize:
         assert np.array_equal(normalize(d).targets, d.targets)
 
 
+def nnr_at(g, known, values, query):
+    """The baseline's prediction at one query vertex."""
+    preds, _ = _nnr_predictions(g, np.asarray(known), np.asarray(values)[:, None], np.array([query]))
+    return float(preds[0, 0])
+
+
 class TestNNRPredict:
     def test_equal_weights_average(self):
         g = build_graph([(0, 1, 1.0, 1.0), (0, 2, 1.0, 1.0)])
-        assert nnr_predict(g, [1, 2], np.array([2.0, 4.0]), 0) == 3.0
+        assert nnr_at(g, [1, 2], np.array([2.0, 4.0]), 0) == 3.0
 
     def test_single_neighbor(self):
         g = build_graph([(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)])
-        assert nnr_predict(g, [0], np.array([7.0]), 1) == 7.0
+        assert nnr_at(g, [0], np.array([7.0]), 1) == 7.0
 
     def test_no_known_neighbor_falls_back_to_mean(self):
         g = build_graph([(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0)])
-        assert nnr_predict(g, [0], np.array([7.0]), 2) == 7.0
+        assert nnr_at(g, [0], np.array([7.0]), 2) == 7.0
         g2 = build_graph([(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0)])
-        assert nnr_predict(g2, [0, 1], np.array([2.0, 6.0]), 3) == 4.0
-
-    def test_known_query_returns_own_value(self):
-        g = build_graph([(0, 1, 1.0, 1.0)])
-        assert nnr_predict(g, [0, 1], np.array([5.0, 9.0]), 1) == 9.0
+        assert nnr_at(g2, [0, 1], np.array([2.0, 6.0]), 3) == 4.0
 
     def test_weighted_average(self):
         g = build_graph([(0, 1, 3.0, 1.0), (0, 2, 1.0, 1.0)])
-        assert nnr_predict(g, [1, 2], np.array([4.0, 8.0]), 0) == pytest.approx(5.0)
+        assert nnr_at(g, [1, 2], np.array([4.0, 8.0]), 0) == pytest.approx(5.0)
 
 
 class TestSplineRegress:
@@ -159,7 +161,7 @@ class TestSplineRegress:
         p = InterpolationProblem(g, s, k, known, values)
         full = evaluate(solve_interpolant(p), p)
         assert np.abs(full[known] - values).max() < 1e-8
-        preds = spline_regress(g, known, values, 2.0, s, k)
+        preds = spline_regress(g, known, values, 2.0, s)
         assert np.allclose(preds, full[complement(g, known)], atol=1e-10)
 
     def test_unsorted_known_keeps_values_paired(self):

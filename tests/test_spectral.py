@@ -9,8 +9,6 @@ from graphsplines import (
     decompose_graph,
     dirichlet_eigenvalue,
     eigendecompose,
-    graph_fourier,
-    inverse_graph_fourier,
     knn_graph,
     laplacian,
     pseudo_inverse_power,
@@ -196,28 +194,6 @@ class TestSobolevSeminorm:
             sobolev_seminorm(s, np.ones(4), 2.0, subset=[])
 
 
-class TestGraphFourier:
-    def test_constant_function_unnormalized(self):
-        n = 9
-        s = decompose_graph(cycle_graph(n), UNNORM)
-        coeffs = graph_fourier(s, np.ones(n))
-        expected = np.zeros(n)
-        expected[0] = np.sqrt(n)
-        assert np.allclose(coeffs, expected, atol=1e-9)
-
-    def test_eigenvector_maps_to_unit_coefficient(self):
-        s = decompose_graph(cycle_graph(5), NORM)
-        coeffs = graph_fourier(s, s.eigenvectors[:, 2])
-        assert np.allclose(coeffs, np.eye(5)[2], atol=1e-12)
-
-    def test_parseval_and_roundtrip(self):
-        s = decompose_graph(random_connected_graph(21, np.random.default_rng(9)), NORM)
-        f = np.random.default_rng(10).standard_normal(21)
-        coeffs = graph_fourier(s, f)
-        assert np.linalg.norm(coeffs) == pytest.approx(np.linalg.norm(f), abs=1e-10)
-        assert np.allclose(inverse_graph_fourier(s, coeffs), f, atol=1e-10)
-
-
 class TestDirichletEigenvalue:
     def test_single_vertex_interior_on_cycle(self):
         assert dirichlet_eigenvalue(cycle_graph(8), [3], NORM) == pytest.approx(1.0, abs=1e-12)
@@ -278,6 +254,18 @@ class TestLaplacianPower:
         monkeypatch.setattr("graphsplines.spectral.eigendecompose", refuse)
         L = laplacian(cycle_graph(9), NORM)
         assert np.allclose(laplacian_power(cycle_graph(9), 2.0), L @ L, atol=1e-15)
+
+    def test_integer_power_builds_no_dense_laplacian(self, monkeypatch):
+        from graphsplines import laplacian_power
+
+        g = random_connected_graph(40, np.random.default_rng(17))
+        expected = laplacian(g, NORM)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense Laplacian built")
+
+        monkeypatch.setattr("graphsplines.spectral.laplacian", refuse)
+        assert np.allclose(laplacian_power(g, 2.0), expected @ expected, atol=1e-14)
 
     @pytest.mark.parametrize("kind", [NORM, UNNORM])
     def test_integer_power_is_the_product_of_the_sparse_laplacian(self, kind):
