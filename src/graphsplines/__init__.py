@@ -35,6 +35,7 @@ from .interpolation import (
     InterpolationProblem,
     LagrangeBasis,
     LocalLagrangeConfig,
+    dirichlet_lagrange,
     evaluate,
     lagrange_basis,
     local_lagrange,

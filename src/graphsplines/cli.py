@@ -19,6 +19,7 @@ from .errors import GraphSplinesError, NumericalError, ValidationError
 from .graphs import cycle_graph, knn_graph, lattice_graph
 from .interpolation import (
     InterpolationProblem,
+    dirichlet_lagrange,
     evaluate,
     lagrange_basis,
     local_lagrange,
@@ -86,12 +87,20 @@ def _cmd_lagrange(args) -> int:
         raise ValidationError(f"center {args.center} is not in the node set")
     if args.local and args.radius is None:
         raise ValidationError("--local requires --radius")
-    decomposition, kernel = _normalized_kernel(g, args.alpha)
-    if args.truncate is not None and not args.local:
-        basis = lagrange_basis(kernel, decomposition, g, nodes)
-        values = truncated_lagrange(basis, args.center, args.truncate, reimpose_side_condition=not args.no_reproject)
-    else:  # the full function is the local one whose ball holds every node
-        values = local_lagrange(kernel, decomposition, g, nodes, args.center, args.radius if args.local else np.inf)
+    truncated = args.truncate is not None and not args.local
+    radius = args.radius if args.local else np.inf  # the full function is the local one whose ball holds every node
+    # An integer alpha needs no eigendecomposition in the Dirichlet form. A node set holding
+    # every vertex leaves it nothing to solve and stays on the bordered system.
+    if float(args.alpha).is_integer() and not truncated and len(nodes) < g.n_vertices:
+        values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius)
+        kernel = _normalized_kernel(g, args.alpha)[1] if args.dump_kernel else None
+    else:
+        decomposition, kernel = _normalized_kernel(g, args.alpha)
+        if truncated:
+            basis = lagrange_basis(kernel, decomposition, g, nodes)
+            values = truncated_lagrange(basis, args.center, args.truncate, reimpose_side_condition=not args.no_reproject)
+        else:
+            values = local_lagrange(kernel, decomposition, g, nodes, args.center, radius)
     gio.write_function_csv(args.output, values)
     if args.dump_kernel:
         gio.write_matrix_csv(args.dump_kernel, kernel.matrix)
@@ -223,7 +232,8 @@ def _build_parser() -> _Parser:
     lag.add_argument("--radius", type=float, default=None)
     lag.add_argument("--truncate", type=float, default=None, metavar="K", help="drop coefficients beyond distance K")
     lag.add_argument("--no-reproject", action="store_true", help="skip the side-condition repair after truncation")
-    lag.add_argument("--dump-kernel", default=None, metavar="PATH", help="debug: write the dense kernel matrix CSV")
+    lag.add_argument("--dump-kernel", default=None, metavar="PATH",
+                     help="debug: write the dense kernel matrix CSV (an integer alpha builds the kernel only for this)")
     lag.add_argument("-o", "--output", required=True)
     lag.set_defaults(func=_cmd_lagrange)
 

@@ -19,8 +19,13 @@ than the machine epsilon with :class:`SingularSystem`.
 Predictions alone need no coefficients: the same interpolant satisfies
 ``(L^alpha s)_U = 0`` on the unknown vertices U, and ``_solve_dirichlet``
 finds ``s_U`` from that Dirichlet form with the same solve and refusal rule.
-The bordered system stays where kernel coefficients are published
-(``solve_interpolant``, ``lagrange_basis``, ``local_lagrange``).
+A cardinal (Lagrange) function is the spline through a unit vector, so
+``dirichlet_lagrange`` builds it the same way: ``e_c`` on the nodes and one
+Dirichlet solve on the rest. For an integer alpha that needs no
+eigendecomposition, and the CLI ``lagrange`` command takes it there. The
+bordered system stays where kernel coefficients are published
+(``solve_interpolant``, ``lagrange_basis``, ``local_lagrange``) and is the
+oracle the Dirichlet-form cardinal functions are tested against.
 """
 from __future__ import annotations
 
@@ -37,8 +42,8 @@ from .errors import (
     NonPositiveAlpha,
     SingularSystem,
 )
-from .graphs import WeightedGraph
-from .spectral import KernelMatrix, SpectralDecomposition
+from .graphs import WeightedGraph, complement
+from .spectral import KernelMatrix, SpectralDecomposition, laplacian_power
 
 
 def _check_nodes(nodes: Sequence[int], n_vertices: int) -> np.ndarray:
@@ -293,3 +298,29 @@ def local_lagrange(
     cardinal = (neighborhood == center).astype(float)
     beta, constant = _solve_bordered(kernel, decomposition, neighborhood, cardinal)
     return _combine(kernel, decomposition, neighborhood, beta, constant)
+
+
+def dirichlet_lagrange(
+    graph: WeightedGraph, nodes: Sequence[int], center: int, alpha: float, radius: float = np.inf
+) -> np.ndarray:
+    """Cardinal function centered at ``center``, from the Dirichlet form of ``L^alpha``.
+
+    K is the set of ``nodes`` within ``radius`` of the center (all of them by
+    default). The function is exactly ``e_center`` on K; on the other vertices
+    U it satisfies ``(L^alpha chi)_U = 0`` for the normalized Laplacian and is
+    found with one :func:`_solve_dirichlet`. This is the function
+    :func:`local_lagrange` gives for the same nodes and radius, without a
+    kernel or a bordered system; for an integer ``alpha`` it needs no
+    eigendecomposition either (see :func:`laplacian_power`).
+    """
+    nodes = _check_nodes(nodes, graph.n_vertices)
+    if center not in nodes:
+        raise ValueError(f"center {center} must be one of the interpolation nodes")
+    known = LocalLagrangeConfig(center=center, radius=radius).nodes_within(graph, nodes)
+    power = laplacian_power(graph, alpha)
+    unknown = complement(graph, known)
+    chi = np.zeros(graph.n_vertices)
+    chi[center] = 1.0
+    if unknown.size:  # with every vertex in K, e_center is the whole answer
+        chi[unknown] = _solve_dirichlet(power, known, unknown, chi[known])
+    return chi

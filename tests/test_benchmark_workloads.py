@@ -30,3 +30,42 @@ def test_first_job_passes_its_check(monkeypatch, tmp_path, capsys, name):
     for argv in job.calls:
         assert cli.main(argv) == 0, capsys.readouterr().err
     workload.check(job)
+
+
+def _count_eigh(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls
+
+
+def test_cycle256_lagrange_makes_one_eigh_per_job(monkeypatch, tmp_path, capsys):
+    # an integer alpha builds its Lagrange functions from the Dirichlet form; only the
+    # truncated alpha = 1.5 call decomposes the Laplacian
+    job = _workloads(monkeypatch).WORKLOADS["cycle256-lagrange"](tmp_path, 1).job(0)
+    calls = _count_eigh(monkeypatch)
+    per_call = []
+    for argv in job.calls:
+        before = len(calls)
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        per_call.append(len(calls) - before)
+    assert per_call == [0, 0, 1, 0]
+
+
+@pytest.mark.parametrize("call", [0, 1])  # the default and the --local alpha = 2 calls
+def test_kernel_dump_still_writes_the_kernel(monkeypatch, tmp_path, capsys, call):
+    workload = _workloads(monkeypatch).WORKLOADS["cycle256-lagrange"](tmp_path, 1)
+    argv = workload.job(0).calls[call]
+    calls = _count_eigh(monkeypatch)
+    kernel = tmp_path / "kernel.csv"
+    assert cli.main([*argv, "--dump-kernel", str(kernel)]) == 0, capsys.readouterr().err
+    assert len(calls) == 1
+    rows = kernel.read_text().splitlines()
+    assert len(rows) == workload.n and all(len(row.split(",")) == workload.n for row in rows)

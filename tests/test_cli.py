@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from graphsplines import cli
+from graphsplines import (
+    build_graph,
+    cli,
+    cycle_graph,
+    decompose_graph,
+    knn_graph,
+    local_lagrange,
+    pseudo_inverse_power,
+)
 from graphsplines import io as gio
 
 
@@ -582,3 +590,78 @@ def test_no_solve_uses_cholesky(monkeypatch, tmp_path):
     for mode in ((), ("--local", "--radius", 8), ("--truncate", 8)):
         argv = ("lagrange", "--graph", g_csv, "--nodes", nodes, "--center", 8, *mode, "-o", tmp_path / "chi.csv")
         assert run(*argv) == 0
+
+
+# --- integer-alpha Lagrange functions from the Dirichlet form ---------------------
+
+def _weighted_cycle_case(seed, n=256):
+    """A cycle with seeded weights in [0.5, 2], every 4th vertex a node, and a seeded center."""
+    rng = np.random.default_rng([seed, n])
+    weights = rng.uniform(0.5, 2.0, n)
+    nodes = np.arange(0, n, 4)
+    graph = build_graph([(i, (i + 1) % n, weights[i], 1.0) for i in range(n)])
+    return graph, nodes, int(rng.choice(nodes)), 24.0
+
+
+def _knn_case(seed, n=200):
+    """k-NN graph of seeded points in the unit square, a quarter of them nodes."""
+    rng = np.random.default_rng([seed, n])
+    graph = knn_graph(rng.random((n, 2)), 8)
+    nodes = np.sort(rng.permutation(n)[: n // 4])
+    return graph, nodes, int(nodes[0]), 0.3
+
+
+@pytest.mark.parametrize("case", [*(f"cycle-{seed}" for seed in range(4)), "knn-0"])
+def test_integer_alpha_lagrange_matches_the_bordered_oracle(tmp_path, case):
+    # The CLI builds alpha = 2 cardinal functions from the Dirichlet form; the library's
+    # bordered local_lagrange is an independent solve of the same function. The worst relative
+    # difference over these cases was 3.3e-10 (a local cycle function; 6.6e-10 over 80 seeded
+    # draws of each kind), and the bound is one digit above it.
+    kind, seed = case.split("-")
+    graph, nodes, center, radius = (_weighted_cycle_case if kind == "cycle" else _knn_case)(int(seed))
+    g_csv, n_csv, out = tmp_path / "g.csv", tmp_path / "nodes.csv", tmp_path / "chi.csv"
+    gio.write_edge_csv(g_csv, graph)
+    gio.write_nodes_csv(n_csv, nodes)
+    decomposition = decompose_graph(graph)
+    kernel = pseudo_inverse_power(decomposition, 2.0)
+    for mode, ball in (((), np.inf), (("--local", "--radius", radius), radius)):
+        assert run("lagrange", "--graph", g_csv, "--nodes", n_csv, "--center", center, *mode, "-o", out) == 0
+        chi = gio.read_function_csv(out)[1]
+        oracle = local_lagrange(kernel, decomposition, graph, nodes, center, ball)
+        assert np.abs(chi - oracle).max() <= 3e-9 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_alpha_4_lagrange_is_cardinal_and_matches_least_squares(tmp_path, seed):
+    # cycle-256 at alpha = 4 with every 4th vertex a node: the bordered system runs at rcond
+    # about 1e-15 and is cardinal only to about 3e-6. The Dirichlet form sets the node values.
+    n = 256
+    if seed is None:
+        graph, nodes, center = cycle_graph(n), np.arange(0, n, 4), 0
+    else:
+        graph, nodes, center, _ = _weighted_cycle_case(seed)
+    g_csv, n_csv, out = tmp_path / "g.csv", tmp_path / "nodes.csv", tmp_path / "chi.csv"
+    gio.write_edge_csv(g_csv, graph)
+    gio.write_nodes_csv(n_csv, nodes)
+    assert run("lagrange", "--graph", g_csv, "--nodes", n_csv, "--center", center, "--alpha", 4, "-o", out) == 0
+    chi = gio.read_function_csv(out)[1]
+    assert np.array_equal(chi[nodes], (nodes == center).astype(float))
+    # L^4 = (L^2)^T L^2, so the least-squares fit of L^2 chi = 0 on U solves the same problem
+    weights = graph.weights
+    dinv = 1.0 / np.sqrt(weights.sum(axis=1))
+    lap = np.eye(n) - dinv[:, None] * weights * dinv[None, :]
+    lap2 = lap @ lap
+    unknown = np.setdiff1d(np.arange(n), nodes)
+    reference = np.linalg.lstsq(lap2[:, unknown], -lap2[:, center], rcond=None)[0]
+    assert np.abs(chi[unknown] - reference).max() <= 1e-12 * np.abs(chi).max()
+
+
+@pytest.mark.parametrize("mode", [(), ("--local", "--radius", 4)])
+@pytest.mark.parametrize("alpha", ["0", "-2"])
+def test_lagrange_non_positive_integer_alpha_is_two(tmp_path, cycle_csv, capsys, mode, alpha):
+    nodes = tmp_path / "nodes.csv"
+    gio.write_nodes_csv(nodes, [0, 2])
+    out = tmp_path / "x.csv"
+    assert run("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 0, *mode, "--alpha", alpha, "-o", out) == 2
+    assert f"alpha must be positive and finite, got {float(alpha)}" in capsys.readouterr().err
+    assert not out.exists()
