@@ -41,6 +41,7 @@ from .interpolation import (
     local_lagrange,
     native_semi_inner_product,
     solve_interpolant,
+    spline_regress,
     truncated_lagrange,
 )
 from .ml import (
@@ -51,7 +52,6 @@ from .ml import (
     load_dataset,
     normalize,
     smoothness_experiment,
-    spline_regress,
     wendland_bump,
 )
 from .spectral import (

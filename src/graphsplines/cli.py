@@ -87,11 +87,11 @@ def _cmd_lagrange(args) -> int:
         raise ValidationError(f"center {args.center} is not in the node set")
     if args.local and args.radius is None:
         raise ValidationError("--local requires --radius")
-    truncated = args.truncate is not None and not args.local
+    truncated = args.truncate is not None
     radius = args.radius if args.local else np.inf  # the full function is the local one whose ball holds every node
-    # An integer alpha needs no eigendecomposition in the Dirichlet form. A node set holding
-    # every vertex leaves it nothing to solve and stays on the bordered system.
-    if float(args.alpha).is_integer() and not truncated and len(nodes) < g.n_vertices:
+    # The Dirichlet form builds no kernel (and, for an integer alpha, no eigendecomposition). A node
+    # set holding every vertex leaves it nothing to solve and stays on the bordered system.
+    if not truncated and len(nodes) < g.n_vertices:
         values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius)
         kernel = _normalized_kernel(g, args.alpha)[1] if args.dump_kernel else None
     else:
@@ -228,12 +228,12 @@ def _build_parser() -> _Parser:
     lag.add_argument("--nodes", required=True, help="node-set CSV (vertex column)")
     lag.add_argument("--center", type=int, required=True)
     lag.add_argument("--alpha", type=float, default=2.0)
-    lag.add_argument("--local", action="store_true", help="solve only on nodes within --radius of the center")
     lag.add_argument("--radius", type=float, default=None)
-    lag.add_argument("--truncate", type=float, default=None, metavar="K", help="drop coefficients beyond distance K")
+    mode = lag.add_mutually_exclusive_group()
+    mode.add_argument("--local", action="store_true", help="interpolate only at the nodes within --radius of the center")
+    mode.add_argument("--truncate", type=float, default=None, metavar="K", help="drop kernel coefficients beyond distance K")
     lag.add_argument("--no-reproject", action="store_true", help="skip the side-condition repair after truncation")
-    lag.add_argument("--dump-kernel", default=None, metavar="PATH",
-                     help="debug: write the dense kernel matrix CSV (an integer alpha builds the kernel only for this)")
+    lag.add_argument("--dump-kernel", default=None, metavar="PATH", help="debug: write the dense kernel matrix CSV")
     lag.add_argument("-o", "--output", required=True)
     lag.set_defaults(func=_cmd_lagrange)
 

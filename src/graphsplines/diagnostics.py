@@ -27,6 +27,7 @@ from .errors import (
 from .graphs import WeightedGraph, build_graph, cycle_graph, fill_distance, random_connected_graph
 from .interpolation import (
     InterpolationProblem,
+    dirichlet_lagrange,
     evaluate,
     lagrange_basis,
     native_semi_inner_product,
@@ -426,9 +427,8 @@ def verify_bulk_ratio(trials: int, seed: int):
     _check_trials(trials)
     g = cycle_graph(256)
     nodes = np.arange(0, 256, 4)
-    decomposition, kernel = _normalized_kernel(g, 2.0)
-    basis = lagrange_basis(kernel, decomposition, g, nodes)
-    chi = basis.columns[:, basis.center_index(0)]
+    decomposition = decompose_graph(g)
+    chi = dirichlet_lagrange(g, nodes, 0, 2.0)
     h = fill_distance(g, nodes)
     rho_max = g.rho_max
     side = int(np.sqrt(trials))

@@ -16,16 +16,15 @@ and solves it with ``_solve_symmetric``: one LAPACK symmetric-indefinite solve
 node), which refuses a system whose reciprocal condition estimate is smaller
 than the machine epsilon with :class:`SingularSystem`.
 
-Predictions alone need no coefficients: the same interpolant satisfies
-``(L^alpha s)_U = 0`` on the unknown vertices U, and ``_solve_dirichlet``
-finds ``s_U`` from that Dirichlet form with the same solve and refusal rule.
-A cardinal (Lagrange) function is the spline through a unit vector, so
-``dirichlet_lagrange`` builds it the same way: ``e_c`` on the nodes and one
-Dirichlet solve on the rest. For an integer alpha that needs no
-eigendecomposition, and the CLI ``lagrange`` command takes it there. The
-bordered system stays where kernel coefficients are published
-(``solve_interpolant``, ``lagrange_basis``, ``local_lagrange``) and is the
-oracle the Dirichlet-form cardinal functions are tested against.
+Values alone need no coefficients: the same interpolant satisfies
+``(L^alpha s)_U = 0`` on the unknown vertices U, and :func:`spline_regress`,
+the package's one values-only spline, finds ``s_U`` from that Dirichlet form
+with the same solve and refusal rule. A cardinal (Lagrange) function is the
+spline through a unit vector, so ``dirichlet_lagrange`` is ``e_c`` on the
+nodes and ``spline_regress`` on the rest; it builds no kernel, and for an
+integer alpha no eigendecomposition. The bordered system stays where kernel
+coefficients are the output (``solve_interpolant``, ``lagrange_basis``) and,
+with ``local_lagrange``, is the oracle the Dirichlet form is tested against.
 """
 from __future__ import annotations
 
@@ -197,6 +196,8 @@ class LocalLagrangeConfig:
 
     def nodes_within(self, graph: WeightedGraph, nodes: np.ndarray) -> np.ndarray:
         """Interpolation nodes inside the ball; must contain the center."""
+        if self.radius == np.inf:  # the ball is the whole graph: no search needed
+            return nodes
         neighborhood = nodes[graph.distances_from(self.center)[nodes] <= self.radius]
         if neighborhood.size == 0:
             raise EmptyNeighborhood(
@@ -300,27 +301,48 @@ def local_lagrange(
     return _combine(kernel, decomposition, neighborhood, beta, constant)
 
 
+def spline_regress(
+    g: WeightedGraph,
+    known: Sequence[int],
+    values: np.ndarray,
+    alpha: float = 2.0,
+    decomposition: SpectralDecomposition | None = None,
+) -> np.ndarray:
+    """Extend known values to the rest of the graph; predict the unknown vertices.
+
+    Returns predictions at the unknown vertices in ascending vertex order.
+    ``values`` may be a vector or a matrix with one column per target. The
+    prediction is the minimal-norm spline, solved in its Dirichlet form from
+    ``L^alpha`` (see :func:`laplacian_power`). ``decomposition`` is read only
+    for its ``kind`` and, for a fractional ``alpha``, for its eigenpairs;
+    without it the normalized Laplacian is used.
+    """
+    known = _check_nodes(known, g.n_vertices)
+    values = _check_values(values, known.size)
+    power = laplacian_power(g, alpha, decomposition)
+    unknown = complement(g, known)
+    if unknown.size == 0:
+        return values[:0].copy()
+    return _solve_dirichlet(power, known, unknown, values)
+
+
 def dirichlet_lagrange(
     graph: WeightedGraph, nodes: Sequence[int], center: int, alpha: float, radius: float = np.inf
 ) -> np.ndarray:
     """Cardinal function centered at ``center``, from the Dirichlet form of ``L^alpha``.
 
     K is the set of ``nodes`` within ``radius`` of the center (all of them by
-    default). The function is exactly ``e_center`` on K; on the other vertices
-    U it satisfies ``(L^alpha chi)_U = 0`` for the normalized Laplacian and is
-    found with one :func:`_solve_dirichlet`. This is the function
-    :func:`local_lagrange` gives for the same nodes and radius, without a
-    kernel or a bordered system; for an integer ``alpha`` it needs no
-    eigendecomposition either (see :func:`laplacian_power`).
+    default). The function is exactly ``e_center`` on K and, on the other
+    vertices, the :func:`spline_regress` extension of those values for the
+    normalized Laplacian. This is the function :func:`local_lagrange` gives
+    for the same nodes and radius, without a kernel or a bordered system; for
+    an integer ``alpha`` it needs no eigendecomposition either.
     """
     nodes = _check_nodes(nodes, graph.n_vertices)
     if center not in nodes:
         raise ValueError(f"center {center} must be one of the interpolation nodes")
     known = LocalLagrangeConfig(center=center, radius=radius).nodes_within(graph, nodes)
-    power = laplacian_power(graph, alpha)
-    unknown = complement(graph, known)
     chi = np.zeros(graph.n_vertices)
     chi[center] = 1.0
-    if unknown.size:  # with every vertex in K, e_center is the whole answer
-        chi[unknown] = _solve_dirichlet(power, known, unknown, chi[known])
+    chi[complement(graph, known)] = spline_regress(graph, known, chi[known], alpha)
     return chi

@@ -8,7 +8,8 @@ vertex as the weighted average of its known neighbors.
 The spline is the minimal-norm polyharmonic interpolant, found from its
 Dirichlet form: it satisfies ``(L^alpha s)_U = 0`` on the unknown set U, so
 ``s_U = -(L^alpha)_UU^-1 (L^alpha)_UK F`` with one symmetric solve per known
-set. For an integer alpha ``L^alpha`` is a sparse product of Laplacians, so no
+set (``interpolation.spline_regress``; the CV loop forms ``L^alpha`` once).
+For an integer alpha ``L^alpha`` is a sparse product of Laplacians, so no
 eigendecomposition, kernel matrix or bordered system is built here.
 """
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 
 from .errors import TooFewRows, ZeroVarianceColumn
 from .graphs import WeightedGraph, complement, knn_graph
-from .interpolation import _check_nodes, _check_values, _solve_dirichlet
+from .interpolation import _solve_dirichlet, spline_regress
 from .io import read_table
-from .spectral import LaplacianKind, SpectralDecomposition, _sparse_laplacian, laplacian_power
+from .spectral import LaplacianKind, _sparse_laplacian, laplacian_power
 
 
 @dataclass
@@ -101,31 +102,6 @@ def _nnr_predictions(
     preds = base + weights @ (known_values - base) / np.where(isolated, 1.0, totals)[:, None]
     preds[isolated] = base
     return preds, isolated
-
-
-def spline_regress(
-    g: WeightedGraph,
-    known: Sequence[int],
-    values: np.ndarray,
-    alpha: float = 2.0,
-    decomposition: SpectralDecomposition | None = None,
-) -> np.ndarray:
-    """Extend known values to the rest of the graph; predict the unknown vertices.
-
-    Returns predictions at the unknown vertices in ascending vertex order.
-    ``values`` may be a vector or a matrix with one column per target. The
-    prediction is the minimal-norm spline, solved in its Dirichlet form from
-    ``L^alpha`` (see :func:`laplacian_power`). ``decomposition`` is read only
-    for its ``kind`` and, for a fractional ``alpha``, for its eigenpairs;
-    without it the normalized Laplacian is used.
-    """
-    known = _check_nodes(known, g.n_vertices)
-    values = _check_values(values, known.size)
-    power = laplacian_power(g, alpha, decomposition)
-    unknown = complement(g, known)
-    if unknown.size == 0:
-        return values[:0].copy()
-    return _solve_dirichlet(power, known, unknown, values)
 
 
 @dataclass

@@ -204,6 +204,27 @@ def test_bulk_ratio_suite_filters_and_searches_once(monkeypatch):
     assert calls == {"apply_power": 1, "distances_from": 2}
 
 
+def test_bulk_ratio_suite_matches_a_least_squares_lagrange_function():
+    # At alpha = 2, L^2 = L^T L, so the least-squares fit of L chi = 0 on the non-nodes is the
+    # cardinal function. The suite's ratios matched it to 2.8e-8 relative (4.5e-4 when chi was a
+    # column of the bordered basis); the far tails are tiny, so this reads the accuracy of chi.
+    from graphsplines.diagnostics import _bulk_ratios, verify_bulk_ratio
+
+    _, _, _, rows = verify_bulk_ratio(100, 0)
+    g = cycle_graph(256)
+    nodes = np.arange(0, 256, 4)
+    lap = laplacian(g, LaplacianKind.NORMALIZED)
+    unknown = np.setdiff1d(np.arange(256), nodes)
+    chi = np.zeros(256)
+    chi[0] = 1.0
+    chi[unknown] = np.linalg.lstsq(lap[:, unknown], -lap[:, 0], rcond=None)[0]
+    radii = [(float(r2), float(r3)) for r2, r3, _ in rows]
+    filtered = decompose_graph(g, LaplacianKind.NORMALIZED).apply_power(chi, 1.0)
+    reference = np.array(_bulk_ratios(filtered, g.distances_from(0), radii, fill_distance(g, nodes), g.rho_max))
+    ratios = np.array([float(ratio) for _, _, ratio in rows])
+    assert np.all(np.abs(ratios - reference) <= 1e-6 * reference)
+
+
 class TestCycleCoverConstant:
     def test_all_vertices_are_nodes(self):
         # every covering path has a single interior vertex with diagonal 1
