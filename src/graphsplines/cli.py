@@ -85,9 +85,13 @@ def _cmd_lagrange(args) -> int:
     nodes = gio.read_nodes_csv(args.nodes)
     if args.center not in nodes:
         raise ValidationError(f"center {args.center} is not in the node set")
+    truncated = args.truncate is not None
     if args.local and args.radius is None:
         raise ValidationError("--local requires --radius")
-    truncated = args.truncate is not None
+    if args.radius is not None and not args.local:
+        raise ValidationError("--radius requires --local")
+    if args.no_reproject and not truncated:
+        raise ValidationError("--no-reproject requires --truncate")
     radius = args.radius if args.local else np.inf  # the full function is the local one whose ball holds every node
     # The Dirichlet form builds no kernel (and, for an integer alpha, no eigendecomposition). A node
     # set holding every vertex leaves it nothing to solve and stays on the bordered system.

@@ -95,11 +95,12 @@ class Interpolant:
     nodes: np.ndarray
 
 
-def _solve_symmetric(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_symmetric(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve ``A x = rhs`` for a symmetric ``A`` with one LAPACK ``dsysv``; ``A`` and ``rhs`` may be overwritten.
 
-    Refuses, with :class:`SingularSystem`, a system whose reciprocal condition
-    estimate (1-norm, ``dsycon``) is smaller than the machine epsilon.
+    Returns ``(x, rcond)``, where ``rcond`` is the reciprocal condition
+    estimate (1-norm, ``dsycon``). Refuses, with :class:`SingularSystem`, a
+    system whose ``rcond`` is smaller than the machine epsilon.
     """
     anorm = np.linalg.norm(A, 1)
     lwork, _ = lapack.dsysv_lwork(A.shape[0])
@@ -111,7 +112,7 @@ def _solve_symmetric(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     rcond, _ = lapack.dsycon(factor, ipiv, anorm)
     if rcond < np.finfo(float).eps:
         raise SingularSystem(f"reciprocal condition estimate {rcond:.3e} below machine epsilon")
-    return sol
+    return sol, float(rcond)
 
 
 def _solve_bordered(
@@ -129,7 +130,7 @@ def _solve_bordered(
     A[:m, m] = A[m, :m] = decomposition.kernel_vector[nodes]
     rhs = np.zeros((m + 1, 1 if values.ndim == 1 else values.shape[1]))
     rhs[:m] = values.reshape(m, -1)
-    sol = _solve_symmetric(A, rhs)
+    sol, _ = _solve_symmetric(A, rhs)
     if values.ndim == 1:
         return sol[:-1, 0], sol[-1, 0]
     return sol[:-1], sol[-1]
@@ -137,17 +138,22 @@ def _solve_bordered(
 
 def _solve_dirichlet(
     A: np.ndarray, known: np.ndarray, unknown: np.ndarray, values: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Values on ``unknown`` of the spline through ``values`` on ``known``.
 
     ``A`` is ``L^alpha``. The spline has ``(L^alpha s)_U = 0`` on the unknown
     set U, so ``s_U = -(A_UU)^-1 A_UK F``; ``A_UU`` is positive definite for a
-    proper nonempty U, and one :func:`_solve_symmetric` carries every value
-    column. Returns one row per unknown vertex, shaped like ``values``.
+    proper nonempty U. Only the row block ``A_U`` is read, once: the system
+    is its U columns, and the right-hand side is ``-A_U F0`` with ``F0`` the
+    values on K and zero on U, which is ``-A_UK F`` without a 2-D gather. One
+    :func:`_solve_symmetric` carries every value column. Returns the values
+    (one row per unknown vertex, shaped like ``values``) and the solve's
+    reciprocal condition estimate.
     """
-    rhs = -(A[np.ix_(unknown, known)] @ values.reshape(known.size, -1))
-    sol = _solve_symmetric(A[np.ix_(unknown, unknown)], rhs)
-    return sol[:, 0] if values.ndim == 1 else sol
+    rows = A[unknown]
+    padded = np.zeros((A.shape[0],) + values.shape[1:])
+    padded[known] = values
+    return _solve_symmetric(rows[:, unknown], -(rows @ padded))
 
 
 def _combine(kernel: KernelMatrix, decomposition: SpectralDecomposition, nodes, beta, constant) -> np.ndarray:
@@ -323,7 +329,7 @@ def spline_regress(
     unknown = complement(g, known)
     if unknown.size == 0:
         return values[:0].copy()
-    return _solve_dirichlet(power, known, unknown, values)
+    return _solve_dirichlet(power, known, unknown, values)[0]
 
 
 def dirichlet_lagrange(

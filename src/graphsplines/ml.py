@@ -11,6 +11,13 @@ Dirichlet form: it satisfies ``(L^alpha s)_U = 0`` on the unknown set U, so
 set (``interpolation.spline_regress``; the CV loop forms ``L^alpha`` once).
 For an integer alpha ``L^alpha`` is a sparse product of Laplacians, so no
 eigendecomposition, kernel matrix or bordered system is built here.
+
+Per fold the loop does two things. It reads the row block ``(L^alpha)_U``
+once; its U columns are the system, and its product with the known values
+padded by zeros on U is the right-hand side. The baseline then comes from one
+sparse product of the adjacency with the known-set indicator and the centered
+known values. The report keeps the smallest fold rcond (``min_rcond``) next
+to the count of baseline fallbacks.
 """
 from __future__ import annotations
 
@@ -93,13 +100,21 @@ def _nnr_predictions(
     ``known_values`` has one row per known vertex and one column per target.
     Returns the predictions (one row per query) and the mask of queries with
     no known neighbor, which get the column means of the known values.
+
+    One sparse product ``W S`` over the whole graph gives both sums: column 0
+    of ``S`` is the indicator of the known set, so it yields each vertex's
+    total weight to known neighbors, and the other columns hold the centered
+    known values, zero on the unknown vertices.
     """
-    weights = g.adjacency[queries][:, known].toarray()
-    totals = weights.sum(axis=1)
-    isolated = totals == 0.0
     base = known_values.mean(axis=0)
+    spread = np.zeros((g.n_vertices, 1 + known_values.shape[1]))
+    spread[known, 0] = 1.0
     # centered form: exact for constant data and better conditioned generally
-    preds = base + weights @ (known_values - base) / np.where(isolated, 1.0, totals)[:, None]
+    spread[known, 1:] = known_values - base
+    sums = (g.adjacency @ spread)[queries]
+    totals = sums[:, 0]
+    isolated = totals == 0.0
+    preds = base + sums[:, 1:] / np.where(isolated, 1.0, totals)[:, None]
     preds[isolated] = base
     return preds, isolated
 
@@ -132,8 +147,16 @@ class ReportRow:
 
 @dataclass
 class RegressionReport:
+    """Report rows plus run health: baseline fallbacks and the smallest fold rcond.
+
+    ``min_rcond`` is the smallest reciprocal condition estimate (1-norm,
+    ``dsycon``) of the folds' ``(L^alpha)_UU`` systems; it is not written to
+    the report CSV or the manifest.
+    """
+
     rows: list[ReportRow] = field(default_factory=list)
     nnr_fallbacks: int = 0
+    min_rcond: float = np.inf
 
     def row(self, method: str, target: str) -> ReportRow:
         for r in self.rows:
@@ -160,6 +183,7 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
     n, t = d.n_rows, d.targets.shape[1]
     repeat_mse = {"spline": np.zeros((cfg.repeats, t)), "nnr": np.zeros((cfg.repeats, t))}
     fallbacks = 0
+    min_rcond = np.inf
 
     for r in range(cfg.repeats):
         rng = np.random.default_rng([cfg.seed, r])
@@ -171,7 +195,8 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
             known_values = d.targets[known]
             truth = d.targets[unknown]
 
-            preds = _solve_dirichlet(power, known, unknown, known_values)
+            preds, rcond = _solve_dirichlet(power, known, unknown, known_values)
+            min_rcond = min(min_rcond, rcond)
             fold_mse["spline"][fi] = ((preds - truth) ** 2).mean(axis=0)
 
             nnr, isolated = _nnr_predictions(g, known, known_values, unknown)
@@ -180,7 +205,7 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
         for method in repeat_mse:
             repeat_mse[method][r] = fold_mse[method].mean(axis=0)
 
-    report = RegressionReport(nnr_fallbacks=fallbacks)
+    report = RegressionReport(nnr_fallbacks=fallbacks, min_rcond=min_rcond)
     for method in ("spline", "nnr"):
         for j, name in enumerate(d.target_names):
             series = repeat_mse[method][:, j]
@@ -229,6 +254,9 @@ def smoothness_experiment(
         raise ValueError(f"n_points must be even and at least 4, got {n_points}")
     if n_bumps_per_axis < 1:
         raise ValueError(f"need at least 1 bump per axis, got {n_bumps_per_axis}")
+    magnitudes = np.asarray(magnitudes, dtype=float)
+    if magnitudes.size == 0 or not np.all(np.isfinite(magnitudes)):
+        raise ValueError(f"magnitudes must be a nonempty list of finite numbers, got {magnitudes.tolist()}")
     rng = np.random.default_rng(seed)
     sites = rng.uniform(0.0, 1.0, size=(n_points, 2))
     g = knn_graph(sites, k_neighbors)
@@ -242,7 +270,7 @@ def smoothness_experiment(
     unknown = np.sort(half[n_points // 2 :])
 
     # one column per magnitude; the order-2 semi-norm ||L^(2/2) f|| is ||L f||
-    fields = np.outer(base, np.asarray(magnitudes, dtype=float))
+    fields = np.outer(base, magnitudes)
     errors = np.linalg.norm(spline_regress(g, known, fields[known], alpha) - fields[unknown], axis=0)
     seminorms = np.linalg.norm(_sparse_laplacian(g, LaplacianKind.NORMALIZED) @ fields, axis=0)
     return [(float(a), float(b)) for a, b in zip(seminorms, errors)]

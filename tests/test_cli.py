@@ -109,6 +109,24 @@ class TestLagrangeCommand:
         gio.write_nodes_csv(nodes, [0, 2])
         assert run("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 0, "--local", "-o", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("mode", [(), ("--truncate", 4)])
+    def test_radius_without_local_is_two(self, tmp_path, cycle_csv, capsys, mode):
+        nodes = tmp_path / "nodes.csv"
+        gio.write_nodes_csv(nodes, [0, 2])
+        out = tmp_path / "x.csv"
+        assert run("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 0, "--radius", 4, *mode, "-o", out) == 2
+        assert "--radius requires --local" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [(), ("--local", "--radius", 4)])
+    def test_no_reproject_without_truncate_is_two(self, tmp_path, cycle_csv, capsys, mode):
+        nodes = tmp_path / "nodes.csv"
+        gio.write_nodes_csv(nodes, [0, 2])
+        out = tmp_path / "x.csv"
+        assert run("lagrange", "--graph", cycle_csv, "--nodes", nodes, "--center", 0, "--no-reproject", *mode, "-o", out) == 2
+        assert "--no-reproject requires --truncate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_center_outside_node_set_is_two(self, tmp_path, cycle_csv, capsys):
         nodes = tmp_path / "nodes.csv"
         gio.write_nodes_csv(nodes, [0, 2])
@@ -495,6 +513,14 @@ def test_decay_fit_scale_must_be_positive_and_finite(tmp_path, capsys, scale):
     argv = ("decay", "--graph", g_csv, "--function", fn, "--center", 0, "--fit", "--fit-scale", scale, "-o", out)
     assert run(*argv) == 2
     assert "fit scale" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("magnitudes", ["", "1,nan"])
+def test_smoothness_needs_finite_magnitudes(tmp_path, capsys, magnitudes):
+    out = tmp_path / "sm.csv"
+    assert run("experiment", "smoothness", "--n", 60, "--magnitudes", magnitudes, "--k", 6, "-o", out) == 2
+    assert "magnitudes must be a nonempty list of finite numbers" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -224,6 +224,84 @@ class TestCrossValidate:
             cross_validate(d, CVConfig(k_neighbors=2, folds=10))
 
 
+def reference_cv(d, cfg):
+    """Plain-numpy repeated k-fold CV at alpha = 2.
+
+    A dense W of the symmetrized k-NN graph (weight 1 / distance), the
+    normalized Laplacian from its formula, and ``np.linalg.solve`` on 2-D
+    blocks of ``L @ L``. Returns ``{(method, target): (mean, std)}``, the
+    baseline's fallback count and the largest 1-norm condition number of the
+    folds' ``(L^2)_UU``.
+    """
+    assert cfg.alpha == 2.0
+    z = (d.features - d.features.mean(axis=0)) / d.features.std(axis=0)
+    n, t = d.targets.shape
+    dist = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    rows = np.repeat(np.arange(n), cfg.k_neighbors)
+    cols = np.argsort(dist, axis=1, kind="stable")[:, : cfg.k_neighbors].ravel()
+    W = np.zeros((n, n))
+    W[rows, cols] = W[cols, rows] = 1.0 / dist[rows, cols]
+    dinv = 1.0 / np.sqrt(W.sum(axis=1))
+    L = np.eye(n) - dinv[:, None] * W * dinv[None, :]
+    L2 = L @ L
+    mse = {"spline": np.zeros((cfg.repeats, t)), "nnr": np.zeros((cfg.repeats, t))}
+    fallbacks, worst_cond = 0, 0.0
+    for r in range(cfg.repeats):
+        fold_mse = {"spline": [], "nnr": []}
+        for fold in np.array_split(np.random.default_rng([cfg.seed, r]).permutation(n), cfg.folds):
+            unknown = np.sort(fold)
+            known = np.setdiff1d(np.arange(n), unknown)
+            data, truth = d.targets[known], d.targets[unknown]
+            system = L2[np.ix_(unknown, unknown)]
+            worst_cond = max(worst_cond, np.linalg.cond(system, 1))
+            spline = -np.linalg.solve(system, L2[np.ix_(unknown, known)] @ data)
+            weights = W[np.ix_(unknown, known)]
+            totals = weights.sum(axis=1)
+            base = data.mean(axis=0)
+            nnr = base + weights @ (data - base) / np.where(totals == 0, 1.0, totals)[:, None]
+            nnr[totals == 0] = base
+            fallbacks += int(np.count_nonzero(totals == 0))
+            fold_mse["spline"].append(((spline - truth) ** 2).mean(axis=0))
+            fold_mse["nnr"].append(((nnr - truth) ** 2).mean(axis=0))
+        for method in mse:
+            mse[method][r] = np.mean(fold_mse[method], axis=0)
+    stats = {
+        (method, name): (mse[method][:, j].mean(), mse[method][:, j].std())
+        for method in mse
+        for j, name in enumerate(d.target_names)
+    }
+    return stats, fallbacks, worst_cond
+
+
+class TestCrossValidateReference:
+    # (rows, table seed, k, folds); k = 2 with two folds leaves some held-out rows without a known neighbor
+    TABLES = [(60, 11, 5, 5), (80, 12, 6, 4), (60, 13, 2, 2)]
+
+    @pytest.mark.parametrize("n, seed, k, folds", TABLES)
+    def test_matches_plain_numpy_reference(self, n, seed, k, folds):
+        d = TestCrossValidate().make_dataset(n=n, seed=seed)
+        cfg = CVConfig(k_neighbors=k, folds=folds, repeats=3, seed=seed)
+        report = cross_validate(d, cfg)
+        expected, fallbacks, _ = reference_cv(d, cfg)
+        assert len(report.rows) == len(expected)
+        for row in report.rows:
+            mean, std = expected[(row.method, row.target)]
+            assert row.mean_mse == pytest.approx(mean, rel=1e-12, abs=0.0)
+            assert row.std_mse == pytest.approx(std, rel=1e-12, abs=0.0)
+        assert report.nnr_fallbacks == fallbacks
+        if k == 2:
+            assert fallbacks > 0
+
+    def test_min_rcond_brackets_the_worst_fold_condition(self):
+        d = TestCrossValidate().make_dataset(n=60, seed=11)
+        cfg = CVConfig(k_neighbors=5, folds=5, repeats=3, seed=11)
+        _, _, kappa = reference_cv(d, cfg)
+        # dsycon's estimate is a lower bound on 1 / kappa; the 1e-12 allows for the rounding
+        # of both computations, since on systems this small the estimate is exact
+        assert (1.0 - 1e-12) / kappa <= cross_validate(d, cfg).min_rcond <= 10.0 / kappa
+
+
 class TestWendlandBump:
     def test_boundary_values(self):
         assert wendland_bump(0.0) == 1.0
@@ -262,6 +340,11 @@ class TestSmoothnessExperiment:
     def test_requires_a_bump_per_axis(self, bumps):
         with pytest.raises(ValueError, match="bump per axis"):
             smoothness_experiment(60, n_bumps_per_axis=bumps, magnitudes=[1.0], k_neighbors=6, seed=0)
+
+    @pytest.mark.parametrize("magnitudes", [[], [1.0, np.nan], [np.inf]])
+    def test_requires_finite_magnitudes(self, magnitudes):
+        with pytest.raises(ValueError, match="magnitudes must be a nonempty list of finite numbers"):
+            smoothness_experiment(60, magnitudes=magnitudes, k_neighbors=6, seed=0)
 
 
 class TestDirichletRegression:
