@@ -78,8 +78,12 @@ def decay_profile(f: np.ndarray, g: WeightedGraph, center: int, bin_width: float
     f = np.asarray(f, dtype=float)
     d = g.distances_from(center)
     bins = np.floor(d / bin_width + 0.5)  # whole floats: an int cast overflows for a tiny width
-    uniq = np.unique(bins)
-    envelopes = np.array([np.abs(f[bins == b]).max() for b in uniq])
+    uniq, which = np.unique(bins, return_inverse=True)
+    # every bin holds a vertex and every |f| is >= 0, so a running max from zeros is the bin max;
+    # a nan still wins its bin, as in ndarray.max, without the warning maximum.at raises for it
+    envelopes = np.zeros(uniq.size)
+    with np.errstate(invalid="ignore"):
+        np.maximum.at(envelopes, which, np.abs(f))
     return DecayProfile(center=int(center), distances=uniq * bin_width, envelopes=envelopes)
 
 

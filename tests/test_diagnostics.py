@@ -15,6 +15,7 @@ from graphsplines import (
     fill_distance,
     fit_exponential_decay,
     graph_metrics,
+    knn_graph,
     laplacian,
     lattice_graph,
     ml_cover_constant,
@@ -52,6 +53,22 @@ class TestDecayProfile:
         d = g.metric[3]
         counts = sum(int(np.sum(np.floor(d / 0.7 + 0.5) == round(dist / 0.7))) for dist in p.distances)
         assert counts == 20
+
+    @pytest.mark.parametrize("bin_width", [0.37, 1e-9, 1e-300])
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_bin_maxima_match_the_per_bin_mask_loop_bit_for_bit(self, bin_width, with_nan):
+        rng = np.random.default_rng(5)
+        g = knn_graph(rng.random((300, 2)), 6)
+        f = rng.standard_normal(300)
+        if with_nan:
+            f[17] = np.nan
+        p = decay_profile(f, g, 4, bin_width)
+        bins = np.floor(g.distances_from(4) / bin_width + 0.5)
+        uniq = np.unique(bins)
+        expected = np.array([np.abs(f[bins == b]).max() for b in uniq])
+        assert p.distances.tobytes() == (uniq * bin_width).tobytes()
+        assert p.envelopes.tobytes() == expected.tobytes()
+        assert np.isnan(p.envelopes).sum() == int(with_nan)
 
     def test_lagrange_envelope_decreases_over_reliable_range(self, cycle256_setup):
         g, _, _, nodes, basis = cycle256_setup

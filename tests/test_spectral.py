@@ -97,6 +97,15 @@ def test_vectorised_sign_fix_matches_the_column_loop():
         assert fixed.flags.c_contiguous
 
 
+def _seeded_graph(name):
+    """A cycle-256 with weights in [0.95, 1.05], or a k = 10 graph of 768 uniform points in 8-D; seed 0."""
+    rng = np.random.default_rng(0)
+    if name == "weighted-cycle-256":
+        w = rng.uniform(0.95, 1.05, 256)
+        return build_graph([(i, (i + 1) % 256, float(w[i]), 1.0) for i in range(256)])
+    return knn_graph(rng.random((768, 8)), 10)
+
+
 class TestEigendecompose:
     def test_cycle4_normalized_spectrum(self):
         # independent oracle: circulant eigenvalues 1 - cos(2 pi k / n)
@@ -123,6 +132,17 @@ class TestEigendecompose:
     def test_eigenvectors_orthonormal(self):
         s = decompose_graph(random_connected_graph(20, np.random.default_rng(4)), NORM)
         assert np.allclose(s.eigenvectors.T @ s.eigenvectors, np.eye(20), atol=1e-12)
+
+    @pytest.mark.parametrize("graph", ["weighted-cycle-256", "knn-768"])
+    def test_eigenvectors_orthonormal_to_a_few_ulps(self, graph):
+        # dsyevd: about 2e-15 on the cycle and 3e-15 on the k-NN graph; dsyevr gave 3.6e-13 and 1.2e-12
+        Q = decompose_graph(_seeded_graph(graph), NORM).eigenvectors
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-13
+
+    @pytest.mark.parametrize("graph", ["weighted-cycle-256", "knn-768"])
+    def test_residual_is_kept_and_within_the_check_tolerance(self, graph):
+        s = decompose_graph(_seeded_graph(graph), NORM)
+        assert 0.0 < s.residual <= max(100 * s.zero_tolerance, 1e-10)
 
     def test_disconnected_input_detected(self):
         block = np.array([[1.0, -1.0], [-1.0, 1.0]])
