@@ -8,7 +8,6 @@ recording flags, seed, and input digests. Exit codes: 0 success, 1 usage,
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 import numpy as np
@@ -198,10 +197,6 @@ def _cmd_experiment_smoothness(args) -> int:
 
 # --- parser ------------------------------------------------------------------------
 
-# Built on the first main() call and reused: each parse makes a fresh Namespace, and the
-# set_defaults(func=...) commands look SUITES, solve_interpolant and the rest up at call
-# time. The verify choices are the keys of SUITES at that first build.
-@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="graphsplines", description=__doc__)
     parser.add_argument("--version", action="version", version=f"graphsplines {__version__}")

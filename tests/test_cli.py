@@ -277,34 +277,6 @@ def test_same_inputs_give_byte_identical_outputs_and_manifests(tmp_path, cycle_c
         assert (out.read_bytes(), manifest.read_bytes()) == first
 
 
-class TestParserCache:
-    ARGVS = [
-        ["lagrange", "--graph", "g.csv", "--nodes", "n.csv", "--center", "0", "--local", "--radius", "24", "-o", "x.csv"],
-        ["lagrange", "--graph", "g.csv", "--nodes", "n.csv", "--center", "0", "--truncate", "32", "--no-reproject",
-         "-o", "x.csv"],
-        ["lagrange", "--graph", "g.csv", "--nodes", "n.csv", "--center", "0", "--local", "--truncate", "3",
-         "-o", "x.csv"],
-        ["--version"],
-    ]
-
-    def test_one_parser_per_process(self):
-        assert cli._build_parser() is cli._build_parser()
-
-    def test_no_flag_carries_over_from_one_parse_to_the_next(self, capsys):
-        def parse(parser, argv):
-            try:
-                return vars(parser.parse_args(argv))
-            except SystemExit as exc:
-                return exc.code, capsys.readouterr()
-
-        cached = cli._build_parser()
-        after_a_run = [parse(cached, argv) for argv in self.ARGVS + self.ARGVS]
-        fresh = [parse(cli._build_parser.__wrapped__(), argv) for argv in self.ARGVS]
-        assert after_a_run == fresh + fresh
-        assert fresh[1]["local"] is False and fresh[1]["radius"] is None
-        assert [r[0] for r in fresh[2:]] == [1, 0]
-
-
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert run("graph", "cycle") == 1
