@@ -4,6 +4,13 @@ Parsing, file I/O and dispatch only; the ``verify`` suites live in ``diagnostics
 Every data-producing subcommand writes CSV plus a ``<output>.manifest.json``
 recording flags, seed, and input digests. Exit codes: 0 success, 1 usage,
 2 input validation, 3 numerical failure, 4 verification failure.
+
+Only the subcommand that argv names gets its arguments: each parser is filled in
+on its first parse (see ``_Parser``). Building all twelve parsers took most of a
+call's parsing time, mostly argparse's per-argument formatter and gettext work
+for arguments the call never used. A fresh parser is still built on every call
+and nothing is cached, so a one-shot process saves as much as a caller that
+runs ``main`` many times.
 """
 from __future__ import annotations
 
@@ -31,9 +38,26 @@ from .ml import CVConfig, cross_validate, load_dataset, smoothness_experiment
 # and bench/test_tracing.py asserts that cli binds it too
 from .spectral import _normalized_kernel, decompose_graph  # noqa: F401
 
+# --help shows the docstring's first two paragraphs; the third is about this code
+_DESCRIPTION = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
+
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that exits with code 1 on usage errors."""
+    """Argument parser that exits with code 1 on usage errors.
+
+    ``populate`` adds the parser's own arguments and subcommands. It runs once, at the top of the
+    first ``parse_known_args``; argparse calls that only on the subcommand parser that argv names.
+    """
+
+    def __init__(self, *args, populate=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._populate = populate
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._populate is not None:
+            populate, self._populate = self._populate, None
+            populate(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -197,22 +221,22 @@ def _cmd_experiment_smoothness(args) -> int:
 
 # --- parser ------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="graphsplines", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"graphsplines {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    graph = sub.add_parser("graph", help="generate edge-list CSVs")
+def _fill_graph(graph: _Parser) -> None:
     graph_sub = graph.add_subparsers(dest="kind", required=True, parser_class=_Parser)
+    graph_sub.add_parser("cycle", help="ring with uniform weight and length", populate=_fill_graph_cycle)
+    graph_sub.add_parser("lattice", help="4-neighbor grid", populate=_fill_graph_lattice)
+    graph_sub.add_parser("knn", help="symmetrized k-nearest-neighbor graph of a point cloud", populate=_fill_graph_knn)
 
-    cyc = graph_sub.add_parser("cycle", help="ring with uniform weight and length")
+
+def _fill_graph_cycle(cyc: _Parser) -> None:
     cyc.add_argument("--n", type=int, required=True)
     cyc.add_argument("--weight", type=float, default=1.0)
     cyc.add_argument("--length", type=float, default=1.0)
     cyc.add_argument("-o", "--output", required=True)
     cyc.set_defaults(func=_cmd_graph_cycle)
 
-    lat = graph_sub.add_parser("lattice", help="4-neighbor grid")
+
+def _fill_graph_lattice(lat: _Parser) -> None:
     lat.add_argument("--rows", type=int, required=True)
     lat.add_argument("--cols", type=int, required=True)
     lat.add_argument("--weight", type=float, default=1.0)
@@ -220,14 +244,16 @@ def _build_parser() -> _Parser:
     lat.add_argument("-o", "--output", required=True)
     lat.set_defaults(func=_cmd_graph_lattice)
 
-    knn = graph_sub.add_parser("knn", help="symmetrized k-nearest-neighbor graph of a point cloud")
+
+def _fill_graph_knn(knn: _Parser) -> None:
     knn.add_argument("--points", required=True, help="point-cloud CSV, numeric columns")
     knn.add_argument("--k", type=int, required=True)
     knn.add_argument("--no-header", action="store_true", help="point file has no header row")
     knn.add_argument("-o", "--output", required=True)
     knn.set_defaults(func=_cmd_graph_knn)
 
-    lag = sub.add_parser("lagrange", help="cardinal basis function centered at a node")
+
+def _fill_lagrange(lag: _Parser) -> None:
     lag.add_argument("--graph", required=True, help="edge-list CSV")
     lag.add_argument("--nodes", required=True, help="node-set CSV (vertex column)")
     lag.add_argument("--center", type=int, required=True)
@@ -241,7 +267,8 @@ def _build_parser() -> _Parser:
     lag.add_argument("-o", "--output", required=True)
     lag.set_defaults(func=_cmd_lagrange)
 
-    itp = sub.add_parser("interp", help="interpolate known vertex values to the whole graph")
+
+def _fill_interp(itp: _Parser) -> None:
     itp.add_argument("--graph", required=True)
     itp.add_argument("--known", required=True, help="function CSV (vertex,value) on the known vertices")
     itp.add_argument("--alpha", type=float, default=2.0)
@@ -250,7 +277,8 @@ def _build_parser() -> _Parser:
     itp.add_argument("-o", "--output", required=True)
     itp.set_defaults(func=_cmd_interp)
 
-    dec = sub.add_parser("decay", help="distance-binned envelope of a vertex function")
+
+def _fill_decay(dec: _Parser) -> None:
     dec.add_argument("--graph", required=True)
     dec.add_argument("--function", required=True, help="function CSV covering every vertex")
     dec.add_argument("--center", type=int, required=True)
@@ -260,16 +288,21 @@ def _build_parser() -> _Parser:
     dec.add_argument("-o", "--output", required=True)
     dec.set_defaults(func=_cmd_decay)
 
-    ver = sub.add_parser("verify", help="run a verification suite; exit 4 on failure")
+
+def _fill_verify(ver: _Parser) -> None:
     ver.add_argument("check", choices=sorted(SUITES))
     ver.add_argument("--trials", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("-o", "--output", default=None, help="optional CSV summary")
     ver.set_defaults(func=_cmd_verify)
 
-    ml = sub.add_parser("ml", help="regression experiments on tabular data")
+
+def _fill_ml(ml: _Parser) -> None:
     ml_sub = ml.add_subparsers(dest="experiment", required=True, parser_class=_Parser)
-    cv = ml_sub.add_parser("cv", help="repeated k-fold cross-validation, spline vs nearest neighbors")
+    ml_sub.add_parser("cv", help="repeated k-fold cross-validation, spline vs nearest neighbors", populate=_fill_ml_cv)
+
+
+def _fill_ml_cv(cv: _Parser) -> None:
     cv.add_argument("--data", required=True, help="CSV/TSV file")
     cv.add_argument("--features", required=True, help="comma-separated column names or indices")
     cv.add_argument("--targets", required=True, help="comma-separated column names or indices")
@@ -282,9 +315,13 @@ def _build_parser() -> _Parser:
     cv.add_argument("-o", "--output", required=True)
     cv.set_defaults(func=_cmd_ml_cv)
 
-    exp = sub.add_parser("experiment", help="synthetic studies")
+
+def _fill_experiment(exp: _Parser) -> None:
     exp_sub = exp.add_subparsers(dest="experiment", required=True, parser_class=_Parser)
-    smooth = exp_sub.add_parser("smoothness", help="data smoothness against interpolation error")
+    exp_sub.add_parser("smoothness", help="data smoothness against interpolation error", populate=_fill_smoothness)
+
+
+def _fill_smoothness(smooth: _Parser) -> None:
     smooth.add_argument("--n", type=int, default=1000, help="number of random sites (even)")
     smooth.add_argument("--bumps-per-axis", type=int, default=4)
     smooth.add_argument("--magnitudes", default="1,2,3,4,5,6,7,8,9,10")
@@ -294,6 +331,19 @@ def _build_parser() -> _Parser:
     smooth.add_argument("-o", "--output", required=True)
     smooth.set_defaults(func=_cmd_experiment_smoothness)
 
+
+def _build_parser() -> _Parser:
+    """A fresh parser holding the top-level commands; each one's arguments are added when it is parsed."""
+    parser = _Parser(prog="graphsplines", description=_DESCRIPTION)
+    parser.add_argument("--version", action="version", version=f"graphsplines {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub.add_parser("graph", help="generate edge-list CSVs", populate=_fill_graph)
+    sub.add_parser("lagrange", help="cardinal basis function centered at a node", populate=_fill_lagrange)
+    sub.add_parser("interp", help="interpolate known vertex values to the whole graph", populate=_fill_interp)
+    sub.add_parser("decay", help="distance-binned envelope of a vertex function", populate=_fill_decay)
+    sub.add_parser("verify", help="run a verification suite; exit 4 on failure", populate=_fill_verify)
+    sub.add_parser("ml", help="regression experiments on tabular data", populate=_fill_ml)
+    sub.add_parser("experiment", help="synthetic studies", populate=_fill_experiment)
     return parser
 
 

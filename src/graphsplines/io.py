@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -41,43 +42,83 @@ def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 def read_table(path, header: bool | Sequence[str] = True, vertex_columns: int = 0) -> tuple[list[str], np.ndarray]:
     """The one reader of input files: column names and a float array of a numeric CSV/TSV file.
 
-    The delimiter is a tab when the first line holds one, else a comma; blank
-    lines are skipped. ``header`` is True when the first line names the columns,
-    False when there is none (columns ``col0, col1, ...``), or the names it must
-    hold. Every row must be as wide as the first and every cell finite: a
-    missing token (``""``, ``NA``, ``nan``, ...) raises :class:`MissingValue`,
-    any other bad cell :class:`NonNumericColumn`, as does a cell of the first
+    Blank lines (nothing but whitespace and delimiters) are skipped. The first
+    other line sets the delimiter, a tab when it holds one, else a comma.
+    ``header`` is True when that line names the columns, False when there is
+    none (columns ``col0, col1, ...``), or the names it must hold. Every row
+    must be as wide as that line and every cell finite: a missing token
+    (``""``, ``NA``, ``nan``, ...) raises :class:`MissingValue`, any other bad
+    cell :class:`NonNumericColumn`, as does a cell of the first
     ``vertex_columns`` columns that is not an integer below 2**53 in size.
     Messages name the file, the row by its line in the file, and the column.
+
+    The header line is split with :mod:`csv`; the rows after it are parsed in
+    one C pass (``np.loadtxt``). Only when that pass fails or its result breaks
+    a rule above are the rows walked with :mod:`csv` and ``float``: that walk
+    alone reads irregular but valid files (lines of only delimiters or
+    whitespace among the rows, numbers that ``float`` takes and ``loadtxt``
+    refuses) and words the messages.
     """
     with open(path, newline="") as fh:
-        delimiter = "\t" if "\t" in fh.readline() else ","
-        fh.seek(0)
-        reader = csv.reader(fh, delimiter=delimiter)
-        lines, rows = [], []
-        for row in reader:
-            if "".join(row).strip():
-                lines.append(reader.line_num)
-                rows.append(row)
-    if not rows:
+        lines = fh.readlines()
+    first = next((i for i, line in enumerate(lines) if not _is_blank(line)), None)
+    if first is None:
         raise TooFewRows(f"{path} is empty")
+    delimiter = "\t" if "\t" in lines[first] else ","
+    reader = csv.reader(lines[first:], delimiter=delimiter)
+    top = next(reader)
     if header is False:
-        names = [f"col{j}" for j in range(len(rows[0]))]
+        names, body = [f"col{j}" for j in range(len(top))], first
     else:
-        names = [cell.strip() for cell in rows[0]]
+        names, body = [cell.strip() for cell in top], first + reader.line_num
         if header is not True and names != list(header):
             raise ValidationError(f"{path}: expected header {','.join(header)}, got {','.join(names)}")
-        lines, rows = lines[1:], rows[1:]
-    for line, row in zip(lines, rows):
+    data = _parse_rows(lines[body:], delimiter, len(names))
+    if data is None or not _are_numbers(data, vertex_columns):
+        data = _walk_rows(path, names, lines, body, delimiter, vertex_columns)
+    return names, data
+
+
+def _is_blank(line: str) -> bool:
+    """Nothing but whitespace and delimiters, the line's delimiter being a tab when it holds one."""
+    row = next(csv.reader([line], delimiter="\t" if "\t" in line else ","), [])
+    return not "".join(row).strip()
+
+
+def _parse_rows(lines: list[str], delimiter: str, width: int) -> np.ndarray | None:
+    """The rows parsed in one C pass, or None when ``loadtxt`` fails, warns or finds a wrong width."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a file with no data rows warns
+        try:
+            data = np.loadtxt(lines, delimiter=delimiter, comments=None, quotechar='"', ndmin=2, dtype=float)
+        except (ValueError, Warning):
+            return None
+    return data if data.shape[1] == width else None
+
+
+def _are_numbers(data: np.ndarray, vertex_columns: int) -> bool:
+    """Every value finite, and every value of the first ``vertex_columns`` columns a vertex id."""
+    return bool(np.isfinite(data).all()) and _are_vertex_ids(data[:, :vertex_columns])
+
+
+def _walk_rows(path, names: list[str], lines: list[str], body: int, delimiter: str, vertex_columns: int) -> np.ndarray:
+    """The rows from ``lines[body]`` on, split with :mod:`csv`; raises for the first row or cell that is refused."""
+    reader = csv.reader(lines[body:], delimiter=delimiter)
+    numbers, rows = [], []
+    for row in reader:
+        if "".join(row).strip():
+            numbers.append(body + reader.line_num)
+            rows.append(row)
+    for line, row in zip(numbers, rows):
         if len(row) != len(names):
             raise ValidationError(f"{path}: row {line} has {len(row)} cells, expected {len(names)}")
     try:
         data = np.array(rows, dtype=float).reshape(len(rows), len(names))
     except ValueError:
         data = None
-    if data is None or not np.isfinite(data).all() or not _are_vertex_ids(data[:, :vertex_columns]):
-        _reject_first_bad_cell(path, names, lines, rows, vertex_columns)
-    return names, data
+    if data is None or not _are_numbers(data, vertex_columns):
+        _reject_first_bad_cell(path, names, numbers, rows, vertex_columns)
+    return data
 
 
 def _are_vertex_ids(x) -> bool:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -770,3 +771,82 @@ def test_no_reproject_is_the_library_truncation_without_repair(tmp_path, alpha):
     assert np.array_equal(raw, truncated_lagrange(basis, center, 32, reimpose_side_condition=False))
     assert np.array_equal(repaired, truncated_lagrange(basis, center, 32))
     assert not np.array_equal(raw, repaired)
+
+
+# --- the parser contract -----------------------------------------------------------
+
+def test_every_main_call_builds_its_own_parsers(monkeypatch, tmp_path):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    counts = []
+    for _ in range(2):
+        before = len(built)
+        assert run("graph", "cycle", "--n", 4, "-o", tmp_path / "c.csv") == 0
+        counts.append(len(built) - before)
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
+def _subcommand_parsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_only_the_parsed_subcommand_gets_its_arguments():
+    parser = cli._build_parser()
+    parser.parse_args(["lagrange", "--graph", "g", "--nodes", "n", "--center", "0", "-o", "o"])
+    others = {name: p for name, p in _subcommand_parsers(parser).items() if name != "lagrange"}
+    assert sorted(others) == ["decay", "experiment", "graph", "interp", "ml", "verify"]
+    for name, sub in others.items():
+        assert [a.dest for a in sub._actions] == ["help"], name
+
+
+# One minimal valid argv per leaf command and the namespace it gave before subcommand
+# parsers were filled in lazily; manifests record these flags.
+_LEAF_NAMESPACES = [
+    (["graph", "cycle", "--n", "4", "-o", "o"],
+     {"command": "graph", "kind": "cycle", "n": 4, "weight": 1.0, "length": 1.0, "output": "o",
+      "func": cli._cmd_graph_cycle}),
+    (["graph", "lattice", "--rows", "2", "--cols", "3", "-o", "o"],
+     {"command": "graph", "kind": "lattice", "rows": 2, "cols": 3, "weight": 1.0, "length": 1.0, "output": "o",
+      "func": cli._cmd_graph_lattice}),
+    (["graph", "knn", "--points", "p", "--k", "2", "-o", "o"],
+     {"command": "graph", "kind": "knn", "points": "p", "k": 2, "no_header": False, "output": "o",
+      "func": cli._cmd_graph_knn}),
+    (["lagrange", "--graph", "g", "--nodes", "n", "--center", "0", "-o", "o"],
+     {"command": "lagrange", "graph": "g", "nodes": "n", "center": 0, "alpha": 2.0, "radius": None, "local": False,
+      "truncate": None, "no_reproject": False, "dump_kernel": None, "output": "o", "func": cli._cmd_lagrange}),
+    (["interp", "--graph", "g", "--known", "k", "-o", "o"],
+     {"command": "interp", "graph": "g", "known": "k", "alpha": 2.0, "coefficients": None, "dump_kernel": None,
+      "output": "o", "func": cli._cmd_interp}),
+    (["decay", "--graph", "g", "--function", "f", "--center", "0", "-o", "o"],
+     {"command": "decay", "graph": "g", "function": "f", "center": 0, "bin_width": None, "fit": False,
+      "fit_scale": 1.0, "output": "o", "func": cli._cmd_decay}),
+    (["verify", "zeros-lemma"],
+     {"command": "verify", "check": "zeros-lemma", "trials": 100, "seed": 0, "output": None, "func": cli._cmd_verify}),
+    (["ml", "cv", "--data", "d", "--features", "a", "--targets", "b", "--k", "3", "-o", "o"],
+     {"command": "ml", "experiment": "cv", "data": "d", "features": "a", "targets": "b", "k": 3, "alpha": 2.0,
+      "folds": 10, "repeats": 20, "seed": 0, "no_header": False, "output": "o", "func": cli._cmd_ml_cv}),
+    (["experiment", "smoothness", "-o", "o"],
+     {"command": "experiment", "experiment": "smoothness", "n": 1000, "bumps_per_axis": 4,
+      "magnitudes": "1,2,3,4,5,6,7,8,9,10", "k": 8, "alpha": 2.0, "seed": 0, "output": "o",
+      "func": cli._cmd_experiment_smoothness}),
+]
+
+
+@pytest.mark.parametrize("argv, namespace", _LEAF_NAMESPACES, ids=[" ".join(a[:2]) for a, _ in _LEAF_NAMESPACES])
+def test_leaf_command_namespace_is_unchanged(argv, namespace):
+    assert vars(cli._build_parser().parse_args(argv)) == namespace
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["lagrange", "--bogus"], "usage: graphsplines lagrange [-h] --graph GRAPH"),
+    (["ml", "cv", "--features", "a", "--targets", "b", "--k", "3", "-o", "o"], "usage: graphsplines ml cv [-h] --data DATA"),
+])
+def test_subcommand_usage_errors_print_that_subcommands_usage(capsys, argv, usage):
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith(usage)

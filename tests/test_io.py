@@ -1,3 +1,7 @@
+import csv
+import warnings
+
+import numpy as np
 import pytest
 
 from graphsplines import io as gio
@@ -16,3 +20,91 @@ def test_vertex_column_rejects_what_is_no_vertex_id(tmp_path, token):
     path.write_text(f"vertex\n0\n{token}\n")
     with pytest.raises(NonNumericColumn, match=r"nodes.csv: row 3, column 'vertex'"):
         gio.read_nodes_csv(path)
+
+
+def test_delimiter_comes_from_the_header_line_after_a_blank_line(tmp_path):
+    tabbed, plain = tmp_path / "tabbed.csv", tmp_path / "plain.csv"
+    rows = ["u,v,weight,length", "0,1,1,1", "1,2,1,1", "0,2,1,1"]
+    tabbed.write_text("\n \n" + "\n".join(row.replace(",", "\t") for row in rows) + "\n")
+    plain.write_text("\n".join(rows) + "\n")
+    assert gio.read_edge_csv(tabbed).edges == gio.read_edge_csv(plain).edges
+
+
+def _reference_table(path, header):
+    """What read_table must return, by the plainest route: csv cells, float() per cell."""
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    delimiter = "\t" if "\t" in next(line for line in lines if line.replace(",", "").strip()) else ","
+    rows = [row for row in csv.reader(lines, delimiter=delimiter) if "".join(row).strip()]
+    names = [cell.strip() for cell in rows.pop(0)] if header else [f"col{j}" for j in range(len(rows[0]))]
+    return names, np.array([[float(cell) for cell in row] for row in rows]).reshape(len(rows), len(names))
+
+
+_VALUES = [
+    ["0.1", "-0.0", "4.9406564584124654e-324"],
+    ["2.2250738585072009e-308", "1.7976931348623157e308", "0.30000000000000004"],
+    ["-123456789.01234567", "7", "1e-5"],
+]
+
+
+def _layout(delimiter=",", newline="\n", quote=False, filler=(), header=True, values=_VALUES):
+    cell = (lambda x: f'"{x}"') if quote else str
+    lines = [delimiter.join(f"c{j}" for j in range(len(values[0])))] if header else []
+    for row in values:
+        lines.append(delimiter.join(cell(x) for x in row))
+        lines.extend(filler)
+    return newline.join(lines) + newline
+
+
+_LAYOUTS = {
+    "comma": {},
+    "tab": {"delimiter": "\t"},
+    "crlf": {"newline": "\r\n"},
+    "tab crlf": {"delimiter": "\t", "newline": "\r\n"},
+    "quoted": {"quote": True},
+    "blank lines": {"filler": [""]},
+    "delimiter-only lines": {"filler": [",,"]},
+    "tab delimiter-only lines": {"delimiter": "\t", "filler": ["\t\t"]},
+    "whitespace-only lines": {"filler": ["   "]},
+    "mixed filler crlf": {"newline": "\r\n", "filler": ["", " \t", ",,,"]},
+    "one row": {"values": _VALUES[:1]},
+    "digits with underscores": {"values": [["1_000", "2", "-0.000_5"]]},
+    "one column": {"values": [[row[0]] for row in _VALUES]},
+    "one column, blank lines": {"values": [[row[1]] for row in _VALUES], "filler": ["", "  "]},
+    "no header": {"header": False},
+    "no header, tab, one row": {"header": False, "delimiter": "\t", "values": _VALUES[1:2]},
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_read_table_matches_the_csv_and_float_reference(tmp_path, layout):
+    options = _LAYOUTS[layout]
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(_layout(**options))
+    header = options.get("header", True)
+    names, data = gio.read_table(path, header)
+    want_names, want = _reference_table(path, header)
+    assert names == want_names
+    assert data.dtype == want.dtype and data.shape == want.shape
+    assert data.tobytes() == want.tobytes()  # bit-identical, the sign of -0.0 included
+
+
+def test_header_only_file_gives_no_rows_and_no_warning(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,c\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        names, data = gio.read_table(path)
+    assert names == ["a", "b", "c"]
+    assert data.dtype == np.float64 and data.shape == (0, 3)
+
+
+def test_a_well_formed_table_is_not_walked_cell_by_cell(tmp_path, monkeypatch):
+    def walk(*args):
+        raise AssertionError("csv walk on a well-formed table")
+
+    monkeypatch.setattr(gio, "_walk_rows", walk)
+    path = tmp_path / "t.csv"
+    path.write_text(_layout(newline="\r\n", quote=True, filler=[""]))
+    assert gio.read_table(path)[1].shape == (3, 3)
