@@ -5,12 +5,14 @@ Every data-producing subcommand writes CSV plus a ``<output>.manifest.json``
 recording flags, seed, and input digests. Exit codes: 0 success, 1 usage,
 2 input validation, 3 numerical failure, 4 verification failure.
 
-Only the subcommand that argv names gets its arguments: each parser is filled in
-on its first parse (see ``_Parser``). Building all twelve parsers took most of a
-call's parsing time, mostly argparse's per-argument formatter and gettext work
-for arguments the call never used. A fresh parser is still built on every call
-and nothing is cached, so a one-shot process saves as much as a caller that
-runs ``main`` many times.
+Only the parsers on the path that argv names are constructed: a subcommand's
+parser is constructed and filled in when argparse dispatches to it (see
+``_Commands``), so a ``lagrange`` call builds two parsers, not eight, and
+``graph cycle`` three, not eleven. Building every parser took most of a call's
+parsing time, mostly argparse's per-parser and per-argument formatter and
+gettext work for commands the call never used. A fresh top-level parser is
+still built on every call and nothing is cached, so a one-shot process saves as
+much as a caller that runs ``main`` many times.
 """
 from __future__ import annotations
 
@@ -28,41 +30,45 @@ from .interpolation import (
     InterpolationProblem,
     dirichlet_lagrange,
     evaluate,
-    lagrange_basis,
     local_lagrange,
     solve_interpolant,
-    truncated_lagrange,
+    truncated_lagrange_from_eigenpairs,
 )
 from .ml import CVConfig, cross_validate, load_dataset, smoothness_experiment
-# decompose_graph is not called here: the bench tracer wraps spectral.decompose_graph,
-# and bench/test_tracing.py asserts that cli binds it too
-from .spectral import _normalized_kernel, decompose_graph  # noqa: F401
+from .spectral import _normalized_kernel, decompose_graph, pseudo_inverse_power
 
 # --help shows the docstring's first two paragraphs; the third is about this code
 _DESCRIPTION = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser that exits with code 1 on usage errors.
-
-    ``populate`` adds the parser's own arguments and subcommands. It runs once, at the top of the
-    first ``parse_known_args``; argparse calls that only on the subcommand parser that argv names.
-    """
-
-    def __init__(self, *args, populate=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._populate = populate
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._populate is not None:
-            populate, self._populate = self._populate, None
-            populate(self)
-        return super().parse_known_args(args, namespace)
+    """Argument parser that exits with code 1 on usage errors."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
+
+
+class _Commands(argparse._SubParsersAction):
+    """Subcommand action that constructs a subcommand's parser only when argv names it.
+
+    ``add_parser`` records the help line that ``--help`` lists and the ``populate``
+    function that adds the subcommand's arguments; usage and choice errors read only the
+    names. On dispatch the named subcommand's parser is constructed, filled in and parsed.
+    """
+
+    def add_parser(self, name, *, help, populate):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = populate
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        entry = self._name_parser_map[name]
+        if not isinstance(entry, _Parser):  # first dispatch: the entry is the populate function
+            self._name_parser_map[name] = sub = _Parser(prog=f"{self._prog_prefix} {name}")
+            entry(sub)
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _columns(spec: str) -> list[str]:
@@ -117,18 +123,21 @@ def _cmd_lagrange(args) -> int:
     if args.no_reproject and not truncated:
         raise ValidationError("--no-reproject requires --truncate")
     radius = args.radius if args.local else np.inf  # the full function is the local one whose ball holds every node
+    # A truncated function needs the eigenpairs but no n x n kernel; that is built only to be dumped.
     # The Dirichlet form builds no kernel (and, for an integer alpha, no eigendecomposition). A node
     # set holding every vertex leaves it nothing to solve and stays on the bordered system.
-    if not truncated and len(nodes) < g.n_vertices:
+    if truncated:
+        decomposition = decompose_graph(g)
+        values = truncated_lagrange_from_eigenpairs(
+            decomposition, g, nodes, args.center, args.truncate, args.alpha, reimpose_side_condition=not args.no_reproject
+        )
+        kernel = pseudo_inverse_power(decomposition, args.alpha) if args.dump_kernel else None
+    elif len(nodes) < g.n_vertices:
         values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius)
         kernel = _normalized_kernel(g, args.alpha)[1] if args.dump_kernel else None
     else:
         decomposition, kernel = _normalized_kernel(g, args.alpha)
-        if truncated:
-            basis = lagrange_basis(kernel, decomposition, g, nodes)
-            values = truncated_lagrange(basis, args.center, args.truncate, reimpose_side_condition=not args.no_reproject)
-        else:
-            values = local_lagrange(kernel, decomposition, g, nodes, args.center, radius)
+        values = local_lagrange(kernel, decomposition, g, nodes, args.center, radius)
     gio.write_function_csv(args.output, values)
     if args.dump_kernel:
         gio.write_matrix_csv(args.dump_kernel, kernel.matrix)
@@ -222,7 +231,7 @@ def _cmd_experiment_smoothness(args) -> int:
 # --- parser ------------------------------------------------------------------------
 
 def _fill_graph(graph: _Parser) -> None:
-    graph_sub = graph.add_subparsers(dest="kind", required=True, parser_class=_Parser)
+    graph_sub = graph.add_subparsers(dest="kind", required=True, action=_Commands)
     graph_sub.add_parser("cycle", help="ring with uniform weight and length", populate=_fill_graph_cycle)
     graph_sub.add_parser("lattice", help="4-neighbor grid", populate=_fill_graph_lattice)
     graph_sub.add_parser("knn", help="symmetrized k-nearest-neighbor graph of a point cloud", populate=_fill_graph_knn)
@@ -298,7 +307,7 @@ def _fill_verify(ver: _Parser) -> None:
 
 
 def _fill_ml(ml: _Parser) -> None:
-    ml_sub = ml.add_subparsers(dest="experiment", required=True, parser_class=_Parser)
+    ml_sub = ml.add_subparsers(dest="experiment", required=True, action=_Commands)
     ml_sub.add_parser("cv", help="repeated k-fold cross-validation, spline vs nearest neighbors", populate=_fill_ml_cv)
 
 
@@ -317,7 +326,7 @@ def _fill_ml_cv(cv: _Parser) -> None:
 
 
 def _fill_experiment(exp: _Parser) -> None:
-    exp_sub = exp.add_subparsers(dest="experiment", required=True, parser_class=_Parser)
+    exp_sub = exp.add_subparsers(dest="experiment", required=True, action=_Commands)
     exp_sub.add_parser("smoothness", help="data smoothness against interpolation error", populate=_fill_smoothness)
 
 
@@ -333,10 +342,10 @@ def _fill_smoothness(smooth: _Parser) -> None:
 
 
 def _build_parser() -> _Parser:
-    """A fresh parser holding the top-level commands; each one's arguments are added when it is parsed."""
+    """A fresh parser holding the top-level commands; each one's parser is constructed when argv names it."""
     parser = _Parser(prog="graphsplines", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"graphsplines {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Commands)
     sub.add_parser("graph", help="generate edge-list CSVs", populate=_fill_graph)
     sub.add_parser("lagrange", help="cardinal basis function centered at a node", populate=_fill_lagrange)
     sub.add_parser("interp", help="interpolate known vertex values to the whole graph", populate=_fill_interp)

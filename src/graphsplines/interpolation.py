@@ -25,6 +25,13 @@ nodes and ``spline_regress`` on the rest; it builds no kernel, and for an
 integer alpha no eigendecomposition. The bordered system stays where kernel
 coefficients are the output (``solve_interpolant``, ``lagrange_basis``) and,
 with ``local_lagrange``, is the oracle the Dirichlet form is tested against.
+
+A truncated cardinal function keeps only the coefficients of the nodes near
+its center. :func:`truncated_lagrange_from_eigenpairs` builds it from one
+:class:`SpectralDecomposition` without an n x n kernel: ``Phi~`` is formed from
+the eigenvector rows of the nodes, the bordered system is solved for the one
+right-hand side ``e_center``, and the kept coefficients are applied through the
+eigenpairs. ``truncated_lagrange`` takes the same route from a basis.
 """
 from __future__ import annotations
 
@@ -116,17 +123,18 @@ def _solve_symmetric(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]
 
 
 def _solve_bordered(
-    kernel: KernelMatrix, decomposition: SpectralDecomposition, nodes: np.ndarray, values: np.ndarray
+    block: np.ndarray, decomposition: SpectralDecomposition, nodes: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the bordered system on ``nodes`` for one or many value columns.
 
-    Returns ``(coefficients, constants)``: a vector and a float for a vector of
-    values, or one column / entry per column of a matrix of values. All
-    right-hand sides go through one :func:`_solve_symmetric`.
+    ``block`` is the kernel on the nodes, ``Phi~``. Returns ``(coefficients,
+    constants)``: a vector and a float for a vector of values, or one column /
+    entry per column of a matrix of values. All right-hand sides go through one
+    :func:`_solve_symmetric`.
     """
     m = nodes.size
     A = np.zeros((m + 1, m + 1))
-    A[:m, :m] = kernel.matrix[np.ix_(nodes, nodes)]
+    A[:m, :m] = block
     A[:m, m] = A[m, :m] = decomposition.kernel_vector[nodes]
     rhs = np.zeros((m + 1, 1 if values.ndim == 1 else values.shape[1]))
     rhs[:m] = values.reshape(m, -1)
@@ -163,7 +171,7 @@ def _combine(kernel: KernelMatrix, decomposition: SpectralDecomposition, nodes, 
 
 def solve_interpolant(p: InterpolationProblem) -> Interpolant:
     """Solve the bordered system for one data vector."""
-    beta, constant = _solve_bordered(p.kernel, p.decomposition, p.nodes, p.values)
+    beta, constant = _solve_bordered(p.kernel.matrix[np.ix_(p.nodes, p.nodes)], p.decomposition, p.nodes, p.values)
     return Interpolant(constant=float(constant), coefficients=beta, alpha=p.kernel.alpha, nodes=p.nodes)
 
 
@@ -244,7 +252,7 @@ def lagrange_basis(
 ) -> LagrangeBasis:
     """Solve all cardinal problems on ``nodes`` with a single factorization."""
     nodes = _check_nodes(nodes, graph.n_vertices)
-    beta, constants = _solve_bordered(kernel, decomposition, nodes, np.eye(nodes.size))
+    beta, constants = _solve_bordered(kernel.matrix[np.ix_(nodes, nodes)], decomposition, nodes, np.eye(nodes.size))
     columns = _combine(kernel, decomposition, nodes, beta, constants)
     return LagrangeBasis(
         graph=graph,
@@ -269,17 +277,49 @@ def truncated_lagrange(
     the kept ones are then projected back onto the hyperplane orthogonal to the
     kernel eigenvector restricted to the kept nodes (minimal-change repair of
     the side condition; disable with ``reimpose_side_condition=False``). The
-    constant term is preserved.
+    constant term is preserved. Only the basis's ``decomposition``, ``graph``,
+    ``nodes`` and ``kernel.alpha`` are read: the function comes from
+    :func:`truncated_lagrange_from_eigenpairs`, which needs no n x n kernel.
     """
+    return truncated_lagrange_from_eigenpairs(
+        basis.decomposition, basis.graph, basis.nodes, center, radius, basis.kernel.alpha, reimpose_side_condition
+    )
+
+
+def truncated_lagrange_from_eigenpairs(
+    decomposition: SpectralDecomposition,
+    graph: WeightedGraph,
+    nodes: Sequence[int],
+    center: int,
+    radius: float,
+    alpha: float,
+    reimpose_side_condition: bool = True,
+) -> np.ndarray:
+    """Truncated cardinal function centered at ``center``, from the eigenpairs alone.
+
+    With ``Q`` the eigenvectors and ``d = lambda^-alpha`` (0 on the kernel), the
+    kernel is needed only on the node block, ``Phi~ = (Q_K d) Q_K^T``
+    (symmetrised), and the bordered system is solved for the one right-hand
+    side ``e_center``. The coefficients of the nodes within ``radius`` are kept
+    and repaired as :func:`truncated_lagrange` describes, and the function is
+    evaluated as ``Q (d * Q_kept^T beta) + C v0``, so no n x n matrix is formed.
+    """
+    if not (0 < alpha < np.inf):
+        raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
+    nodes = _check_nodes(nodes, graph.n_vertices)
     config = LocalLagrangeConfig(center=center, radius=radius)
-    j = basis.center_index(center)
-    kept_nodes = config.nodes_within(basis.graph, basis.nodes)
-    in_ball = np.isin(basis.nodes, kept_nodes)
-    beta = basis.coefficients[in_ball, j].copy()
+    if center not in nodes:
+        raise ValueError(f"vertex {center} is not an interpolation node")
+    Q, d, v0 = decomposition.eigenvectors, decomposition.eigenvalue_powers(-alpha), decomposition.kernel_vector
+    QK = Q[nodes]
+    block = (QK * d) @ QK.T
+    beta, constant = _solve_bordered((block + block.T) / 2.0, decomposition, nodes, (nodes == center).astype(float))
+    kept = config.nodes_within(graph, nodes)
+    beta = beta[np.isin(nodes, kept)]
     if reimpose_side_condition:
-        u = basis.decomposition.kernel_vector[kept_nodes]
+        u = v0[kept]
         beta -= (beta @ u) / (u @ u) * u
-    return _combine(basis.kernel, basis.decomposition, kept_nodes, beta, basis.constants[j])
+    return Q @ (d * (Q[kept].T @ beta)) + constant * v0
 
 
 def local_lagrange(
@@ -303,7 +343,8 @@ def local_lagrange(
     config = LocalLagrangeConfig(center=center, radius=radius)
     neighborhood = config.nodes_within(graph, nodes)
     cardinal = (neighborhood == center).astype(float)
-    beta, constant = _solve_bordered(kernel, decomposition, neighborhood, cardinal)
+    block = kernel.matrix[np.ix_(neighborhood, neighborhood)]
+    beta, constant = _solve_bordered(block, decomposition, neighborhood, cardinal)
     return _combine(kernel, decomposition, neighborhood, beta, constant)
 
 

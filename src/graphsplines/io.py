@@ -42,8 +42,10 @@ def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 def read_table(path, header: bool | Sequence[str] = True, vertex_columns: int = 0) -> tuple[list[str], np.ndarray]:
     """The one reader of input files: column names and a float array of a numeric CSV/TSV file.
 
-    Blank lines (nothing but whitespace and delimiters) are skipped. The first
-    other line sets the delimiter, a tab when it holds one, else a comma.
+    The file is read as UTF-8, and a byte-order mark at its start, as
+    spreadsheet programs write, is dropped. Blank lines (nothing but whitespace
+    and delimiters) are skipped. The first other line sets the delimiter, a tab
+    when it holds one, else a comma.
     ``header`` is True when that line names the columns, False when there is
     none (columns ``col0, col1, ...``), or the names it must hold. Every row
     must be as wide as that line and every cell finite: a missing token
@@ -59,7 +61,7 @@ def read_table(path, header: bool | Sequence[str] = True, vertex_columns: int = 
     whitespace among the rows, numbers that ``float`` takes and ``loadtxt``
     refuses) and words the messages.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
     first = next((i for i, line in enumerate(lines) if not _is_blank(line)), None)
     if first is None:

@@ -1,6 +1,6 @@
-import argparse
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -773,6 +773,33 @@ def test_no_reproject_is_the_library_truncation_without_repair(tmp_path, alpha):
     assert not np.array_equal(raw, repaired)
 
 
+# --- input files written by spreadsheet programs ----------------------------------
+
+_BOM = "\ufeff".encode()  # the UTF-8 byte-order mark a spreadsheet program may write first
+
+
+def test_edge_list_with_a_byte_order_mark_runs_lagrange(tmp_path, cycle_csv):
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(_BOM + cycle_csv.read_bytes())
+    nodes = tmp_path / "nodes.csv"
+    gio.write_nodes_csv(nodes, [0, 2])
+    for graph, out in ((cycle_csv, "plain_chi.csv"), (marked, "marked_chi.csv")):
+        assert run("lagrange", "--graph", graph, "--nodes", nodes, "--center", 0, "-o", tmp_path / out) == 0
+    assert (tmp_path / "marked_chi.csv").read_bytes() == (tmp_path / "plain_chi.csv").read_bytes()
+
+
+def test_table_with_a_byte_order_mark_names_its_first_column(tmp_path):
+    rng = np.random.default_rng(0)
+    text = "a,b,y\n" + "".join(f"{a},{b},{a - b}\n" for a, b in rng.normal(size=(30, 2)))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text)
+    marked.write_bytes(_BOM + text.encode())
+    for data in (plain, marked):
+        argv = ("ml", "cv", "--data", data, "--features", "a,b", "--targets", "y", "--k", 4, "--folds", 3, "--repeats", 1)
+        assert run(*argv, "-o", tmp_path / f"{data.stem}_report.csv") == 0
+    assert (tmp_path / "marked_report.csv").read_bytes() == (tmp_path / "plain_report.csv").read_bytes()
+
+
 # --- the parser contract -----------------------------------------------------------
 
 def test_every_main_call_builds_its_own_parsers(monkeypatch, tmp_path):
@@ -792,17 +819,59 @@ def test_every_main_call_builds_its_own_parsers(monkeypatch, tmp_path):
     assert counts[0] > 0 and counts[0] == counts[1]
 
 
-def _subcommand_parsers(parser):
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+def test_only_the_parsed_subcommand_gets_its_arguments(monkeypatch):
+    # only the parsers on the path argv names are constructed: the top level and one per command word
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv, parsers in [
+        (["lagrange", "--graph", "g", "--nodes", "n", "--center", "0", "-o", "o"], 2),
+        (["graph", "cycle", "--n", "4", "-o", "o"], 3),
+        (["ml", "cv", "--data", "d", "--features", "a", "--targets", "b", "--k", "3", "-o", "o"], 3),
+    ]:
+        del built[:]
+        cli._build_parser().parse_args(argv)
+        assert len(built) == parsers, built
 
 
-def test_only_the_parsed_subcommand_gets_its_arguments():
-    parser = cli._build_parser()
-    parser.parse_args(["lagrange", "--graph", "g", "--nodes", "n", "--center", "0", "-o", "o"])
-    others = {name: p for name, p in _subcommand_parsers(parser).items() if name != "lagrange"}
-    assert sorted(others) == ["decay", "experiment", "graph", "interp", "ml", "verify"]
-    for name, sub in others.items():
-        assert [a.dest for a in sub._actions] == ["help"], name
+# Each command word's help page and the function that adds its arguments; None for the top level.
+_HELP_PAGES = [
+    ([], None),
+    (["graph"], cli._fill_graph),
+    (["graph", "cycle"], cli._fill_graph_cycle),
+    (["graph", "lattice"], cli._fill_graph_lattice),
+    (["graph", "knn"], cli._fill_graph_knn),
+    (["lagrange"], cli._fill_lagrange),
+    (["interp"], cli._fill_interp),
+    (["decay"], cli._fill_decay),
+    (["verify"], cli._fill_verify),
+    (["ml"], cli._fill_ml),
+    (["ml", "cv"], cli._fill_ml_cv),
+    (["experiment"], cli._fill_experiment),
+    (["experiment", "smoothness"], cli._fill_smoothness),
+]
+
+
+@pytest.mark.parametrize("path, fill", _HELP_PAGES, ids=[" ".join(p) or "graphsplines" for p, _ in _HELP_PAGES])
+def test_help_lists_every_option_of_its_command(capsys, path, fill):
+    assert run(*path, "--help") == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: graphsplines", *path]) + " ")
+    if fill is None:
+        parser = cli._build_parser()
+    else:
+        parser = cli._Parser(prog="p")
+        fill(parser)
+    # every option string, subcommand name and choice the parser holds, as a word of the help page
+    listed = {option for action in parser._actions for option in action.option_strings}
+    listed |= {choice for action in parser._actions for choice in (action.choices or ())}
+    assert listed - {"-h", "--help"}
+    assert listed <= set(re.findall(r"[^\s{},\[\]]+", out))
 
 
 # One minimal valid argv per leaf command and the namespace it gave before subcommand
