@@ -133,8 +133,9 @@ def _cmd_lagrange(args) -> int:
         )
         kernel = pseudo_inverse_power(decomposition, args.alpha) if args.dump_kernel else None
     elif len(nodes) < g.n_vertices:
-        values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius)
-        kernel = _normalized_kernel(g, args.alpha)[1] if args.dump_kernel else None
+        decomposition = decompose_graph(g) if args.dump_kernel else None  # one eigh serves both
+        values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius, decomposition)
+        kernel = pseudo_inverse_power(decomposition, args.alpha) if args.dump_kernel else None
     else:
         decomposition, kernel = _normalized_kernel(g, args.alpha)
         values = local_lagrange(kernel, decomposition, g, nodes, args.center, radius)

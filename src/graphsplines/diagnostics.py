@@ -239,7 +239,8 @@ def cycle_cover_constant(g: WeightedGraph, nodes) -> float:
     """
     if g.adjacency.nnz // 2 != g.n_vertices or np.any(g.degrees != 2):
         raise NotACycle("graph is not a single cycle")
-    order = depth_first_order(g.adjacency, 0, directed=False, return_predecessors=False).tolist()  # ring order
+    # ring order; both orientations are stored, so the directed walk is the undirected one without a transpose
+    order = depth_first_order(g.adjacency, 0, directed=True, return_predecessors=False).tolist()
     position = {v: i for i, v in enumerate(order)}
     nodes = np.unique(np.asarray(nodes, dtype=int))
     if nodes.size < 2:

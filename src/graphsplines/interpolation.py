@@ -374,7 +374,12 @@ def spline_regress(
 
 
 def dirichlet_lagrange(
-    graph: WeightedGraph, nodes: Sequence[int], center: int, alpha: float, radius: float = np.inf
+    graph: WeightedGraph,
+    nodes: Sequence[int],
+    center: int,
+    alpha: float,
+    radius: float = np.inf,
+    decomposition: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """Cardinal function centered at ``center``, from the Dirichlet form of ``L^alpha``.
 
@@ -383,7 +388,9 @@ def dirichlet_lagrange(
     vertices, the :func:`spline_regress` extension of those values for the
     normalized Laplacian. This is the function :func:`local_lagrange` gives
     for the same nodes and radius, without a kernel or a bordered system; for
-    an integer ``alpha`` it needs no eigendecomposition either.
+    an integer ``alpha`` it needs no eigendecomposition either. A normalized
+    ``decomposition`` the caller already holds is passed on to
+    :func:`spline_regress`, so a fractional ``alpha`` decomposes nothing again.
     """
     nodes = _check_nodes(nodes, graph.n_vertices)
     if center not in nodes:
@@ -391,5 +398,5 @@ def dirichlet_lagrange(
     known = LocalLagrangeConfig(center=center, radius=radius).nodes_within(graph, nodes)
     chi = np.zeros(graph.n_vertices)
     chi[center] = 1.0
-    chi[complement(graph, known)] = spline_regress(graph, known, chi[known], alpha)
+    chi[complement(graph, known)] = spline_regress(graph, known, chi[known], alpha, decomposition)
     return chi

@@ -39,6 +39,17 @@ def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
+def _write_numeric(path, header: Sequence[str], lines: list[str]) -> None:
+    """Write a header and rows formatted as ``"a,b,...\\r\\n"`` lines in one call.
+
+    The bytes are those :func:`write_rows` gives: numbers and the plain-word
+    headers of the writers below hold no delimiter, quote or line break, so
+    :mod:`csv` would quote none of them.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + "".join(lines))
+
+
 def read_table(path, header: bool | Sequence[str] = True, vertex_columns: int = 0) -> tuple[list[str], np.ndarray]:
     """The one reader of input files: column names and a float array of a numeric CSV/TSV file.
 
@@ -149,7 +160,8 @@ def _reject_first_bad_cell(path, names: list[str], lines: list[int], rows: list[
 # --- graphs -------------------------------------------------------------------
 
 def write_edge_csv(path, g: WeightedGraph) -> None:
-    write_rows(path, ["u", "v", "weight", "length"], [(u, v, fmt(w), fmt(ell)) for u, v, w, ell in g.edges])
+    lines = [f"{u},{v},{w:.17g},{ell:.17g}\r\n" for u, v, w, ell in g.edges]
+    _write_numeric(path, ["u", "v", "weight", "length"], lines)
 
 
 def read_edge_csv(path) -> WeightedGraph:
@@ -164,7 +176,8 @@ def read_points_csv(path, header: bool = True) -> np.ndarray:
 # --- vertex functions and node sets --------------------------------------------
 
 def write_function_csv(path, values: np.ndarray) -> None:
-    write_rows(path, ["vertex", "value"], [(i, fmt(v)) for i, v in enumerate(values)])
+    lines = [f"{i},{v:.17g}\r\n" for i, v in enumerate(np.asarray(values, dtype=float).tolist())]
+    _write_numeric(path, ["vertex", "value"], lines)
 
 
 def read_function_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +187,7 @@ def read_function_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_nodes_csv(path, nodes) -> None:
-    write_rows(path, ["vertex"], [(int(v),) for v in nodes])
+    _write_numeric(path, ["vertex"], [f"{v}\r\n" for v in np.asarray(nodes, dtype=np.int64).tolist()])
 
 
 def read_nodes_csv(path) -> np.ndarray:
@@ -190,11 +203,8 @@ def write_interpolant_csv(path, interpolant: Interpolant) -> None:
 
 
 def write_profile_csv(path, profile: DecayProfile) -> None:
-    write_rows(
-        path,
-        ["distance", "envelope"],
-        [(fmt(d), fmt(e)) for d, e in zip(profile.distances, profile.envelopes)],
-    )
+    pairs = np.column_stack([profile.distances, profile.envelopes]).astype(float).tolist()
+    _write_numeric(path, ["distance", "envelope"], [f"{d:.17g},{e:.17g}\r\n" for d, e in pairs])
 
 
 def write_fit_csv(path, fit: DecayFit) -> None:
@@ -214,7 +224,9 @@ def write_report_csv(path, report: RegressionReport) -> None:
 
 
 def write_pairs_csv(path, pairs: Iterable[tuple[float, float]], header: Sequence[str]) -> None:
-    write_rows(path, header, [(fmt(a), fmt(b)) for a, b in pairs])
+    """Two numeric columns under ``header``, whose names must need no CSV quoting."""
+    values = np.asarray(list(pairs), dtype=float).reshape(-1, 2).tolist()
+    _write_numeric(path, header, [f"{a:.17g},{b:.17g}\r\n" for a, b in values])
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:

@@ -45,26 +45,41 @@ def _sparse_laplacian(g: WeightedGraph, kind: LaplacianKind) -> csr_matrix:
 
     Degrees are dense row sums over blocks of 128 rows, so they carry the last bits of a
     sum over a dense weight matrix (summing only the stored weights rounds differently)
-    in O(128 n) memory.
+    in O(128 n) memory. Each block is written from the adjacency's ``indptr``, ``indices``
+    and ``data`` into one zeroed buffer, summed, and cleared again.
+
+    The CSR arrays are assembled with numpy: row ``i`` keeps the adjacency's sorted
+    columns and takes its diagonal entry at the row start plus the count of its
+    columns below ``i``, so the result equals a COO to CSR conversion of the same
+    entries, and no COO matrix or format conversion is made.
     """
     A = g.adjacency
     n = g.n_vertices
-    deg = np.concatenate(
-        [A[lo : lo + _DEGREE_BLOCK_ROWS].toarray().sum(axis=1) for lo in range(0, n, _DEGREE_BLOCK_ROWS)]
-    )
+    indptr, indices = A.indptr, A.indices
+    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    deg = np.empty(n)
+    block = np.zeros((min(_DEGREE_BLOCK_ROWS, n), n))
+    for lo in range(0, n, _DEGREE_BLOCK_ROWS):
+        hi = min(lo + _DEGREE_BLOCK_ROWS, n)
+        stored = slice(indptr[lo], indptr[hi])
+        cells = (rows[stored] - lo, indices[stored])
+        block[cells] = A.data[stored]
+        deg[lo:hi] = block[: hi - lo].sum(axis=1)
+        block[cells] = 0.0
     if np.any(deg <= 0):
         v = int(np.argmax(deg <= 0))
         raise IsolatedVertex(f"vertex {v} has zero weighted degree")
-    A = A.tocoo()
     off, diag = -A.data, deg
     if kind is LaplacianKind.NORMALIZED:
         dinv = 1.0 / np.sqrt(deg)
         # dinv[i] * dinv[j] is the same number for (i, j) and (j, i), so L stays exactly symmetric
-        off = off * (dinv[A.row] * dinv[A.col])
+        off = off * (dinv[rows] * dinv[indices])
         diag = deg * (dinv * dinv)
-    idx = np.arange(n)
-    rows, cols = np.concatenate([A.row, idx]), np.concatenate([A.col, idx])
-    return csr_matrix((np.concatenate([off, diag]), (rows, cols)), shape=(n, n))
+    # row i's diagonal goes after the row's columns below i; np.insert keeps equal positions in order
+    at = indptr[:-1] + np.bincount(rows[indices < rows], minlength=n)
+    out_indices = np.insert(indices, at, np.arange(n, dtype=indices.dtype))
+    out_indptr = indptr + np.arange(n + 1, dtype=indptr.dtype)
+    return csr_matrix((np.insert(off, at, diag), out_indices, out_indptr), shape=(n, n))
 
 
 def laplacian(g: WeightedGraph, kind: LaplacianKind) -> np.ndarray:

@@ -138,3 +138,16 @@ def test_truncated_lagrange_builds_the_kernel_only_to_dump_it(monkeypatch, tmp_p
     assert cli.main([*argv, "--dump-kernel", str(dumped)]) == 0, capsys.readouterr().err
     assert (len(eigh), len(kernels)) == (2, 1)
     assert dumped.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("call", [0, 1])  # the default and the --local calls, at a fractional alpha
+def test_fractional_alpha_kernel_dump_decomposes_once(monkeypatch, tmp_path, capsys, call):
+    # L^1.5 and the dumped kernel come from the same eigenpairs, so one eigh serves both
+    argv = _workloads(monkeypatch).WORKLOADS["cycle256-lagrange"](tmp_path, 1).job(0).calls[call]
+    if "--alpha" in argv:
+        argv[argv.index("--alpha") + 1] = "1.5"
+    else:
+        argv += ["--alpha", "1.5"]
+    calls = _count_eigh(monkeypatch)
+    assert cli.main([*argv, "--dump-kernel", str(tmp_path / "kernel.csv")]) == 0, capsys.readouterr().err
+    assert len(calls) == 1

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from graphsplines import (
     ball,
@@ -416,3 +418,53 @@ class TestSparseStorage:
     # one dense weight matrix of the 3600 vertices would be 104 MB
     def test_lattice_graph_builds_no_dense_weights(self):
         assert traced_peak_mb(lambda: lattice_graph(60, 60)) < 10.0
+
+
+def test_non_integer_vertex_ids_are_refused_before_the_duplicate_check():
+    # (0, 1.5) would otherwise fold into (0, 1) and (1, 2.7) become (1, 2)
+    with pytest.raises(ValueError, match=r"edge 1 \(0,1.5\) has a vertex id that is not an integer"):
+        build_graph([(0, 1, 1.0, 1.0), (0, 1.5, 2.0, 1.0), (1, 2, 1.0, 1.0), (2, 0, 1.0, 1.0)])
+    with pytest.raises(ValueError, match=r"edge 2 \(1,2.7000000000000002\) has a vertex id"):
+        build_graph(np.array([(0, 1, 1.0, 1.0), (2, 0, 1.0, 1.0), (1, 2.7, 1.0, 1.0)]), n_vertices=3)
+
+
+def _coo_built(n, table, column):
+    """Both orientations of every edge through scipy's COO to CSR conversion."""
+    u, v = table[:, 0].astype(int), table[:, 1].astype(int)
+    return csr_matrix((np.tile(table[:, column], 2), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n))
+
+
+def _same_csr(a, b):
+    return all(
+        x.dtype == y.dtype and np.array_equal(x, y) for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
+    )
+
+
+def _assembly_cases():
+    graphs = [random_connected_graph(n, np.random.default_rng(seed)) for seed, n in enumerate((2, 3, 17, 64, 300))]
+    graphs += [lattice_graph(7, 9), cycle_graph(256), knn_graph(np.random.default_rng(768).normal(size=(768, 8)), 10)]
+    rng = np.random.default_rng(18)
+    for g in graphs:
+        table = np.array(g.edges)
+        yield g.n_vertices, table
+        yield g.n_vertices, table[::-1]
+        yield g.n_vertices, table[rng.permutation(len(table))]
+        yield g.n_vertices, table[:, [1, 0, 2, 3]]  # every edge listed as (v, u)
+
+
+class TestCsrAssembly:
+    def test_weights_and_lengths_equal_the_coo_built_csr(self):
+        for n, table in _assembly_cases():
+            g = build_graph(table, n)
+            assert _same_csr(g.adjacency, _coo_built(n, table, 2))
+            assert _same_csr(g._sparse_lengths, _coo_built(n, table, 3))
+
+    def test_distances_equal_the_undirected_search_bit_for_bit(self):
+        for n, table in _assembly_cases():
+            g = build_graph(table, n)
+            lengths = _coo_built(n, table, 3)
+            sources = np.arange(0, n, 5)
+            assert np.array_equal(g.distances_from(n - 1), dijkstra(lengths, directed=False, indices=n - 1))
+            expected = dijkstra(lengths, directed=False, indices=sources, min_only=True)
+            assert np.array_equal(g.distances_from(sources), expected)
+            assert np.array_equal(g.metric, dijkstra(lengths, directed=False))

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from graphsplines import build_graph
 from graphsplines import io as gio
+from graphsplines.diagnostics import DecayProfile
 from graphsplines.errors import NonNumericColumn
 
 
@@ -108,3 +110,46 @@ def test_a_well_formed_table_is_not_walked_cell_by_cell(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
     path.write_text(_layout(newline="\r\n", quote=True, filler=[""]))
     assert gio.read_table(path)[1].shape == (3, 3)
+
+
+def _csv_reference(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+_AWKWARD = np.array([-0.0, 5e-324, 1e308, 0.1, 1 / 3])
+
+
+def test_numeric_writers_give_the_bytes_of_the_csv_module(tmp_path):
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    fmt = gio.fmt
+
+    gio.write_function_csv(out, _AWKWARD)
+    assert out.read_bytes() == _csv_reference(ref, ["vertex", "value"], [(i, fmt(v)) for i, v in enumerate(_AWKWARD)])
+
+    gio.write_profile_csv(out, DecayProfile(0, _AWKWARD, _AWKWARD[::-1]))
+    expected = _csv_reference(ref, ["distance", "envelope"], [(fmt(d), fmt(e)) for d, e in zip(_AWKWARD, _AWKWARD[::-1])])
+    assert out.read_bytes() == expected
+
+    pairs = list(zip(_AWKWARD, _AWKWARD[::-1].tolist()))
+    gio.write_pairs_csv(out, pairs, ["seminorm", "error"])
+    assert out.read_bytes() == _csv_reference(ref, ["seminorm", "error"], [(fmt(a), fmt(b)) for a, b in pairs])
+
+    gio.write_nodes_csv(out, np.array([0, 3, 17]))
+    assert out.read_bytes() == _csv_reference(ref, ["vertex"], [(0,), (3,), (17,)])
+
+    g = build_graph([(0, 1, 5e-324, 1e308), (1, 2, 0.1, 1 / 3), (2, 0, 1e-300, 0.1)])
+    gio.write_edge_csv(out, g)
+    expected = _csv_reference(ref, ["u", "v", "weight", "length"], [(u, v, fmt(w), fmt(ell)) for u, v, w, ell in g.edges])
+    assert out.read_bytes() == expected
+
+
+def test_empty_numeric_files_hold_only_their_header(tmp_path):
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    gio.write_nodes_csv(out, [])
+    assert out.read_bytes() == _csv_reference(ref, ["vertex"], [])
+    gio.write_pairs_csv(out, [], ["seminorm", "error"])
+    assert out.read_bytes() == _csv_reference(ref, ["seminorm", "error"], [])

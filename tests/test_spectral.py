@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_matrix
 
 from graphsplines import (
     LaplacianKind,
@@ -11,6 +12,7 @@ from graphsplines import (
     eigendecompose,
     knn_graph,
     laplacian,
+    lattice_graph,
     pseudo_inverse_power,
     random_connected_graph,
     sobolev_seminorm,
@@ -22,7 +24,7 @@ from graphsplines.errors import (
     MultipleZeroEigenvalues,
     NonPositiveAlpha,
 )
-from graphsplines.spectral import _fix_signs
+from graphsplines.spectral import _fix_signs, _sparse_laplacian
 
 NORM = LaplacianKind.NORMALIZED
 UNNORM = LaplacianKind.UNNORMALIZED
@@ -335,3 +337,51 @@ def test_non_finite_alpha_is_refused(alpha):
         native_semi_inner_product(s, f, f, alpha)
     assert sobolev_seminorm(s, f, 0.0) == pytest.approx(np.linalg.norm(f))
     assert native_semi_inner_product(s, f, f, 0.0) == pytest.approx(f @ f)
+
+
+def _laplacian_through_coo(g, kind):
+    """The CSR Laplacian built with a COO to CSR conversion, from the same block degrees."""
+    A, n = g.adjacency, g.n_vertices
+    deg = np.concatenate([A[lo : lo + 128].toarray().sum(axis=1) for lo in range(0, n, 128)])
+    A = A.tocoo()
+    off, diag = -A.data, deg
+    if kind is NORM:
+        dinv = 1.0 / np.sqrt(deg)
+        off = off * (dinv[A.row] * dinv[A.col])
+        diag = deg * (dinv * dinv)
+    idx = np.arange(n)
+    rows, cols = np.concatenate([A.row, idx]), np.concatenate([A.col, idx])
+    return csr_matrix((np.concatenate([off, diag]), (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("kind", [NORM, UNNORM])
+def test_sparse_laplacian_arrays_equal_the_coo_built_csr(kind):
+    graphs = [random_connected_graph(n, np.random.default_rng(n)) for n in (2, 9, 64, 150, 300)]
+    graphs += [lattice_graph(7, 9), cycle_graph(256), knn_graph(np.random.default_rng(768).normal(size=(768, 8)), 10)]
+    for g in graphs:
+        L, expected = _sparse_laplacian(g, kind), _laplacian_through_coo(g, kind)
+        for got, want in ((L.indptr, expected.indptr), (L.indices, expected.indices), (L.data, expected.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_reading_an_edge_list_and_its_laplacian_builds_no_coo_matrix(tmp_path, monkeypatch):
+    # the CSR arrays are assembled with numpy, so no COO matrix (and no COO to CSR pass) is made
+    from scipy.sparse import _coo
+
+    from graphsplines import io as gio
+
+    path = tmp_path / "g.csv"
+    gio.write_edge_csv(path, random_connected_graph(200, np.random.default_rng(5)))
+    made = []
+    init = _coo._coo_base.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_coo._coo_base, "__init__", counting)
+    g = gio.read_edge_csv(path)
+    for kind in (NORM, UNNORM):
+        _sparse_laplacian(g, kind)
+    g.distances_from([0, 7])
+    assert made == []
