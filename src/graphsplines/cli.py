@@ -26,16 +26,9 @@ from . import io as gio
 from .diagnostics import SUITES, decay_profile, fit_exponential_decay
 from .errors import GraphSplinesError, NumericalError, ValidationError
 from .graphs import cycle_graph, knn_graph, lattice_graph
-from .interpolation import (
-    InterpolationProblem,
-    dirichlet_lagrange,
-    evaluate,
-    local_lagrange,
-    solve_interpolant,
-    truncated_lagrange_from_eigenpairs,
-)
+from .interpolation import Interpolant, _coefficients, _spline, dirichlet_lagrange, truncated_lagrange_from_eigenpairs
 from .ml import CVConfig, cross_validate, load_dataset, smoothness_experiment
-from .spectral import _normalized_kernel, decompose_graph, pseudo_inverse_power
+from .spectral import decompose_graph, pseudo_inverse_power
 
 # --help shows the docstring's first two paragraphs; the third is about this code
 _DESCRIPTION = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
@@ -123,22 +116,16 @@ def _cmd_lagrange(args) -> int:
     if args.no_reproject and not truncated:
         raise ValidationError("--no-reproject requires --truncate")
     radius = args.radius if args.local else np.inf  # the full function is the local one whose ball holds every node
-    # A truncated function needs the eigenpairs but no n x n kernel; that is built only to be dumped.
-    # The Dirichlet form builds no kernel (and, for an integer alpha, no eigendecomposition). A node
-    # set holding every vertex leaves it nothing to solve and stays on the bordered system.
+    # Every mode solves the Dirichlet form (no kernel; for an integer alpha, no eigh). A truncated
+    # function needs the eigenpairs for its coefficients; the kernel is built only to be dumped.
+    decomposition = decompose_graph(g) if truncated or args.dump_kernel else None
     if truncated:
-        decomposition = decompose_graph(g)
         values = truncated_lagrange_from_eigenpairs(
             decomposition, g, nodes, args.center, args.truncate, args.alpha, reimpose_side_condition=not args.no_reproject
         )
-        kernel = pseudo_inverse_power(decomposition, args.alpha) if args.dump_kernel else None
-    elif len(nodes) < g.n_vertices:
-        decomposition = decompose_graph(g) if args.dump_kernel else None  # one eigh serves both
-        values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius, decomposition)
-        kernel = pseudo_inverse_power(decomposition, args.alpha) if args.dump_kernel else None
     else:
-        decomposition, kernel = _normalized_kernel(g, args.alpha)
-        values = local_lagrange(kernel, decomposition, g, nodes, args.center, radius)
+        values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius, decomposition)
+    kernel = pseudo_inverse_power(decomposition, args.alpha) if args.dump_kernel else None
     gio.write_function_csv(args.output, values)
     if args.dump_kernel:
         gio.write_matrix_csv(args.dump_kernel, kernel.matrix)
@@ -149,12 +136,15 @@ def _cmd_lagrange(args) -> int:
 def _cmd_interp(args) -> int:
     g = gio.read_edge_csv(args.graph)
     vertices, data = gio.read_function_csv(args.known)
-    decomposition, kernel = _normalized_kernel(g, args.alpha)
-    problem = InterpolationProblem(g, decomposition, kernel, vertices, data)
-    interpolant = solve_interpolant(problem)
-    gio.write_function_csv(args.output, evaluate(interpolant, problem))
+    # The Dirichlet-form values are written as solved: re-evaluating them through the kernel
+    # would lose digits to its conditioning. The eigenpairs serve the coefficients and the dump.
+    decomposition = decompose_graph(g) if args.coefficients or args.dump_kernel else None
+    kernel = pseudo_inverse_power(decomposition, args.alpha) if args.dump_kernel else None
+    values = _spline(g, vertices, data, args.alpha, decomposition)
+    gio.write_function_csv(args.output, values)
     if args.coefficients:
-        gio.write_interpolant_csv(args.coefficients, interpolant)
+        beta, constant = _coefficients(decomposition, values, vertices, args.alpha)
+        gio.write_interpolant_csv(args.coefficients, Interpolant(float(constant), beta, args.alpha, vertices))
     if args.dump_kernel:
         gio.write_matrix_csv(args.dump_kernel, kernel.matrix)
     _manifest(args, "interp", [args.graph, args.known])

@@ -94,11 +94,11 @@ class FullVertexSet(ValidationError):
 # --- interpolation -----------------------------------------------------------
 
 class SingularSystem(NumericalError):
-    """A bordered or Dirichlet-form interpolation matrix is numerically rank deficient.
+    """The Dirichlet-form interpolation matrix ``(L^alpha)_UU`` is numerically rank deficient.
 
-    Raised by the one symmetric solve of both forms when LAPACK's factorization
-    meets an exactly zero pivot, or when its reciprocal condition estimate
-    (1-norm) is below machine epsilon, where LAPACK's own drivers warn.
+    Raised by the one symmetric solve when LAPACK's factorization meets an
+    exactly zero pivot, or when its reciprocal condition estimate (1-norm) is
+    below machine epsilon, where LAPACK's own drivers warn.
     """
 
 

@@ -10,7 +10,7 @@ Dirichlet form: it satisfies ``(L^alpha s)_U = 0`` on the unknown set U, so
 ``s_U = -(L^alpha)_UU^-1 (L^alpha)_UK F`` with one symmetric solve per known
 set (``interpolation.spline_regress``; the CV loop forms ``L^alpha`` once).
 For an integer alpha ``L^alpha`` is a sparse product of Laplacians, so no
-eigendecomposition, kernel matrix or bordered system is built here.
+eigendecomposition or kernel matrix is built here.
 
 Per fold the loop does two things. It reads the row block ``(L^alpha)_U``
 once; its U columns are the system, and its product with the known values

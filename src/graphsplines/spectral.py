@@ -228,7 +228,7 @@ def pseudo_inverse_power(s: SpectralDecomposition, alpha: float) -> KernelMatrix
 
 
 def _normalized_kernel(g: WeightedGraph, alpha: float) -> tuple[SpectralDecomposition, KernelMatrix]:
-    """Normalized-Laplacian decomposition of ``g`` and its order-``alpha`` kernel, as a bordered solve takes them."""
+    """Normalized-Laplacian decomposition of ``g`` and its order-``alpha`` kernel, as ``InterpolationProblem`` and ``lagrange_basis`` take them."""
     decomposition = decompose_graph(g, LaplacianKind.NORMALIZED)
     return decomposition, pseudo_inverse_power(decomposition, alpha)
 

@@ -59,9 +59,10 @@ def test_first_job_passes_its_check_under_the_tracer(monkeypatch, tmp_path, caps
     assert after.keys() == before.keys() and all(after[key] is value for key, value in before.items())
     workload.check(job)
     if name == "cycle256-lagrange":
-        # two Dirichlet-form Lagrange functions and one bordered truncated function; the tracer has no
-        # count hook for the truncation routine, so the systems are counted at the one solve primitive
+        # three Dirichlet-form Lagrange functions, the third for the truncated function; each one
+        # goes through spline_regress, so the tracer counts every system the one solve primitive sees
         assert len(solves) == 3
+        assert tracer.metrics()["interpolation.systems"] == 3
 
 
 def _count_calls(monkeypatch, module, name):

@@ -10,13 +10,14 @@ from graphsplines import (
     cli,
     cycle_graph,
     decompose_graph,
+    interpolation,
     knn_graph,
     lagrange_basis,
-    local_lagrange,
     pseudo_inverse_power,
     truncated_lagrange,
 )
 from graphsplines import io as gio
+from test_interpolation import bordered_oracle
 
 
 def run(*argv):
@@ -290,19 +291,24 @@ class TestExitCodes:
         assert run("interp", "--graph", tmp_path / "missing.csv", "--known", tmp_path / "k.csv", "-o", tmp_path / "o.csv") == 2
 
     def test_numerical_failure_is_three(self, tmp_path):
+        # one node on cycle-64 at alpha = 8: (L^8)_UU has rcond about 5e-20 and is refused
         g_csv = tmp_path / "g.csv"
         run("graph", "cycle", "--n", 64, "-o", g_csv)
         nodes = tmp_path / "nodes.csv"
+        gio.write_nodes_csv(nodes, [0])
+        out = tmp_path / "x.csv"
+        assert run("lagrange", "--graph", g_csv, "--nodes", nodes, "--center", 0, "--alpha", 8, "-o", out) == 3
+        # every vertex a node: nothing to solve, and the function is e_center
         gio.write_nodes_csv(nodes, range(64))
-        code = run("lagrange", "--graph", g_csv, "--nodes", nodes, "--center", 0, "--alpha", 8, "-o", tmp_path / "x.csv")
-        assert code == 3
+        assert run("lagrange", "--graph", g_csv, "--nodes", nodes, "--center", 5, "--alpha", 8, "-o", out) == 0
+        assert np.array_equal(gio.read_function_csv(out)[1], np.eye(64)[5])
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError("dsysv failed"), MemoryError()])
     def test_lapack_and_memory_failures_are_three(self, monkeypatch, tmp_path, cycle_csv, capsys, error):
-        def failing(problem):
+        def failing(A, known, unknown, values):
             raise error
 
-        monkeypatch.setattr(cli, "solve_interpolant", failing)
+        monkeypatch.setattr(interpolation, "_solve_dirichlet", failing)  # the one solve of every interp call
         known = tmp_path / "known.csv"
         known.write_text("vertex,value\n0,1\n2,0\n")
         assert run("interp", "--graph", cycle_csv, "--known", known, "-o", tmp_path / "o.csv") == 3
@@ -642,28 +648,28 @@ def _knn_case(seed, n=200):
 
 @pytest.mark.parametrize("case", [*(f"cycle-{seed}" for seed in range(4)), "knn-0"])
 def test_integer_alpha_lagrange_matches_the_bordered_oracle(tmp_path, case):
-    # The CLI builds alpha = 2 cardinal functions from the Dirichlet form; the library's
-    # bordered local_lagrange is an independent solve of the same function. The worst relative
-    # difference over these cases was 3.3e-10 (a local cycle function; 6.6e-10 over 80 seeded
-    # draws of each kind), and the bound is one digit above it.
+    # The CLI builds alpha = 2 cardinal functions from the Dirichlet form; the plain-numpy
+    # bordered kernel system of bordered_oracle is an independent solve of the same function. The
+    # worst relative difference over these cases was 2.9e-10 (a local cycle function), and the
+    # bound is one digit above it.
     kind, seed = case.split("-")
     graph, nodes, center, radius = (_weighted_cycle_case if kind == "cycle" else _knn_case)(int(seed))
     g_csv, n_csv, out = tmp_path / "g.csv", tmp_path / "nodes.csv", tmp_path / "chi.csv"
     gio.write_edge_csv(g_csv, graph)
     gio.write_nodes_csv(n_csv, nodes)
-    decomposition = decompose_graph(graph)
-    kernel = pseudo_inverse_power(decomposition, 2.0)
     for mode, ball in (((), np.inf), (("--local", "--radius", radius), radius)):
         assert run("lagrange", "--graph", g_csv, "--nodes", n_csv, "--center", center, *mode, "-o", out) == 0
         chi = gio.read_function_csv(out)[1]
-        oracle = local_lagrange(kernel, decomposition, graph, nodes, center, ball)
+        inside = nodes[graph.distances_from(center)[nodes] <= ball]
+        oracle = bordered_oracle(graph, 2.0, inside, (inside == center).astype(float))
         assert np.abs(chi - oracle).max() <= 3e-9 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_alpha_4_lagrange_is_cardinal_and_matches_least_squares(tmp_path, seed):
-    # cycle-256 at alpha = 4 with every 4th vertex a node: the bordered system runs at rcond
-    # about 1e-15 and is cardinal only to about 3e-6. The Dirichlet form sets the node values.
+    # cycle-256 at alpha = 4 with every 4th vertex a node: a bordered kernel solve of this function
+    # runs at rcond about 1e-15 and is cardinal only to about 3e-6. The Dirichlet form sets the
+    # node values.
     n = 256
     if seed is None:
         graph, nodes, center = cycle_graph(n), np.arange(0, n, 4), 0
@@ -700,8 +706,8 @@ def test_lagrange_non_positive_integer_alpha_is_two(tmp_path, cycle_csv, capsys,
 @pytest.mark.parametrize("alpha, local", [(1.5, False), (2.5, False), (1.5, True)])
 def test_fractional_alpha_lagrange_matches_the_bordered_oracle(tmp_path, case, alpha, local):
     # A fractional alpha takes the Dirichlet form too, with L^alpha from the eigenpairs. The worst
-    # relative difference from the bordered local_lagrange over these cases was 7.3e-10 (alpha = 2.5,
-    # full cycle function; 1.2e-9 over 40 seeded cycles), and the bound is one digit above it.
+    # relative difference from the plain-numpy bordered_oracle over these cases was 7.3e-10
+    # (alpha = 2.5, full cycle function), and the bound is one digit above it.
     kind, seed = case.split("-")
     graph, nodes, center, radius = (_weighted_cycle_case if kind == "cycle" else _knn_case)(int(seed))
     g_csv, n_csv, out = tmp_path / "g.csv", tmp_path / "nodes.csv", tmp_path / "chi.csv"
@@ -711,8 +717,8 @@ def test_fractional_alpha_lagrange_matches_the_bordered_oracle(tmp_path, case, a
     argv = ("lagrange", "--graph", g_csv, "--nodes", n_csv, "--center", center, "--alpha", alpha, *mode, "-o", out)
     assert run(*argv) == 0
     chi = gio.read_function_csv(out)[1]
-    decomposition = decompose_graph(graph)
-    oracle = local_lagrange(pseudo_inverse_power(decomposition, alpha), decomposition, graph, nodes, center, ball)
+    inside = nodes[graph.distances_from(center)[nodes] <= ball]
+    oracle = bordered_oracle(graph, alpha, inside, (inside == center).astype(float))
     assert np.abs(chi - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
 
@@ -771,6 +777,132 @@ def test_no_reproject_is_the_library_truncation_without_repair(tmp_path, alpha):
     assert np.array_equal(raw, truncated_lagrange(basis, center, 32, reimpose_side_condition=False))
     assert np.array_equal(repaired, truncated_lagrange(basis, center, 32))
     assert not np.array_equal(raw, repaired)
+
+
+# --- accuracy against long-double references -------------------------------------
+
+_extended = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
+
+
+def _longdouble_solve(A, b):
+    """Solve ``A x = b`` by Gaussian elimination with partial pivoting in ``np.longdouble``."""
+    A, b = A.astype(np.longdouble), b.astype(np.longdouble)
+    n = b.size
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        A[[k, p]], b[[k, p]] = A[[p, k]], b[[p, k]]
+        f = A[k + 1 :, k] / A[k, k]
+        A[k + 1 :, k:] -= np.outer(f, A[k, k:])
+        b[k + 1 :] -= f * b[k]
+    x = np.zeros(n, dtype=np.longdouble)
+    for k in range(n - 1, -1, -1):
+        x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
+    return x
+
+
+def _longdouble_cycle(weights, alpha):
+    """``L^alpha`` of the normalized Laplacian and its kernel vector ``v0`` for a weighted cycle, in ``np.longdouble``."""
+    n = weights.size
+    w = np.zeros((n, n), dtype=np.longdouble)
+    w[np.arange(n), (np.arange(n) + 1) % n] = weights
+    w += w.T
+    root = np.sqrt(w.sum(axis=1))
+    lap = np.eye(n, dtype=np.longdouble) - w / np.outer(root, root)
+    power = lap
+    for _ in range(alpha - 1):
+        power = power @ lap
+    return power, root / np.sqrt(root @ root)
+
+
+def _longdouble_spline(power, nodes, values):
+    """The Dirichlet-form spline through ``values`` on ``nodes``: ``s_U = -(L^a)_UU^-1 (L^a)_UK F``."""
+    unknown = np.setdiff1d(np.arange(power.shape[0]), nodes)
+    s = np.zeros(power.shape[0], dtype=np.longdouble)
+    s[nodes] = values
+    s[unknown] = _longdouble_solve(power[np.ix_(unknown, unknown)], -power[np.ix_(unknown, nodes)] @ s[nodes])
+    return s
+
+
+@_extended
+@pytest.mark.parametrize("job", range(5))
+def test_truncated_lagrange_matches_a_long_double_reference(tmp_path, job):
+    # The cycles and centers are the draws of the cycle256-lagrange benchmark's seed-1 jobs 0-4, at
+    # alpha = 2. The reference applies the same formulas in long double: chi from the Dirichlet form,
+    # beta = (L^2 chi)_K and C = v0^T chi, the kept coefficients reprojected, and the kernel applied
+    # as Phi b = (L^2 + v0 v0^T)^-1 b for b orthogonal to v0. Over these jobs the differences were
+    # 1.5e-11 to 4.5e-11 of max|chi|; coefficients from a bordered kernel solve gave 5.6e-9 to 1.2e-8.
+    n, radius = 256, 32
+    nodes = np.arange(0, n, 4)
+    rng = np.random.default_rng([1, n, job])
+    weights = rng.uniform(0.95, 1.05, n)
+    center = int(rng.choice(nodes))
+    g_csv, n_csv, out = tmp_path / "g.csv", tmp_path / "nodes.csv", tmp_path / "chi.csv"
+    gio.write_edge_csv(g_csv, build_graph([(i, (i + 1) % n, weights[i], 1.0) for i in range(n)]))
+    gio.write_nodes_csv(n_csv, nodes)
+    argv = ("lagrange", "--graph", g_csv, "--nodes", n_csv, "--center", center, "--alpha", 2, "--truncate", radius)
+    assert run(*argv, "-o", out) == 0
+    chi = gio.read_function_csv(out)[1]
+
+    power, v0 = _longdouble_cycle(weights, 2)
+    full = _longdouble_spline(power, nodes, (nodes == center).astype(float))
+    hops = np.abs(nodes - center)
+    kept = np.minimum(hops, n - hops) <= radius
+    beta = (power @ full)[nodes][kept]
+    u = v0[nodes][kept]
+    beta -= (beta @ u) / (u @ u) * u
+    b = np.zeros(n, dtype=np.longdouble)
+    b[nodes[kept]] = beta
+    reference = (_longdouble_solve(power + np.outer(v0, v0), b) + (v0 @ full) * v0).astype(float)
+    assert np.abs(chi - reference).max() <= 1e-9 * np.abs(reference).max()
+
+
+@_extended
+def test_interp_values_match_a_long_double_reference(tmp_path):
+    # interp writes the Dirichlet-form values as solved: they were off by 1.6e-14 of max|s|.
+    # Re-evaluating Phi beta + C v0 from the coefficients read off them loses digits to the
+    # conditioning of the kernel (1.8e10 on the known block): 4.1e-6. A bordered kernel solve
+    # evaluated the same way was off by 5.8e-8.
+    n = 256
+    rng = np.random.default_rng([3, n])
+    weights = rng.uniform(0.5, 2.0, n)
+    known = np.arange(0, n, 4)
+    data = rng.standard_normal(known.size)
+    g_csv, known_csv, out = tmp_path / "g.csv", tmp_path / "known.csv", tmp_path / "s.csv"
+    gio.write_edge_csv(g_csv, build_graph([(i, (i + 1) % n, weights[i], 1.0) for i in range(n)]))
+    known_csv.write_text("vertex,value\n" + "".join(f"{v},{x:.17g}\n" for v, x in zip(known, data)))
+    assert run("interp", "--graph", g_csv, "--known", known_csv, "--alpha", 3, "-o", out) == 0
+    s = gio.read_function_csv(out)[1]
+    reference = _longdouble_spline(_longdouble_cycle(weights, 3)[0], known, data).astype(float)
+    assert np.abs(s - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize(
+    "alpha, flags, eighs",
+    [(2, (), 0), (1.5, (), 1), (2, ("--coefficients",), 1), (1.5, ("--coefficients", "--dump-kernel"), 1)],
+)
+def test_interp_solves_one_system_and_decomposes_only_when_needed(monkeypatch, tmp_path, alpha, flags, eighs):
+    import scipy.linalg
+
+    counts = {"eigh": 0, "solve": 0}
+    eigh, solve = scipy.linalg.eigh, interpolation._solve_symmetric
+
+    def counting_eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_solve(*args):
+        counts["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(interpolation, "_solve_symmetric", counting_solve)
+    graph, known, _, _ = _weighted_cycle_case(0, n=64)
+    g_csv, known_csv = tmp_path / "g.csv", tmp_path / "known.csv"
+    gio.write_edge_csv(g_csv, graph)
+    known_csv.write_text("vertex,value\n" + "".join(f"{v},{np.sin(v)}\n" for v in known))
+    paths = [a for flag in flags for a in (flag, tmp_path / f"{flag[2:]}.csv")]
+    assert run("interp", "--graph", g_csv, "--known", known_csv, "--alpha", alpha, *paths, "-o", tmp_path / "s.csv") == 0
+    assert counts == {"eigh": eighs, "solve": 1}
 
 
 # --- input files written by spreadsheet programs ----------------------------------

@@ -223,8 +223,8 @@ def test_bulk_ratio_suite_filters_and_searches_once(monkeypatch):
 
 def test_bulk_ratio_suite_matches_a_least_squares_lagrange_function():
     # At alpha = 2, L^2 = L^T L, so the least-squares fit of L chi = 0 on the non-nodes is the
-    # cardinal function. The suite's ratios matched it to 2.8e-8 relative (4.5e-4 when chi was a
-    # column of the bordered basis); the far tails are tiny, so this reads the accuracy of chi.
+    # cardinal function. The suite's ratios matched it to 2.8e-8 relative (4.5e-4 when chi came
+    # from a bordered kernel solve); the far tails are tiny, so this reads the accuracy of chi.
     from graphsplines.diagnostics import _bulk_ratios, verify_bulk_ratio
 
     _, _, _, rows = verify_bulk_ratio(100, 0)

@@ -10,6 +10,7 @@ from graphsplines import (
     evaluate,
     knn_graph,
     lagrange_basis,
+    lattice_graph,
     local_lagrange,
     native_semi_inner_product,
     pseudo_inverse_power,
@@ -94,12 +95,22 @@ class TestSolveInterpolant:
             local_lagrange(k, s, g, nodes, 0, 4.0)
 
     def test_singular_system_on_extreme_smoothness(self):
-        # kernel eigenvalue spread ~ lambda_1^-16 drives the pivot ratio under the floor
+        # one node at alpha = 8: (L^8)_UU on the other 63 vertices has rcond about 5e-20, below eps
         g = cycle_graph(64)
         s = decompose_graph(g, LaplacianKind.NORMALIZED)
         k = pseudo_inverse_power(s, 8.0)
         with pytest.raises(SingularSystem):
-            lagrange_basis(k, s, g, np.arange(64))
+            lagrange_basis(k, s, g, [0])
+        # with every vertex a node there is no system to solve: the basis is the unit vectors
+        assert np.array_equal(lagrange_basis(k, s, g, np.arange(64)).columns, np.eye(64))
+
+
+def _normalized_eigenpairs(g):
+    """Eigenpairs of the normalized Laplacian from ``np.linalg.eigh``, the zero eigenvalue set to 0."""
+    dinv = 1.0 / np.sqrt(g.weights.sum(axis=1))
+    lam, vecs = np.linalg.eigh(np.eye(g.n_vertices) - g.weights * np.outer(dinv, dinv))
+    lam[0] = 0.0
+    return lam, vecs
 
 
 def dirichlet_oracle(g, alpha, nodes, data):
@@ -109,9 +120,7 @@ def dirichlet_oracle(g, alpha, nodes, data):
     needs neither the kernel nor the bordered system.
     """
     n = g.n_vertices
-    dinv = 1.0 / np.sqrt(g.weights.sum(axis=1))
-    lam, vecs = np.linalg.eigh(np.eye(n) - g.weights * np.outer(dinv, dinv))
-    lam[0] = 0.0
+    lam, vecs = _normalized_eigenpairs(g)
     power = (vecs * lam**alpha) @ vecs.T
     unknown = np.setdiff1d(np.arange(n), nodes)
     out = np.empty(n)
@@ -121,9 +130,30 @@ def dirichlet_oracle(g, alpha, nodes, data):
     return out
 
 
+def bordered_oracle(g, alpha, nodes, data):
+    """Interpolant ``Phi(., K) beta + C v0`` from the bordered kernel system, built with plain numpy.
+
+    The kernel ``Phi = sum_{k>=1} lambda_k^-a v_k v_k^T`` comes from the eigenpairs, and
+    ``np.linalg.solve`` solves the (m+1) x (m+1) system ``[Phi~ v0~; v0~^T 0] [beta; C] = [F; 0]``.
+    This is the kernel form of the spline, independent of the Dirichlet form the library solves.
+    """
+    nodes = np.asarray(nodes)
+    lam, vecs = _normalized_eigenpairs(g)
+    v0 = vecs[:, 0]
+    kernel = (vecs[:, 1:] * lam[1:] ** -alpha) @ vecs[:, 1:].T
+    m = nodes.size
+    bordered = np.zeros((m + 1, m + 1))
+    bordered[:m, :m] = kernel[np.ix_(nodes, nodes)]
+    bordered[:m, m] = bordered[m, :m] = v0[nodes]
+    sol = np.linalg.solve(bordered, np.append(data, 0.0))
+    return kernel[:, nodes] @ sol[:m] + sol[m] * v0
+
+
 class TestDirichletOracle:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
     def test_bordered_solve_matches_oracle(self, alpha):
+        # solve_interpolant's coefficients, evaluated in the kernel form Phi beta + C v0 that the
+        # bordered system describes, against the plain-numpy Dirichlet solve
         rng = np.random.default_rng(int(alpha * 10))
         for trial in range(12):
             n = int(rng.integers(4, 41))
@@ -179,6 +209,16 @@ class TestLagrangeBasis:
         g, s, k = cycle4_setup
         basis = lagrange_basis(k, s, g, np.arange(4))
         assert np.allclose(basis.columns, np.eye(4), atol=1e-10)
+
+    def test_columns_are_exactly_cardinal(self, cycle256_setup):
+        # the columns are Dirichlet-form splines, which take the unit vectors as their node values
+        _, _, _, nodes, basis = cycle256_setup
+        assert np.array_equal(basis.columns[nodes], np.eye(nodes.size))
+        g = lattice_graph(20, 20)  # acceptance criterion 7's lattice and nodes
+        s = decompose_graph(g, LaplacianKind.NORMALIZED)
+        nodes = np.array([r * 20 + c for r in range(0, 20, 2) for c in range(0, 20, 2)])
+        basis = lagrange_basis(pseudo_inverse_power(s, 2.0), s, g, nodes)
+        assert np.array_equal(basis.columns[nodes], np.eye(nodes.size))
 
     def test_cycle4_half_value(self, cycle4_setup):
         g, s, k = cycle4_setup
@@ -291,8 +331,7 @@ class TestLocalLagrange:
         assert np.allclose(local[inside], expected, atol=1e-8)
 
     def test_cardinality_on_uneven_cycle_weights(self):
-        # uneven weights spread the kernel's pivots over many orders of
-        # magnitude; the radius-24 system stays well posed and must be solved
+        # weights in [0.5, 2] on a cycle: the radius-24 system stays well posed and must be solved
         n = 256
         nodes = np.arange(0, n, 4)
         for seed in range(3):
@@ -369,9 +408,11 @@ def _truncation_through_the_kernel(s, graph, nodes, center, radius, alpha, repro
 
 @pytest.mark.parametrize("case", [*(f"cycle-{seed}" for seed in range(8)), *(f"knn-{seed}" for seed in range(3))])
 def test_truncation_from_the_eigenpairs_matches_the_kernel_route(case):
-    # Both routes read the same eigenpairs. At alpha >= 2 the bordered system is ill-conditioned, so
-    # the routes' last bits differ by the conditioning: over these cases the worst difference was
-    # 8.4e-13 of max|chi| at alpha = 1.5, 2.1e-11 at alpha = 2 and 1.2e-10 at alpha = 2.5.
+    # Both routes read the same eigenpairs and Dirichlet-form cardinal functions: one solve for the
+    # center here, one for all |K| of them there. The kept coefficients are applied through the
+    # eigenpairs here and through the n x n kernel there, whose conditioning at alpha >= 2 amplifies
+    # the last-bit differences: over these cases the worst difference was 9.5e-13 of max|chi| at
+    # alpha = 1.5, 2.7e-11 at alpha = 2 and 1.1e-10 at alpha = 2.5.
     kind, seed = case.split("-")
     graph, nodes, center, radius = (_weighted_cycle if kind == "cycle" else _knn)(int(seed))
     s = decompose_graph(graph)

@@ -350,8 +350,9 @@ class TestSmoothnessExperiment:
 class TestDirichletRegression:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
     def test_matches_bordered_interpolant(self, alpha):
-        # two independent solve paths: the Dirichlet form against the kernel + bordered system
-        from graphsplines import InterpolationProblem, evaluate, random_connected_graph, solve_interpolant
+        # two independent solve paths: the Dirichlet form against a plain-numpy kernel + bordered system
+        from graphsplines import random_connected_graph
+        from test_interpolation import bordered_oracle
 
         rng = np.random.default_rng(int(alpha * 100))
         for trial in range(10):
@@ -360,14 +361,12 @@ class TestDirichletRegression:
             size = 1 if trial % 2 else int(rng.integers(2, n))
             known = rng.choice(n, size=size, replace=False)
             values = rng.standard_normal(size)
-            s = decompose_graph(g)
-            p = InterpolationProblem(g, s, pseudo_inverse_power(s, alpha), known, values)
-            expected = evaluate(solve_interpolant(p), p)[complement(g, known)]
+            expected = bordered_oracle(g, alpha, known, values)[complement(g, known)]
             preds = spline_regress(g, known, values, alpha)
             assert np.abs(preds - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
 
     def test_single_node_at_alpha_3_solves(self):
-        # the bordered system refuses this; (L^3)_UU has rcond ~ 8.5e-13
+        # (L^3)_UU has rcond ~ 8.5e-13, above eps, so the Dirichlet form solves it
         from graphsplines import laplacian_power
 
         g = cycle_graph(256)
