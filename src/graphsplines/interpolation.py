@@ -15,20 +15,20 @@ eigenvector restricted to them; the last row is the side condition that makes
 unknown vertices U, and ``v0^T s = C``. So the interpolant is the solution of
 its Dirichlet form ``(L^alpha s)_U = 0``, and ``beta = (L^alpha s)_K``.
 
-:func:`spline_regress` solves the Dirichlet form with ``_solve_symmetric``: one
-LAPACK symmetric-indefinite solve (``dsysv``) carrying every right-hand side,
-which refuses a system whose reciprocal condition estimate is smaller than the
-machine epsilon with :class:`SingularSystem`. Every other routine takes its
-spline from it and builds no kernel: ``solve_interpolant``, ``lagrange_basis``
-(all |K| cardinal functions in one solve) and the cardinal function
-``dirichlet_lagrange``, which ``local_lagrange`` is for the nodes in a ball.
+:func:`spline_regress` checks every spline's nodes, values and ``alpha`` and
+solves the Dirichlet form with ``_solve_symmetric``: one LAPACK
+symmetric-indefinite solve (``dsysv``) carrying every right-hand side, which
+refuses a system whose reciprocal condition estimate is smaller than the
+machine epsilon with :class:`SingularSystem`; with K = V it forms no
+``L^alpha``. Every other routine takes its spline from it and builds no kernel:
+``solve_interpolant``, ``lagrange_basis`` (all |K| cardinal functions in one
+solve) and ``dirichlet_lagrange``, which ``local_lagrange`` is for a ball.
 
-A truncated cardinal function keeps only the coefficients of the nodes near
-its center. :func:`truncated_lagrange_from_eigenpairs` builds it from one
-:class:`SpectralDecomposition` without an n x n kernel: the cardinal function
-comes from ``dirichlet_lagrange``, its coefficients from the formulas above,
-and the kept coefficients are applied through the eigenpairs.
-``truncated_lagrange`` takes the same route from a basis.
+``beta`` and the expansion ``Phi(., K) beta + C v0``, which :func:`evaluate`
+and :func:`truncated_lagrange_from_eigenpairs` share, are each one
+:meth:`SpectralDecomposition.apply_power`; no kernel matrix is read. A
+truncated cardinal function keeps only the coefficients of the nodes near its
+center; ``truncated_lagrange`` takes the same route from a basis.
 """
 from __future__ import annotations
 
@@ -141,21 +141,26 @@ def _solve_dirichlet(
 
 def _spline(graph: WeightedGraph, nodes, values, alpha: float, decomposition=None) -> np.ndarray:
     """The spline through ``values`` on ``nodes`` on every vertex (one per column of a value matrix):
-    the values on the nodes and their :func:`spline_regress` extension elsewhere."""
-    nodes = _check_nodes(nodes, graph.n_vertices)
-    values = _check_values(values, nodes.size)
+    the values on the nodes and their :func:`spline_regress` extension elsewhere, which checks them."""
+    extension = spline_regress(graph, nodes, values, alpha, decomposition)
     s = np.zeros((graph.n_vertices,) + values.shape[1:])
     s[nodes] = values
-    s[complement(graph, nodes)] = spline_regress(graph, nodes, values, alpha, decomposition)
+    s[complement(graph, nodes)] = extension
     return s
 
 
 def _coefficients(decomposition: SpectralDecomposition, s: np.ndarray, nodes: np.ndarray, alpha: float):
     """``beta = (L^alpha s)_K`` and ``C = v0^T s`` of the spline ``s`` (or of each column), with
-    ``L^alpha`` applied through the eigenpairs as ``Q_K (lambda^alpha * Q^T s)``."""
-    Q = decomposition.eigenvectors
-    beta = Q[nodes] @ (decomposition.eigenvalue_powers(alpha) * (Q.T @ s).T).T
-    return beta, decomposition.kernel_vector @ s
+    ``L^alpha`` applied through the eigenpairs by :meth:`SpectralDecomposition.apply_power`."""
+    return decomposition.apply_power(s, alpha)[nodes], decomposition.kernel_vector @ s
+
+
+def _expansion(decomposition: SpectralDecomposition, nodes, beta, constant: float, alpha: float) -> np.ndarray:
+    """``Phi(., K) beta + C v0`` on every vertex: ``beta`` placed on the nodes K and zero elsewhere,
+    then ``Phi = L^-alpha`` applied through the eigenpairs, so no kernel matrix is read."""
+    padded = np.zeros(decomposition.n)
+    padded[nodes] = beta
+    return decomposition.apply_power(padded, -alpha) + constant * decomposition.kernel_vector
 
 
 def solve_interpolant(p: InterpolationProblem) -> Interpolant:
@@ -169,14 +174,15 @@ def solve_interpolant(p: InterpolationProblem) -> Interpolant:
 def evaluate(i: Interpolant, p: InterpolationProblem) -> np.ndarray:
     """Evaluate ``Phi(., K) beta + C v0`` on every vertex of the graph.
 
-    This loses about log10 of the kernel's condition number in digits against
-    the spline the coefficients came from (4.1e-6 against 1.6e-14 of max|s| on
-    a weighted 256-cycle at alpha = 3, kernel block condition 1.8e10), so
-    values are read from :func:`spline_regress`, as ``interp`` does.
+    ``Phi = L^-alpha`` is applied through the eigenpairs; the kernel matrix is
+    not read. This loses about log10 of the kernel's condition number in digits
+    against the spline the coefficients came from (4.1e-6 against 1.6e-14 of
+    max|s| on a weighted 256-cycle at alpha = 3, kernel block condition 1.8e10,
+    as through the kernel matrix), so ``interp`` writes the solved values.
     """
     if i.nodes.size != p.nodes.size or np.any(i.nodes != p.nodes):
         raise InconsistentDimensions("interpolant nodes do not match the problem nodes")
-    return p.kernel.matrix[:, i.nodes] @ i.coefficients + i.constant * p.decomposition.kernel_vector
+    return _expansion(p.decomposition, i.nodes, i.coefficients, i.constant, p.kernel.alpha)
 
 
 def native_semi_inner_product(
@@ -249,7 +255,7 @@ def lagrange_basis(
 ) -> LagrangeBasis:
     """Solve all cardinal problems on ``nodes`` in one Dirichlet-form solve; the coefficients are
     read off the columns, and ``kernel`` is read only for its ``alpha``."""
-    nodes = _check_nodes(nodes, graph.n_vertices)
+    nodes = np.asarray(nodes, dtype=int)
     columns = _spline(graph, nodes, np.eye(nodes.size), kernel.alpha, decomposition)
     beta, constants = _coefficients(decomposition, columns, nodes, kernel.alpha)
     return LagrangeBasis(
@@ -295,28 +301,23 @@ def truncated_lagrange_from_eigenpairs(
 ) -> np.ndarray:
     """Truncated cardinal function centered at ``center``, from the eigenpairs alone.
 
-    The cardinal function ``chi`` is :func:`dirichlet_lagrange` on the
-    Laplacian of ``decomposition``, with ``beta = (L^alpha chi)_K`` and
-    ``C = v0^T chi``. The coefficients of the nodes within ``radius`` are kept
-    and repaired as :func:`truncated_lagrange` describes, and the function is
-    evaluated as ``Q (d * Q_kept^T beta) + C v0``, with ``Q`` the eigenvectors
-    and ``d = lambda^-alpha`` (0 on the kernel), so no kernel is formed.
+    The radius is checked first. The cardinal function ``chi`` is
+    :func:`dirichlet_lagrange` on the Laplacian of ``decomposition`` (which
+    checks the rest), ``beta = (L^alpha chi)_K`` and ``C = v0^T chi``. The
+    coefficients of the nodes within ``radius`` are kept and repaired as
+    :func:`truncated_lagrange` describes, and ``Phi(., kept) beta + C v0`` is
+    applied through the eigenpairs as in :func:`evaluate`; no kernel is formed.
     """
-    if not (0 < alpha < np.inf):
-        raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
-    nodes = _check_nodes(nodes, graph.n_vertices)
     config = LocalLagrangeConfig(center=center, radius=radius)
-    if center not in nodes:
-        raise ValueError(f"vertex {center} is not an interpolation node")
     chi = dirichlet_lagrange(graph, nodes, center, alpha, np.inf, decomposition)
+    nodes = np.asarray(nodes, dtype=int)
     beta, constant = _coefficients(decomposition, chi, nodes, alpha)
-    Q, d, v0 = decomposition.eigenvectors, decomposition.eigenvalue_powers(-alpha), decomposition.kernel_vector
     kept = config.nodes_within(graph, nodes)
     beta = beta[np.isin(nodes, kept)]
     if reimpose_side_condition:
-        u = v0[kept]
+        u = decomposition.kernel_vector[kept]
         beta -= (beta @ u) / (u @ u) * u
-    return Q @ (d * (Q[kept].T @ beta)) + constant * v0
+    return _expansion(decomposition, kept, beta, constant, alpha)
 
 
 def local_lagrange(
@@ -349,15 +350,18 @@ def spline_regress(
     prediction is the minimal-norm spline, solved in its Dirichlet form from
     ``L^alpha`` (see :func:`laplacian_power`). ``decomposition`` is read only
     for its ``kind`` and, for a fractional ``alpha``, for its eigenpairs;
-    without it the normalized Laplacian is used.
+    without it the normalized Laplacian is used. Every spline's nodes, values
+    and ``alpha`` are checked here, and ``L^alpha`` is formed only when some
+    vertex is unknown.
     """
     known = _check_nodes(known, g.n_vertices)
     values = _check_values(values, known.size)
-    power = laplacian_power(g, alpha, decomposition)
+    if not (0 < alpha < np.inf):
+        raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     unknown = complement(g, known)
     if unknown.size == 0:
         return values[:0].copy()
-    return _solve_dirichlet(power, known, unknown, values)[0]
+    return _solve_dirichlet(laplacian_power(g, alpha, decomposition), known, unknown, values)[0]
 
 
 def dirichlet_lagrange(

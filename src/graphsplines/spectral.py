@@ -116,7 +116,7 @@ class SpectralDecomposition:
         return self.eigenvectors[:, 0]
 
     def apply_power(self, f: np.ndarray, power: float) -> np.ndarray:
-        """Apply ``L^power`` by spectral calculus.
+        """Apply ``L^power`` as ``Q (lambda^power * Q^T f)`` to a vector or to each column of an (n, m) array.
 
         Negative powers act as pseudo-inverse powers (the kernel is
         annihilated); ``power == 0`` is the identity.
@@ -127,7 +127,7 @@ class SpectralDecomposition:
         if power == 0:
             return f.copy()
         coeffs = self.eigenvectors.T @ f
-        return self.eigenvectors @ (self.eigenvalue_powers(power) * coeffs)
+        return self.eigenvectors @ (self.eigenvalue_powers(power) * coeffs.T).T
 
     def eigenvalue_powers(self, power: float) -> np.ndarray:
         """``lambda_k ** power`` on the positive eigenvalues and 0 on the kernel."""
@@ -225,12 +225,6 @@ def pseudo_inverse_power(s: SpectralDecomposition, alpha: float) -> KernelMatrix
     if not (0 < alpha < np.inf):
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     return KernelMatrix(alpha=float(alpha), matrix=_spectral_power(s, -alpha))
-
-
-def _normalized_kernel(g: WeightedGraph, alpha: float) -> tuple[SpectralDecomposition, KernelMatrix]:
-    """Normalized-Laplacian decomposition of ``g`` and its order-``alpha`` kernel, as ``InterpolationProblem`` and ``lagrange_basis`` take them."""
-    decomposition = decompose_graph(g, LaplacianKind.NORMALIZED)
-    return decomposition, pseudo_inverse_power(decomposition, alpha)
 
 
 def laplacian_power(

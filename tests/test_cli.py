@@ -1051,3 +1051,55 @@ def test_leaf_command_namespace_is_unchanged(argv, namespace):
 def test_subcommand_usage_errors_print_that_subcommands_usage(capsys, argv, usage):
     assert run(*argv) == 1
     assert capsys.readouterr().err.startswith(usage)
+
+
+def test_lagrange_with_every_vertex_a_node_at_a_fractional_alpha_decomposes_nothing(monkeypatch, tmp_path):
+    import scipy.linalg
+
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    g_csv, n_csv, out = tmp_path / "g.csv", tmp_path / "nodes.csv", tmp_path / "chi.csv"
+    assert run("graph", "cycle", "--n", 32, "-o", g_csv) == 0
+    gio.write_nodes_csv(n_csv, range(32))
+    assert run("lagrange", "--graph", g_csv, "--nodes", n_csv, "--center", 5, "--alpha", 1.5, "-o", out) == 0
+    assert np.array_equal(gio.read_function_csv(out)[1], np.eye(32)[5])
+    assert calls == []
+
+
+def _input_refusal(case, tmp_path):
+    """argv of one command whose input is refused before any computation, and the message it prints."""
+    nodes = tmp_path / "nodes.csv"
+    gio.write_nodes_csv(nodes, [0, 2])
+    edges = tmp_path / "g.csv"
+    table = tmp_path / "table.csv"
+    out = tmp_path / "out.csv"
+    if case == "empty-edge-list":
+        edges.write_text("")
+        return ("lagrange", "--graph", edges, "--nodes", nodes, "--center", 0, "-o", out), "is empty"
+    if case == "edge-list-header":
+        edges.write_text("a,b,weight,length\n0,1,1,1\n1,2,1,1\n2,0,1,1\n")
+        return ("lagrange", "--graph", edges, "--nodes", nodes, "--center", 0, "-o", out), "expected header"
+    if case == "one-row-table":
+        table.write_text("a,b,y\n0.5,1.5,2.0\n")
+        argv = ("ml", "cv", "--data", table, "--features", "a,b", "--targets", "y", "--k", 1, "-o", out)
+        return argv, "need at least 2 data rows"
+    if case == "knn-k-0":
+        table.write_text("x,y\n0,0\n1,0\n3,0\n")
+        return ("graph", "knn", "--points", table, "--k", 0, "-o", out), "k must be >= 1"
+    return ("graph", "lattice", "--rows", 1, "--cols", 1, "-o", out), "at least 2 vertices"
+
+
+@pytest.mark.parametrize("case", ["empty-edge-list", "edge-list-header", "one-row-table", "knn-k-0", "lattice-1x1"])
+def test_input_refusals_exit_two_with_one_error_line(tmp_path, capsys, case):
+    argv, message = _input_refusal(case, tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not (tmp_path / "out.csv").exists()

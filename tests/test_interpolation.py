@@ -421,3 +421,76 @@ def test_truncation_from_the_eigenpairs_matches_the_kernel_route(case):
             chi = truncated_lagrange_from_eigenpairs(s, graph, nodes, center, radius, alpha, reproject)
             reference = _truncation_through_the_kernel(s, graph, nodes, center, radius, alpha, reproject)
             assert np.abs(chi - reference).max() <= 1e-9 * np.abs(reference).max(), (alpha, reproject)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, np.nan])
+    def test_truncation_refuses_a_non_positive_or_non_finite_alpha(self, cycle256_setup, alpha):
+        from graphsplines.errors import NonPositiveAlpha
+
+        g, s, _, nodes, _ = cycle256_setup
+        with pytest.raises(NonPositiveAlpha):
+            truncated_lagrange_from_eigenpairs(s, g, nodes, 0, 32.0, alpha)
+
+    def test_truncation_refuses_a_center_off_the_nodes(self, cycle256_setup):
+        g, s, _, nodes, _ = cycle256_setup
+        with pytest.raises(ValueError):
+            truncated_lagrange_from_eigenpairs(s, g, nodes, 1, 32.0, 2.0)
+
+    def test_problem_refuses_a_decomposition_or_kernel_of_another_size(self, cycle4_setup):
+        g, s, k = cycle4_setup
+        other = decompose_graph(cycle_graph(5), LaplacianKind.NORMALIZED)
+        with pytest.raises(InconsistentDimensions):
+            InterpolationProblem(g, other, k, np.array([0, 2]), np.array([1.0, 0.0]))
+        with pytest.raises(InconsistentDimensions):
+            InterpolationProblem(g, s, pseudo_inverse_power(other, 2.0), np.array([0, 2]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("nodes", [[0, 1], [0, 1, 2]])
+    def test_evaluate_refuses_an_interpolant_of_other_nodes(self, cycle4_setup, nodes):
+        g, s, k = cycle4_setup
+        p = InterpolationProblem(g, s, k, np.array([0, 2]), np.array([1.0, 0.0]))
+        other = InterpolationProblem(g, s, k, np.array(nodes), np.zeros(len(nodes)))
+        with pytest.raises(InconsistentDimensions):
+            evaluate(solve_interpolant(other), p)
+
+    def test_center_index_refuses_a_vertex_off_the_nodes(self, cycle256_setup):
+        basis = cycle256_setup[4]
+        assert basis.center_index(8) == 2
+        with pytest.raises(ValueError):
+            basis.center_index(1)
+
+
+def test_evaluate_reads_no_kernel_matrix():
+    # The expansion Phi(., K) beta + C v0 is applied through the eigenpairs, so a problem whose
+    # kernel matrix holds only NaNs evaluates to the spline the coefficients came from.
+    from graphsplines import KernelMatrix, spline_regress
+    from graphsplines.graphs import complement
+
+    rng = np.random.default_rng(7)
+    g, s, k, nodes = make_setup(30, rng, n_nodes=9)
+    data = rng.standard_normal(9)
+    blind = InterpolationProblem(g, s, KernelMatrix(k.alpha, np.full_like(k.matrix, np.nan)), nodes, data)
+    spline = np.empty(30)
+    spline[nodes] = data
+    spline[complement(g, nodes)] = spline_regress(g, nodes, data, k.alpha, s)
+    values = evaluate(solve_interpolant(blind), blind)
+    assert np.abs(values - spline).max() <= 1e-12 * np.abs(spline).max()
+
+
+def test_every_vertex_a_node_at_a_fractional_alpha_decomposes_nothing(monkeypatch):
+    # with K = V there is no unknown vertex, so L^1.5 and its eigenpairs are never needed
+    import scipy.linalg
+
+    from graphsplines import dirichlet_lagrange
+
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    chi = dirichlet_lagrange(cycle_graph(32), range(32), 5, 1.5)
+    assert np.array_equal(chi, np.eye(32)[5])
+    assert calls == []

@@ -398,6 +398,13 @@ class TestDirichletRegression:
         for j in range(2):
             assert np.allclose(both[:, j], spline_regress(g, [0, 5, 7], values[:, j]), atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, np.nan])
+    def test_every_vertex_known_still_checks_alpha(self, alpha):
+        from graphsplines.errors import NonPositiveAlpha
+
+        with pytest.raises(NonPositiveAlpha):
+            spline_regress(cycle_graph(8), np.arange(8), np.ones(8), alpha)
+
 
 class TestCrossValidateSolvePaths:
     def make_dataset(self):

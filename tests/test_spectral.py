@@ -385,3 +385,31 @@ def test_reading_an_edge_list_and_its_laplacian_builds_no_coo_matrix(tmp_path, m
         _sparse_laplacian(g, kind)
     g.distances_from([0, 7])
     assert made == []
+
+
+@pytest.mark.parametrize("columns", [32, 3])
+def test_apply_power_filters_each_column_of_a_matrix(columns):
+    # Q^T F holds one row per eigenvalue, so the powers scale its rows whatever F's width
+    g = cycle_graph(32)
+    s = decompose_graph(g, NORM)
+    F = np.random.default_rng(columns).standard_normal((32, columns))
+    assert np.abs(s.apply_power(F, 1.0) - laplacian(g, NORM) @ F).max() <= 1e-12
+    by_column = np.column_stack([s.apply_power(F[:, j], -1.5) for j in range(columns)])
+    assert np.abs(s.apply_power(F, -1.5) - by_column).max() <= 1e-12 * np.abs(by_column).max()
+
+
+def test_apply_power_refuses_a_function_of_another_length():
+    from graphsplines.errors import DimensionMismatch
+
+    s = decompose_graph(cycle_graph(6), NORM)
+    with pytest.raises(DimensionMismatch):
+        s.apply_power(np.ones(5), 1.0)
+
+
+def test_seminorm_on_a_subset_restricts_the_filtered_function():
+    g = cycle_graph(8)
+    s = decompose_graph(g, NORM)
+    f = np.arange(8.0)
+    subset = [1, 4, 6]
+    expected = np.linalg.norm((laplacian(g, NORM) @ f)[subset])
+    assert sobolev_seminorm(s, f, 2.0, subset=subset) == pytest.approx(expected, rel=1e-12)
