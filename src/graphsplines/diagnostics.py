@@ -372,20 +372,23 @@ def _random_nodes(rng: np.random.Generator, max_n: int, max_m: int) -> tuple[Wei
 
 
 def verify_min_norm(trials: int, seed: int):
-    """An interpolant is orthogonal to, and no longer than, itself plus a perturbation vanishing on the nodes."""
+    """An interpolant takes its values on the nodes, and is orthogonal to, and no longer than,
+    itself plus a perturbation vanishing on the nodes."""
     _check_trials(trials)
     rng = np.random.default_rng(seed)
-    worst_ip = 0.0
+    worst_ip = worst_node = 0.0
     failures = 0
     rows = []
     for _ in range(trials):
         g, nodes = _random_nodes(rng, 64, 64)
         n, m = g.n_vertices, nodes.size
         decomposition = decompose_graph(g)
-        kernel = pseudo_inverse_power(decomposition, 2.0)
-        problem = InterpolationProblem(g, decomposition, kernel, nodes, rng.standard_normal(m))
+        values = rng.standard_normal(m)
+        problem = InterpolationProblem(g, decomposition, 2.0, nodes, values)
         s_fun = evaluate(solve_interpolant(problem), problem)
         s_norm = sobolev_seminorm(decomposition, s_fun, 2.0)
+        node_error = float(np.abs(s_fun[nodes] - values).max() / np.abs(values).max())
+        worst_node = max(worst_node, node_error)
 
         perturbation = rng.standard_normal(n)
         perturbation[nodes] = 0.0
@@ -394,15 +397,19 @@ def verify_min_norm(trials: int, seed: int):
         rel = abs(inner) / scale
         worst_ip = max(worst_ip, rel)
         competitor = sobolev_seminorm(decomposition, s_fun + perturbation, 2.0)
-        if not (rel <= 1e-9 and competitor >= s_norm * (1 - 1e-12)):
+        if not (node_error <= 1e-12 and rel <= 1e-9 and competitor >= s_norm * (1 - 1e-12)):
             failures += 1
-        rows.append((n, m, fmt(rel), fmt(competitor - s_norm)))
-    line = f"min-norm: trials={trials} max_rel_inner_product={worst_ip:.3e} failures={failures}"
-    return failures == 0, [line], ["n_vertices", "n_nodes", "rel_inner_product", "norm_gap"], rows
+        rows.append((n, m, fmt(rel), fmt(competitor - s_norm), fmt(node_error)))
+    line = (
+        f"min-norm: trials={trials} max_rel_inner_product={worst_ip:.3e} "
+        f"max_rel_node_error={worst_node:.3e} failures={failures}"
+    )
+    return failures == 0, [line], ["n_vertices", "n_nodes", "rel_inner_product", "norm_gap", "rel_node_error"], rows
 
 
 def verify_coeff_symmetry(trials: int, seed: int):
-    """Lagrange coefficients are symmetric and equal the Gram matrix of the basis."""
+    """Lagrange coefficients are symmetric, equal the Gram matrix of the basis, and solve the bordered
+    kernel system: ``Phi_KK B + v0_K c^T = I`` and ``v0_K^T B = 0`` for the coefficients B and constants c."""
     _check_trials(trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -411,20 +418,24 @@ def verify_coeff_symmetry(trials: int, seed: int):
     for _ in range(trials):
         g, nodes = _random_nodes(rng, 100, 30)
         decomposition = decompose_graph(g)
-        kernel = pseudo_inverse_power(decomposition, 2.0)
-        basis = lagrange_basis(kernel, decomposition, g, nodes)
+        basis = lagrange_basis(2.0, decomposition, g, nodes)
         coeffs = basis.coefficients
         asym = float(np.abs(coeffs - coeffs.T).max())
 
         gram = basis.columns.T @ decomposition.apply_power(basis.columns, 2.0)
         mismatch = float(np.abs(gram - coeffs).max())
 
-        worst = max(worst, asym, mismatch)
-        if asym > 1e-8 or mismatch > 1e-8:
+        kernel = pseudo_inverse_power(decomposition, 2.0).matrix[np.ix_(nodes, nodes)]
+        v0 = decomposition.kernel_vector[nodes]
+        identity = kernel @ coeffs + np.outer(v0, basis.constants) - np.eye(nodes.size)
+        bordered = float(max(np.abs(identity).max(), np.abs(v0 @ coeffs).max()))
+
+        worst = max(worst, asym, mismatch, bordered)
+        if max(asym, mismatch, bordered) > 1e-8:
             failures += 1
-        rows.append((g.n_vertices, nodes.size, fmt(asym), fmt(mismatch)))
+        rows.append((g.n_vertices, nodes.size, fmt(asym), fmt(mismatch), fmt(bordered)))
     line = f"coeff-symmetry: trials={trials} max_deviation={worst:.3e} failures={failures}"
-    return failures == 0, [line], ["n_vertices", "n_nodes", "asymmetry", "gram_mismatch"], rows
+    return failures == 0, [line], ["n_vertices", "n_nodes", "asymmetry", "gram_mismatch", "bordered_residual"], rows
 
 
 def verify_bulk_ratio(trials: int, seed: int):

@@ -20,15 +20,17 @@ solves the Dirichlet form with ``_solve_symmetric``: one LAPACK
 symmetric-indefinite solve (``dsysv``) carrying every right-hand side, which
 refuses a system whose reciprocal condition estimate is smaller than the
 machine epsilon with :class:`SingularSystem`; with K = V it forms no
-``L^alpha``. Every other routine takes its spline from it and builds no kernel:
+``L^alpha``. Every other routine takes its spline from it:
 ``solve_interpolant``, ``lagrange_basis`` (all |K| cardinal functions in one
 solve) and ``dirichlet_lagrange``, which ``local_lagrange`` is for a ball.
 
 ``beta`` and the expansion ``Phi(., K) beta + C v0``, which :func:`evaluate`
 and :func:`truncated_lagrange_from_eigenpairs` share, are each one
-:meth:`SpectralDecomposition.apply_power`; no kernel matrix is read. A
-truncated cardinal function keeps only the coefficients of the nodes near its
-center; ``truncated_lagrange`` takes the same route from a basis.
+:meth:`SpectralDecomposition.apply_power`. A truncated cardinal function keeps
+only the coefficients of the nodes near its center; ``truncated_lagrange``
+takes the same route from a basis. Every routine takes the order ``alpha``;
+the n x n kernel is built only by ``--dump-kernel``, which writes it, and by
+``verify coeff-symmetry``, which checks the bordered system against it.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from .errors import (
     SingularSystem,
 )
 from .graphs import WeightedGraph, complement
-from .spectral import KernelMatrix, SpectralDecomposition, laplacian_power
+from .spectral import SpectralDecomposition, laplacian_power
 
 
 def _check_nodes(nodes: Sequence[int], n_vertices: int) -> np.ndarray:
@@ -73,18 +75,20 @@ def _check_values(values, count: int) -> np.ndarray:
 
 @dataclass
 class InterpolationProblem:
-    """Data to interpolate: a graph, its decomposition and kernel, nodes, values."""
+    """Data to interpolate: a graph, its decomposition, the order ``alpha``, nodes, values."""
 
     graph: WeightedGraph
     decomposition: SpectralDecomposition
-    kernel: KernelMatrix
+    alpha: float
     nodes: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         n = self.graph.n_vertices
-        if self.decomposition.n != n or self.kernel.matrix.shape != (n, n):
-            raise InconsistentDimensions("graph, decomposition, and kernel sizes differ")
+        if self.decomposition.n != n:
+            raise InconsistentDimensions("graph and decomposition sizes differ")
+        if not (0 < self.alpha < np.inf):
+            raise NonPositiveAlpha(f"alpha must be positive and finite, got {self.alpha}")
         self.nodes = _check_nodes(self.nodes, n)
         self.values = _check_values(self.values, self.nodes.size)
 
@@ -165,24 +169,24 @@ def _expansion(decomposition: SpectralDecomposition, nodes, beta, constant: floa
 
 def solve_interpolant(p: InterpolationProblem) -> Interpolant:
     """Coefficients of the interpolant through one data vector, read off its Dirichlet-form spline
-    (``p.kernel.alpha``, the Laplacian of ``p.decomposition``); the kernel matrix is not read."""
-    s = _spline(p.graph, p.nodes, p.values, p.kernel.alpha, p.decomposition)
-    beta, constant = _coefficients(p.decomposition, s, p.nodes, p.kernel.alpha)
-    return Interpolant(constant=float(constant), coefficients=beta, alpha=p.kernel.alpha, nodes=p.nodes)
+    (``p.alpha``, the Laplacian of ``p.decomposition``)."""
+    s = _spline(p.graph, p.nodes, p.values, p.alpha, p.decomposition)
+    beta, constant = _coefficients(p.decomposition, s, p.nodes, p.alpha)
+    return Interpolant(constant=float(constant), coefficients=beta, alpha=p.alpha, nodes=p.nodes)
 
 
 def evaluate(i: Interpolant, p: InterpolationProblem) -> np.ndarray:
     """Evaluate ``Phi(., K) beta + C v0`` on every vertex of the graph.
 
-    ``Phi = L^-alpha`` is applied through the eigenpairs; the kernel matrix is
-    not read. This loses about log10 of the kernel's condition number in digits
-    against the spline the coefficients came from (4.1e-6 against 1.6e-14 of
-    max|s| on a weighted 256-cycle at alpha = 3, kernel block condition 1.8e10,
-    as through the kernel matrix), so ``interp`` writes the solved values.
+    ``Phi = L^-alpha`` is applied through the eigenpairs. This loses about
+    log10 of the kernel's condition number in digits against the spline the
+    coefficients came from (4.1e-6 against 1.6e-14 of max|s| on a weighted
+    256-cycle at alpha = 3, kernel block condition 1.8e10, as through the
+    kernel matrix), so ``interp`` writes the solved values.
     """
     if i.nodes.size != p.nodes.size or np.any(i.nodes != p.nodes):
         raise InconsistentDimensions("interpolant nodes do not match the problem nodes")
-    return _expansion(p.decomposition, i.nodes, i.coefficients, i.constant, p.kernel.alpha)
+    return _expansion(p.decomposition, i.nodes, i.coefficients, i.constant, p.alpha)
 
 
 def native_semi_inner_product(
@@ -234,7 +238,7 @@ class LagrangeBasis:
 
     graph: WeightedGraph
     decomposition: SpectralDecomposition
-    kernel: KernelMatrix
+    alpha: float
     nodes: np.ndarray
     coefficients: np.ndarray
     constants: np.ndarray
@@ -248,20 +252,20 @@ class LagrangeBasis:
 
 
 def lagrange_basis(
-    kernel: KernelMatrix,
+    alpha: float,
     decomposition: SpectralDecomposition,
     graph: WeightedGraph,
     nodes: Sequence[int],
 ) -> LagrangeBasis:
     """Solve all cardinal problems on ``nodes`` in one Dirichlet-form solve; the coefficients are
-    read off the columns, and ``kernel`` is read only for its ``alpha``."""
+    read off the columns."""
     nodes = np.asarray(nodes, dtype=int)
-    columns = _spline(graph, nodes, np.eye(nodes.size), kernel.alpha, decomposition)
-    beta, constants = _coefficients(decomposition, columns, nodes, kernel.alpha)
+    columns = _spline(graph, nodes, np.eye(nodes.size), alpha, decomposition)
+    beta, constants = _coefficients(decomposition, columns, nodes, alpha)
     return LagrangeBasis(
         graph=graph,
         decomposition=decomposition,
-        kernel=kernel,
+        alpha=float(alpha),
         nodes=nodes,
         coefficients=beta,
         constants=constants,
@@ -282,11 +286,11 @@ def truncated_lagrange(
     kernel eigenvector restricted to the kept nodes (minimal-change repair of
     the side condition; disable with ``reimpose_side_condition=False``). The
     constant term is preserved. Only the basis's ``decomposition``, ``graph``,
-    ``nodes`` and ``kernel.alpha`` are read: the function comes from
-    :func:`truncated_lagrange_from_eigenpairs`, which needs no n x n kernel.
+    ``nodes`` and ``alpha`` are read: the function comes from
+    :func:`truncated_lagrange_from_eigenpairs`.
     """
     return truncated_lagrange_from_eigenpairs(
-        basis.decomposition, basis.graph, basis.nodes, center, radius, basis.kernel.alpha, reimpose_side_condition
+        basis.decomposition, basis.graph, basis.nodes, center, radius, basis.alpha, reimpose_side_condition
     )
 
 
@@ -321,19 +325,16 @@ def truncated_lagrange_from_eigenpairs(
 
 
 def local_lagrange(
-    kernel: KernelMatrix,
+    alpha: float,
     decomposition: SpectralDecomposition,
     graph: WeightedGraph,
     nodes: Sequence[int],
     center: int,
     radius: float,
 ) -> np.ndarray:
-    """Cardinal interpolant using only the nodes within ``radius`` of the center.
-
-    This is :func:`dirichlet_lagrange` with ``kernel.alpha`` and the Laplacian
-    of ``decomposition``; the kernel matrix is not read.
-    """
-    return dirichlet_lagrange(graph, nodes, center, kernel.alpha, radius, decomposition)
+    """Cardinal interpolant using only the nodes within ``radius`` of the center: :func:`dirichlet_lagrange`
+    with the Laplacian of ``decomposition``."""
+    return dirichlet_lagrange(graph, nodes, center, alpha, radius, decomposition)
 
 
 def spline_regress(

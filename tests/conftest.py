@@ -17,5 +17,5 @@ def cycle256_setup():
     s = decompose_graph(g, LaplacianKind.NORMALIZED)
     k = pseudo_inverse_power(s, 2.0)
     nodes = np.arange(0, 256, 4)
-    basis = lagrange_basis(k, s, g, nodes)
+    basis = lagrange_basis(k.alpha, s, g, nodes)
     return g, s, k, nodes, basis

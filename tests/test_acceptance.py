@@ -61,7 +61,7 @@ def test_criterion_01_cardinality_and_runtime():
         s = decompose_graph(g, LaplacianKind.NORMALIZED)
         k = pseudo_inverse_power(s, 2.0)
         nodes = np.arange(0, 256, 4)
-        basis = lagrange_basis(k, s, g, nodes)
+        basis = lagrange_basis(k.alpha, s, g, nodes)
         elapsed = time.perf_counter() - start
         on_nodes = basis.columns[nodes, :]
         assert np.allclose(np.diag(on_nodes), 1.0, atol=1e-8)
@@ -77,7 +77,7 @@ def test_criterion_02_minimal_norm():
         s = decompose_graph(g, LaplacianKind.NORMALIZED)
         k = pseudo_inverse_power(s, 2.0)
         nodes = np.sort(rng.choice(60, size=18, replace=False))
-        p = InterpolationProblem(g, s, k, nodes, rng.standard_normal(18))
+        p = InterpolationProblem(g, s, k.alpha, nodes, rng.standard_normal(18))
         s_fun = evaluate(solve_interpolant(p), p)
         s_norm = sobolev_seminorm(s, s_fun, 2.0)
         for _ in range(100):
@@ -99,7 +99,7 @@ def test_criterion_03_coefficient_symmetry():
             k = pseudo_inverse_power(s, 2.0)
             m = int(rng.integers(2, min(n, 20) + 1))
             nodes = np.sort(rng.choice(n, size=m, replace=False))
-            basis = lagrange_basis(k, s, g, nodes)
+            basis = lagrange_basis(k.alpha, s, g, nodes)
             coeffs = basis.coefficients
             assert np.abs(coeffs - coeffs.T).max() <= 1e-8
             scale = s.eigenvalues**2.0
@@ -174,11 +174,11 @@ def test_criterion_07_local_lagrange_closeness():
         k = pseudo_inverse_power(s, 2.0)
         nodes = np.array([r * 20 + c for r in range(0, 20, 2) for c in range(0, 20, 2)])
         center = 10 * 20 + 10
-        basis = lagrange_basis(k, s, g, nodes)
+        basis = lagrange_basis(k.alpha, s, g, nodes)
         chi = basis.columns[:, basis.center_index(center)]
         sup_diffs = []
         for radius in (4.0, 6.0, 8.0, 10.0):
-            local = local_lagrange(k, s, g, nodes, center, radius)
+            local = local_lagrange(k.alpha, s, g, nodes, center, radius)
             sup_diffs.append(np.abs(chi - local).max())
         # regression bound recorded from the dense-solve development run (2.008e-2)
         assert sup_diffs[1] <= 2.1e-2

@@ -9,9 +9,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from graphsplines import cli, interpolation, io, spectral
+from graphsplines import cli, cycle_graph, interpolation, io, spectral
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -152,3 +153,40 @@ def test_fractional_alpha_kernel_dump_decomposes_once(monkeypatch, tmp_path, cap
     calls = _count_eigh(monkeypatch)
     assert cli.main([*argv, "--dump-kernel", str(tmp_path / "kernel.csv")]) == 0, capsys.readouterr().err
     assert len(calls) == 1
+
+
+def _cycle32():
+    """A 32-cycle, its decomposition and every 4th vertex as nodes."""
+    graph = cycle_graph(32)
+    return graph, spectral.decompose_graph(graph), np.arange(0, 32, 4)
+
+
+def test_only_the_bordered_check_builds_a_kernel(monkeypatch, capsys):
+    # every solve takes alpha, not a kernel; verify coeff-symmetry builds one per trial to check against
+    kernels = _count_calls(monkeypatch, spectral, "pseudo_inverse_power")
+    assert cli.main(["verify", "min-norm", "--trials", "3"]) == 0, capsys.readouterr().err
+    assert len(kernels) == 0
+    graph, s, nodes = _cycle32()
+    p = interpolation.InterpolationProblem(graph, s, 2.0, nodes, np.sin(nodes))
+    interpolation.evaluate(interpolation.solve_interpolant(p), p)
+    basis = interpolation.lagrange_basis(2.0, s, graph, nodes)
+    interpolation.local_lagrange(2.0, s, graph, nodes, 0, 8.0)
+    interpolation.truncated_lagrange(basis, 0, 8.0)
+    assert len(kernels) == 0
+    assert cli.main(["verify", "coeff-symmetry", "--trials", "3"]) == 0, capsys.readouterr().err
+    assert len(kernels) == 3
+
+
+def test_tracer_binds_the_solve_routines_by_their_parameter_names(monkeypatch):
+    # The count hooks read p, nodes, and graph, nodes, center and radius by name, after the call. A
+    # renamed parameter fails here. Counter values are not asserted.
+    tracing = _bench_module(monkeypatch, "tracing")
+    graph, s, nodes = _cycle32()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        interpolation.solve_interpolant(interpolation.InterpolationProblem(graph, s, 2.0, nodes, np.sin(nodes)))
+        basis = interpolation.lagrange_basis(2.0, s, graph, nodes)
+        interpolation.local_lagrange(2.0, s, graph, nodes, 0, 8.0)
+        interpolation.truncated_lagrange(basis, 0, 8.0)
+    names = ("solve_interpolant", "lagrange_basis", "local_lagrange", "truncated_lagrange")
+    assert [span.name for span in tracer.spans if span.parent == -1] == [f"interpolation.{n}" for n in names]

@@ -373,3 +373,43 @@ def test_one_laplacian_per_cover_constant(monkeypatch, which):
     else:
         assert cycle_cover_constant(cycle_graph(24), np.arange(0, 24, 4)) > 0
     assert len(calls) == 1
+
+
+def test_min_norm_suite_fails_a_solve_that_misses_the_values(monkeypatch, capsys):
+    # Any expansion Phi(., K) beta + C v0 with v0_K^T beta = 0 is the minimal-norm interpolant of its
+    # own node values, so only the check of the node values tells this wrong solve from the right one.
+    from graphsplines import Interpolant, cli, diagnostics
+
+    rng = np.random.default_rng(1)
+
+    def wrong_solve(p):
+        beta = rng.standard_normal(p.nodes.size)
+        u = p.decomposition.kernel_vector[p.nodes]
+        beta -= (beta @ u) / (u @ u) * u
+        return Interpolant(constant=1.0, coefficients=beta, alpha=p.alpha, nodes=p.nodes)
+
+    monkeypatch.setattr(diagnostics, "solve_interpolant", wrong_solve)
+    ok, lines, header, rows = diagnostics.verify_min_norm(100, 0)
+    assert not ok and lines[0].endswith("failures=100")
+    assert header[-1] == "rel_node_error" and all(float(row[-1]) > 1e-12 for row in rows)
+    assert cli.main(["verify", "min-norm", "--trials", "3"]) == 4
+    assert capsys.readouterr().out.endswith("-> FAIL\n")
+
+
+def test_coeff_symmetry_suite_fails_a_basis_without_its_constants(monkeypatch, capsys):
+    # The constants enter only the bordered kernel system: symmetry and the Gram read the coefficients.
+    from graphsplines import cli, diagnostics
+
+    lagrange_basis = diagnostics.lagrange_basis
+
+    def without_constants(*args):
+        basis = lagrange_basis(*args)
+        basis.constants = np.zeros_like(basis.constants)
+        return basis
+
+    monkeypatch.setattr(diagnostics, "lagrange_basis", without_constants)
+    ok, lines, header, rows = diagnostics.verify_coeff_symmetry(100, 0)
+    assert not ok and lines[0].endswith("failures=100")
+    assert header[-1] == "bordered_residual" and all(float(row[-1]) > 1e-8 for row in rows)
+    assert cli.main(["verify", "coeff-symmetry", "--trials", "3"]) == 4
+    assert capsys.readouterr().out.endswith("-> FAIL\n")

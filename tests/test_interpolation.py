@@ -45,19 +45,19 @@ class TestSolveInterpolant:
     def test_full_node_set_reproduces_data_exactly(self, cycle4_setup):
         g, s, k = cycle4_setup
         data = np.eye(4)[0]
-        p = InterpolationProblem(g, s, k, np.arange(4), data)
+        p = InterpolationProblem(g, s, k.alpha, np.arange(4), data)
         assert np.allclose(evaluate(solve_interpolant(p), p), data, atol=1e-10)
 
     def test_two_node_symmetry_example(self, cycle4_setup):
         g, s, k = cycle4_setup
-        p = InterpolationProblem(g, s, k, np.array([0, 2]), np.array([1.0, 0.0]))
+        p = InterpolationProblem(g, s, k.alpha, np.array([0, 2]), np.array([1.0, 0.0]))
         values = evaluate(solve_interpolant(p), p)
         assert np.allclose(values, [1.0, 0.5, 0.0, 0.5], atol=1e-10)
 
     def test_constant_data_is_pure_kernel_vector(self, cycle4_setup):
         # on a regular 4-cycle the kernel eigenvector is e/2, so constant 1 = 2 * v0
         g, s, k = cycle4_setup
-        p = InterpolationProblem(g, s, k, np.array([0, 2]), np.array([1.0, 1.0]))
+        p = InterpolationProblem(g, s, k.alpha, np.array([0, 2]), np.array([1.0, 1.0]))
         i = solve_interpolant(p)
         assert i.constant == pytest.approx(2.0, rel=1e-12)
         assert np.allclose(i.coefficients, 0.0, atol=1e-12)
@@ -67,7 +67,7 @@ class TestSolveInterpolant:
         rng = np.random.default_rng(0)
         for _ in range(5):
             g, s, k, nodes = make_setup(int(rng.integers(5, 40)), rng, n_nodes=4)
-            p = InterpolationProblem(g, s, k, nodes, rng.standard_normal(4))
+            p = InterpolationProblem(g, s, k.alpha, nodes, rng.standard_normal(4))
             i = solve_interpolant(p)
             assert abs(i.coefficients @ s.kernel_vector[nodes]) < 1e-9
 
@@ -75,24 +75,24 @@ class TestSolveInterpolant:
         rng = np.random.default_rng(1)
         g, s, k, nodes = make_setup(30, rng, n_nodes=11)
         data = rng.standard_normal(11)
-        p = InterpolationProblem(g, s, k, nodes, data)
+        p = InterpolationProblem(g, s, k.alpha, nodes, data)
         values = evaluate(solve_interpolant(p), p)
         assert np.allclose(values[nodes], data, atol=1e-8)
 
     def test_value_count_mismatch(self, cycle4_setup):
         g, s, k = cycle4_setup
         with pytest.raises(InconsistentDimensions):
-            InterpolationProblem(g, s, k, np.array([0, 2]), np.array([1.0]))
+            InterpolationProblem(g, s, k.alpha, np.array([0, 2]), np.array([1.0]))
 
     @pytest.mark.parametrize("nodes", [[], [0, 2, -1], [0, 2, 4], [0, 2, 2]])
     def test_bad_node_sets_rejected_by_every_solve(self, cycle4_setup, nodes):
         g, s, k = cycle4_setup
         with pytest.raises(InconsistentDimensions):
-            InterpolationProblem(g, s, k, np.array(nodes, dtype=int), np.zeros(len(nodes)))
+            InterpolationProblem(g, s, k.alpha, np.array(nodes, dtype=int), np.zeros(len(nodes)))
         with pytest.raises(InconsistentDimensions):
-            lagrange_basis(k, s, g, nodes)
+            lagrange_basis(k.alpha, s, g, nodes)
         with pytest.raises(InconsistentDimensions):
-            local_lagrange(k, s, g, nodes, 0, 4.0)
+            local_lagrange(k.alpha, s, g, nodes, 0, 4.0)
 
     def test_singular_system_on_extreme_smoothness(self):
         # one node at alpha = 8: (L^8)_UU on the other 63 vertices has rcond about 5e-20, below eps
@@ -100,9 +100,9 @@ class TestSolveInterpolant:
         s = decompose_graph(g, LaplacianKind.NORMALIZED)
         k = pseudo_inverse_power(s, 8.0)
         with pytest.raises(SingularSystem):
-            lagrange_basis(k, s, g, [0])
+            lagrange_basis(k.alpha, s, g, [0])
         # with every vertex a node there is no system to solve: the basis is the unit vectors
-        assert np.array_equal(lagrange_basis(k, s, g, np.arange(64)).columns, np.eye(64))
+        assert np.array_equal(lagrange_basis(k.alpha, s, g, np.arange(64)).columns, np.eye(64))
 
 
 def _normalized_eigenpairs(g):
@@ -160,7 +160,7 @@ class TestDirichletOracle:
             size = (1, n, int(rng.integers(2, n)))[trial % 3]
             g, s, k, nodes = make_setup(n, rng, n_nodes=size, alpha=alpha)
             data = rng.standard_normal(size)
-            p = InterpolationProblem(g, s, k, nodes, data)
+            p = InterpolationProblem(g, s, k.alpha, nodes, data)
             values = evaluate(solve_interpolant(p), p)
             expected = dirichlet_oracle(g, alpha, nodes, data)
             assert np.abs(values - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
@@ -169,7 +169,7 @@ class TestDirichletOracle:
 class TestEvaluate:
     def test_pure_constant_term(self, cycle4_setup):
         g, s, k = cycle4_setup
-        p = InterpolationProblem(g, s, k, np.arange(4), np.zeros(4))
+        p = InterpolationProblem(g, s, k.alpha, np.arange(4), np.zeros(4))
         from graphsplines import Interpolant
 
         i = Interpolant(constant=1.0, coefficients=np.zeros(4), alpha=2.0, nodes=np.arange(4))
@@ -177,7 +177,7 @@ class TestEvaluate:
 
     def test_cardinal_data_on_all_vertices(self, cycle4_setup):
         g, s, k = cycle4_setup
-        p = InterpolationProblem(g, s, k, np.arange(4), np.eye(4)[2])
+        p = InterpolationProblem(g, s, k.alpha, np.arange(4), np.eye(4)[2])
         assert np.allclose(evaluate(solve_interpolant(p), p), np.eye(4)[2], atol=1e-10)
 
 
@@ -207,7 +207,7 @@ class TestNativeSemiInnerProduct:
 class TestLagrangeBasis:
     def test_all_vertices_gives_unit_vectors(self, cycle4_setup):
         g, s, k = cycle4_setup
-        basis = lagrange_basis(k, s, g, np.arange(4))
+        basis = lagrange_basis(k.alpha, s, g, np.arange(4))
         assert np.allclose(basis.columns, np.eye(4), atol=1e-10)
 
     def test_columns_are_exactly_cardinal(self, cycle256_setup):
@@ -217,12 +217,12 @@ class TestLagrangeBasis:
         g = lattice_graph(20, 20)  # acceptance criterion 7's lattice and nodes
         s = decompose_graph(g, LaplacianKind.NORMALIZED)
         nodes = np.array([r * 20 + c for r in range(0, 20, 2) for c in range(0, 20, 2)])
-        basis = lagrange_basis(pseudo_inverse_power(s, 2.0), s, g, nodes)
+        basis = lagrange_basis(2.0, s, g, nodes)
         assert np.array_equal(basis.columns[nodes], np.eye(nodes.size))
 
     def test_cycle4_half_value(self, cycle4_setup):
         g, s, k = cycle4_setup
-        basis = lagrange_basis(k, s, g, np.array([0, 2]))
+        basis = lagrange_basis(k.alpha, s, g, np.array([0, 2]))
         assert basis.columns[1, 0] == pytest.approx(0.5, abs=1e-10)
 
     def test_cardinality(self, cycle256_setup):
@@ -247,7 +247,7 @@ class TestLagrangeBasis:
     def test_coefficient_symmetry_matches_inner_products(self):
         rng = np.random.default_rng(4)
         g, s, k, nodes = make_setup(25, rng, n_nodes=8)
-        basis = lagrange_basis(k, s, g, nodes)
+        basis = lagrange_basis(k.alpha, s, g, nodes)
         coeffs = basis.coefficients
         assert np.abs(coeffs - coeffs.T).max() < 1e-8
         for a in range(0, 8, 3):
@@ -262,7 +262,7 @@ class TestLagrangeBasis:
         u = s.kernel_vector[nodes]
         beta -= (beta @ u) / (u @ u) * u  # admissible coefficients satisfy the side condition
         f = k.matrix[:, nodes] @ beta + 1.7 * s.kernel_vector
-        p = InterpolationProblem(g, s, k, nodes, f[nodes])
+        p = InterpolationProblem(g, s, k.alpha, nodes, f[nodes])
         assert np.allclose(evaluate(solve_interpolant(p), p), f, atol=1e-8)
 
 
@@ -270,7 +270,7 @@ class TestMinimalNorm:
     def test_orthogonality_and_minimality(self):
         rng = np.random.default_rng(6)
         g, s, k, nodes = make_setup(30, rng, n_nodes=9)
-        p = InterpolationProblem(g, s, k, nodes, rng.standard_normal(9))
+        p = InterpolationProblem(g, s, k.alpha, nodes, rng.standard_normal(9))
         s_fun = evaluate(solve_interpolant(p), p)
         s_norm = sobolev_seminorm(s, s_fun, 2.0)
         for _ in range(20):
@@ -320,12 +320,12 @@ class TestLocalLagrange:
     def test_radius_beyond_diameter_matches_full(self, cycle256_setup):
         g, s, k, nodes, basis = cycle256_setup
         chi = basis.columns[:, 0]
-        local = local_lagrange(k, s, g, nodes, 0, 128.0)
+        local = local_lagrange(k.alpha, s, g, nodes, 0, 128.0)
         assert np.abs(local - chi).max() < 1e-8
 
     def test_cardinality_on_neighborhood(self, cycle256_setup):
         g, s, k, nodes, _ = cycle256_setup
-        local = local_lagrange(k, s, g, nodes, 0, 24.0)
+        local = local_lagrange(k.alpha, s, g, nodes, 0, 24.0)
         inside = nodes[g.metric[0, nodes] <= 24.0]
         expected = (inside == 0).astype(float)
         assert np.allclose(local[inside], expected, atol=1e-8)
@@ -341,14 +341,14 @@ class TestLocalLagrange:
             s = decompose_graph(g, LaplacianKind.NORMALIZED)
             k = pseudo_inverse_power(s, 2.0)
             center = int(rng.choice(nodes))
-            local = local_lagrange(k, s, g, nodes, center, 24.0)
+            local = local_lagrange(k.alpha, s, g, nodes, center, 24.0)
             inside = nodes[g.metric[center, nodes] <= 24.0]
             assert np.allclose(local[inside], (inside == center).astype(float), atol=1e-8)
 
     def test_center_must_be_a_node(self, cycle256_setup):
         g, s, k, nodes, _ = cycle256_setup
         with pytest.raises(ValueError):
-            local_lagrange(k, s, g, nodes, 1, 4.0)
+            local_lagrange(k.alpha, s, g, nodes, 1, 4.0)
 
     def test_config_validates_radius_and_neighborhood(self, cycle256_setup):
         from graphsplines import LocalLagrangeConfig
@@ -368,7 +368,7 @@ def test_nan_radius_is_refused_and_infinite_radius_is_not(cycle256_setup):
     g, s, k, nodes, basis = cycle256_setup
     for refuse in (
         lambda: LocalLagrangeConfig(center=0, radius=float("nan")),
-        lambda: local_lagrange(k, s, g, nodes, 0, float("nan")),
+        lambda: local_lagrange(k.alpha, s, g, nodes, 0, float("nan")),
         lambda: truncated_lagrange(basis, 0, float("nan")),
     ):
         with pytest.raises(ValueError, match="radius must be positive, got nan"):
@@ -396,7 +396,7 @@ def _knn(seed, n=200):
 def _truncation_through_the_kernel(s, graph, nodes, center, radius, alpha, reproject):
     """The truncated function from the n x n kernel and all |K| cardinal functions of ``lagrange_basis``."""
     k = pseudo_inverse_power(s, alpha)
-    basis = lagrange_basis(k, s, graph, nodes)
+    basis = lagrange_basis(k.alpha, s, graph, nodes)
     j = int(np.flatnonzero(nodes == center)[0])
     kept = nodes[graph.distances_from(center)[nodes] <= radius]
     beta = basis.coefficients[np.isin(nodes, kept), j]
@@ -441,15 +441,21 @@ class TestRefusals:
         g, s, k = cycle4_setup
         other = decompose_graph(cycle_graph(5), LaplacianKind.NORMALIZED)
         with pytest.raises(InconsistentDimensions):
-            InterpolationProblem(g, other, k, np.array([0, 2]), np.array([1.0, 0.0]))
-        with pytest.raises(InconsistentDimensions):
-            InterpolationProblem(g, s, pseudo_inverse_power(other, 2.0), np.array([0, 2]), np.array([1.0, 0.0]))
+            InterpolationProblem(g, other, k.alpha, np.array([0, 2]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.inf, np.nan])
+    def test_problem_refuses_a_non_positive_or_non_finite_alpha(self, cycle4_setup, alpha):
+        from graphsplines.errors import NonPositiveAlpha
+
+        g, s, _ = cycle4_setup
+        with pytest.raises(NonPositiveAlpha):
+            InterpolationProblem(g, s, alpha, np.array([0, 2]), np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("nodes", [[0, 1], [0, 1, 2]])
     def test_evaluate_refuses_an_interpolant_of_other_nodes(self, cycle4_setup, nodes):
         g, s, k = cycle4_setup
-        p = InterpolationProblem(g, s, k, np.array([0, 2]), np.array([1.0, 0.0]))
-        other = InterpolationProblem(g, s, k, np.array(nodes), np.zeros(len(nodes)))
+        p = InterpolationProblem(g, s, k.alpha, np.array([0, 2]), np.array([1.0, 0.0]))
+        other = InterpolationProblem(g, s, k.alpha, np.array(nodes), np.zeros(len(nodes)))
         with pytest.raises(InconsistentDimensions):
             evaluate(solve_interpolant(other), p)
 
@@ -461,15 +467,15 @@ class TestRefusals:
 
 
 def test_evaluate_reads_no_kernel_matrix():
-    # The expansion Phi(., K) beta + C v0 is applied through the eigenpairs, so a problem whose
-    # kernel matrix holds only NaNs evaluates to the spline the coefficients came from.
-    from graphsplines import KernelMatrix, spline_regress
+    # The expansion Phi(., K) beta + C v0 is applied through the eigenpairs, so a problem that holds
+    # only alpha, and no kernel matrix, evaluates to the spline the coefficients came from.
+    from graphsplines import spline_regress
     from graphsplines.graphs import complement
 
     rng = np.random.default_rng(7)
     g, s, k, nodes = make_setup(30, rng, n_nodes=9)
     data = rng.standard_normal(9)
-    blind = InterpolationProblem(g, s, KernelMatrix(k.alpha, np.full_like(k.matrix, np.nan)), nodes, data)
+    blind = InterpolationProblem(g, s, k.alpha, nodes, data)
     spline = np.empty(30)
     spline[nodes] = data
     spline[complement(g, nodes)] = spline_regress(g, nodes, data, k.alpha, s)

@@ -158,7 +158,7 @@ class TestSplineRegress:
         k = pseudo_inverse_power(s, 2.0)
         from graphsplines import InterpolationProblem, evaluate, solve_interpolant
 
-        p = InterpolationProblem(g, s, k, known, values)
+        p = InterpolationProblem(g, s, k.alpha, known, values)
         full = evaluate(solve_interpolant(p), p)
         assert np.abs(full[known] - values).max() < 1e-8
         preds = spline_regress(g, known, values, 2.0, s)
