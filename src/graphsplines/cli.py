@@ -26,7 +26,7 @@ from . import io as gio
 from .diagnostics import SUITES, decay_profile, fit_exponential_decay
 from .errors import GraphSplinesError, NumericalError, ValidationError
 from .graphs import cycle_graph, knn_graph, lattice_graph
-from .interpolation import Interpolant, _coefficients, _spline, dirichlet_lagrange, truncated_lagrange_from_eigenpairs
+from .interpolation import Interpolant, _coefficients, _spline, dirichlet_lagrange, truncated_lagrange
 from .ml import CVConfig, cross_validate, load_dataset, smoothness_experiment
 from .spectral import decompose_graph, pseudo_inverse_power
 
@@ -120,8 +120,8 @@ def _cmd_lagrange(args) -> int:
     # function needs the eigenpairs for its coefficients; the kernel is built only to be dumped.
     decomposition = decompose_graph(g) if truncated or args.dump_kernel else None
     if truncated:
-        values = truncated_lagrange_from_eigenpairs(
-            decomposition, g, nodes, args.center, args.truncate, args.alpha, reimpose_side_condition=not args.no_reproject
+        values = truncated_lagrange(
+            args.alpha, decomposition, g, nodes, args.center, args.truncate, reimpose_side_condition=not args.no_reproject
         )
     else:
         values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius, decomposition)

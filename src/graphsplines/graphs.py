@@ -279,7 +279,7 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
 
 def ball(g: WeightedGraph, center: int, r: float) -> np.ndarray:
     """Closed metric ball: vertices v with rho(v, center) <= r."""
-    if r < 0:
+    if not r >= 0:  # refuses nan too
         raise ValueError(f"radius must be >= 0, got {r}")
     return np.flatnonzero(g.distances_from(center) <= r)
 

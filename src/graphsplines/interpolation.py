@@ -25,12 +25,12 @@ machine epsilon with :class:`SingularSystem`; with K = V it forms no
 solve) and ``dirichlet_lagrange``, which ``local_lagrange`` is for a ball.
 
 ``beta`` and the expansion ``Phi(., K) beta + C v0``, which :func:`evaluate`
-and :func:`truncated_lagrange_from_eigenpairs` share, are each one
-:meth:`SpectralDecomposition.apply_power`. A truncated cardinal function keeps
-only the coefficients of the nodes near its center; ``truncated_lagrange``
-takes the same route from a basis. Every routine takes the order ``alpha``;
-the n x n kernel is built only by ``--dump-kernel``, which writes it, and by
-``verify coeff-symmetry``, which checks the bordered system against it.
+and :func:`truncated_lagrange` share, are each one
+:meth:`SpectralDecomposition.apply_power`; a truncated cardinal function keeps
+only the coefficients of the nodes near its center. Every routine takes the
+order ``alpha``; the n x n kernel is built only by ``--dump-kernel``, which
+writes it, and by ``verify coeff-symmetry``, which checks the bordered system
+against it.
 """
 from __future__ import annotations
 
@@ -182,10 +182,13 @@ def evaluate(i: Interpolant, p: InterpolationProblem) -> np.ndarray:
     log10 of the kernel's condition number in digits against the spline the
     coefficients came from (4.1e-6 against 1.6e-14 of max|s| on a weighted
     256-cycle at alpha = 3, kernel block condition 1.8e10, as through the
-    kernel matrix), so ``interp`` writes the solved values.
+    kernel matrix), so ``interp`` writes the solved values. An interpolant of
+    other nodes or another ``alpha`` than the problem's is refused.
     """
     if i.nodes.size != p.nodes.size or np.any(i.nodes != p.nodes):
         raise InconsistentDimensions("interpolant nodes do not match the problem nodes")
+    if i.alpha != p.alpha:
+        raise InconsistentDimensions(f"interpolant solved at alpha = {i.alpha}, problem has alpha = {p.alpha}")
     return _expansion(p.decomposition, i.nodes, i.coefficients, i.constant, p.alpha)
 
 
@@ -236,8 +239,6 @@ class LagrangeBasis:
     and ``constants[j]`` are its kernel coefficients and constant term.
     """
 
-    graph: WeightedGraph
-    decomposition: SpectralDecomposition
     alpha: float
     nodes: np.ndarray
     coefficients: np.ndarray
@@ -263,8 +264,6 @@ def lagrange_basis(
     columns = _spline(graph, nodes, np.eye(nodes.size), alpha, decomposition)
     beta, constants = _coefficients(decomposition, columns, nodes, alpha)
     return LagrangeBasis(
-        graph=graph,
-        decomposition=decomposition,
         alpha=float(alpha),
         nodes=nodes,
         coefficients=beta,
@@ -274,43 +273,25 @@ def lagrange_basis(
 
 
 def truncated_lagrange(
-    basis: LagrangeBasis,
-    center: int,
-    radius: float,
-    reimpose_side_condition: bool = True,
-) -> np.ndarray:
-    """Drop basis coefficients outside the metric ball around the center.
-
-    Coefficients of nodes farther than ``radius`` from ``center`` are removed;
-    the kept ones are then projected back onto the hyperplane orthogonal to the
-    kernel eigenvector restricted to the kept nodes (minimal-change repair of
-    the side condition; disable with ``reimpose_side_condition=False``). The
-    constant term is preserved. Only the basis's ``decomposition``, ``graph``,
-    ``nodes`` and ``alpha`` are read: the function comes from
-    :func:`truncated_lagrange_from_eigenpairs`.
-    """
-    return truncated_lagrange_from_eigenpairs(
-        basis.decomposition, basis.graph, basis.nodes, center, radius, basis.alpha, reimpose_side_condition
-    )
-
-
-def truncated_lagrange_from_eigenpairs(
+    alpha: float,
     decomposition: SpectralDecomposition,
     graph: WeightedGraph,
     nodes: Sequence[int],
     center: int,
     radius: float,
-    alpha: float,
     reimpose_side_condition: bool = True,
 ) -> np.ndarray:
-    """Truncated cardinal function centered at ``center``, from the eigenpairs alone.
+    """Cardinal function centered at ``center`` with its coefficients outside the ball dropped.
 
     The radius is checked first. The cardinal function ``chi`` is
     :func:`dirichlet_lagrange` on the Laplacian of ``decomposition`` (which
-    checks the rest), ``beta = (L^alpha chi)_K`` and ``C = v0^T chi``. The
-    coefficients of the nodes within ``radius`` are kept and repaired as
-    :func:`truncated_lagrange` describes, and ``Phi(., kept) beta + C v0`` is
-    applied through the eigenpairs as in :func:`evaluate`; no kernel is formed.
+    checks the rest), ``beta = (L^alpha chi)_K`` and ``C = v0^T chi``.
+    Coefficients of nodes farther than ``radius`` from ``center`` are removed;
+    the kept ones are then projected back onto the hyperplane orthogonal to the
+    kernel eigenvector restricted to the kept nodes (minimal-change repair of
+    the side condition; disable with ``reimpose_side_condition=False``). The
+    constant term is preserved, and ``Phi(., kept) beta + C v0`` is applied
+    through the eigenpairs as in :func:`evaluate`; no kernel is formed.
     """
     config = LocalLagrangeConfig(center=center, radius=radius)
     chi = dirichlet_lagrange(graph, nodes, center, alpha, np.inf, decomposition)

@@ -39,15 +39,16 @@ def write_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
-def _write_numeric(path, header: Sequence[str], lines: list[str]) -> None:
-    """Write a header and rows formatted as ``"a,b,...\\r\\n"`` lines in one call.
+def _write_numeric(path, header: Sequence[str] | None, lines: list[str]) -> None:
+    """Write a header (none for ``None``) and rows formatted as ``"a,b,...\\r\\n"`` lines in one call.
 
     The bytes are those :func:`write_rows` gives: numbers and the plain-word
     headers of the writers below hold no delimiter, quote or line break, so
     :mod:`csv` would quote none of them.
     """
+    head = "" if header is None else ",".join(header) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + "".join(lines))
+        fh.write(head + "".join(lines))
 
 
 def read_table(path, header: bool | Sequence[str] = True, vertex_columns: int = 0) -> tuple[list[str], np.ndarray]:
@@ -197,9 +198,9 @@ def read_nodes_csv(path) -> np.ndarray:
 # --- interpolants, profiles, reports -------------------------------------------
 
 def write_interpolant_csv(path, interpolant: Interpolant) -> None:
-    rows = [(int(v), fmt(b)) for v, b in zip(interpolant.nodes, interpolant.coefficients)]
-    rows.append(("constant", fmt(interpolant.constant)))
-    write_rows(path, ["node", "beta"], rows)
+    nodes = np.asarray(interpolant.nodes, dtype=np.int64).tolist()
+    lines = [f"{v},{b:.17g}\r\n" for v, b in zip(nodes, np.asarray(interpolant.coefficients, dtype=float).tolist())]
+    _write_numeric(path, ["node", "beta"], lines + [f"constant,{float(interpolant.constant):.17g}\r\n"])
 
 
 def write_profile_csv(path, profile: DecayProfile) -> None:
@@ -208,11 +209,9 @@ def write_profile_csv(path, profile: DecayProfile) -> None:
 
 
 def write_fit_csv(path, fit: DecayFit) -> None:
-    write_rows(
-        path,
-        ["amplitude", "rate", "scale", "r_squared", "slope", "no_decay"],
-        [(fmt(fit.amplitude), fmt(fit.rate), fmt(fit.scale), fmt(fit.r_squared), fmt(fit.slope), int(fit.no_decay))],
-    )
+    numbers = ",".join(fmt(x) for x in (fit.amplitude, fit.rate, fit.scale, fit.r_squared, fit.slope))
+    header = ["amplitude", "rate", "scale", "r_squared", "slope", "no_decay"]
+    _write_numeric(path, header, [f"{numbers},{int(fit.no_decay)}\r\n"])
 
 
 def write_report_csv(path, report: RegressionReport) -> None:
@@ -231,10 +230,8 @@ def write_pairs_csv(path, pairs: Iterable[tuple[float, float]], header: Sequence
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     """Dense matrix dump for debugging; one row per line, no header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(matrix):
-            writer.writerow([fmt(x) for x in row])
+    rows = np.asarray(matrix, dtype=float).tolist()
+    _write_numeric(path, None, [",".join([f"{x:.17g}" for x in row]) + "\r\n" for row in rows])
 
 
 # --- manifests ------------------------------------------------------------------

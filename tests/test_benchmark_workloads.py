@@ -64,6 +64,8 @@ def test_first_job_passes_its_check_under_the_tracer(monkeypatch, tmp_path, caps
         # goes through spline_regress, so the tracer counts every system the one solve primitive sees
         assert len(solves) == 3
         assert tracer.metrics()["interpolation.systems"] == 3
+        truncations = [span for span in tracer.spans if span.name == "interpolation.truncated_lagrange"]
+        assert len(truncations) == 1 and tracer.spans[truncations[0].parent].name == "cli.main"
 
 
 def _count_calls(monkeypatch, module, name):
@@ -171,7 +173,7 @@ def test_only_the_bordered_check_builds_a_kernel(monkeypatch, capsys):
     interpolation.evaluate(interpolation.solve_interpolant(p), p)
     basis = interpolation.lagrange_basis(2.0, s, graph, nodes)
     interpolation.local_lagrange(2.0, s, graph, nodes, 0, 8.0)
-    interpolation.truncated_lagrange(basis, 0, 8.0)
+    interpolation.truncated_lagrange(2.0, s, graph, nodes, 0, 8.0)
     assert len(kernels) == 0
     assert cli.main(["verify", "coeff-symmetry", "--trials", "3"]) == 0, capsys.readouterr().err
     assert len(kernels) == 3
@@ -187,6 +189,6 @@ def test_tracer_binds_the_solve_routines_by_their_parameter_names(monkeypatch):
         interpolation.solve_interpolant(interpolation.InterpolationProblem(graph, s, 2.0, nodes, np.sin(nodes)))
         basis = interpolation.lagrange_basis(2.0, s, graph, nodes)
         interpolation.local_lagrange(2.0, s, graph, nodes, 0, 8.0)
-        interpolation.truncated_lagrange(basis, 0, 8.0)
+        interpolation.truncated_lagrange(2.0, s, graph, nodes, 0, 8.0)
     names = ("solve_interpolant", "lagrange_basis", "local_lagrange", "truncated_lagrange")
     assert [span.name for span in tracer.spans if span.parent == -1] == [f"interpolation.{n}" for n in names]

@@ -12,7 +12,6 @@ from graphsplines import (
     decompose_graph,
     interpolation,
     knn_graph,
-    lagrange_basis,
     truncated_lagrange,
 )
 from graphsplines import io as gio
@@ -772,9 +771,8 @@ def test_no_reproject_is_the_library_truncation_without_repair(tmp_path, alpha):
 
     graph = gio.read_edge_csv(g_csv)
     decomposition = decompose_graph(graph)
-    basis = lagrange_basis(alpha, decomposition, graph, nodes)
-    assert np.array_equal(raw, truncated_lagrange(basis, center, 32, reimpose_side_condition=False))
-    assert np.array_equal(repaired, truncated_lagrange(basis, center, 32))
+    assert np.array_equal(raw, truncated_lagrange(alpha, decomposition, graph, nodes, center, 32, reimpose_side_condition=False))
+    assert np.array_equal(repaired, truncated_lagrange(alpha, decomposition, graph, nodes, center, 32))
     assert not np.array_equal(raw, repaired)
 
 

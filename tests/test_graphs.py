@@ -133,6 +133,10 @@ class TestMetricSets:
         assert set(ball(g, 0, 1.0)) == {7, 0, 1}
         assert set(ball(g, 0, 0.0)) == {0}
 
+    def test_ball_refuses_a_nan_radius(self):
+        with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+            ball(cycle_graph(8), 0, float("nan"))
+
     def test_ball_at_diameter_is_everything(self):
         g = cycle_graph(9)
         d = graph_metrics(g).diameter

@@ -20,7 +20,6 @@ from graphsplines import (
     truncated_lagrange,
 )
 from graphsplines.errors import EmptyNeighborhood, InconsistentDimensions, SingularSystem
-from graphsplines.interpolation import truncated_lagrange_from_eigenpairs
 
 
 @pytest.fixture(scope="module")
@@ -283,32 +282,32 @@ class TestMinimalNorm:
 
 class TestTruncatedLagrange:
     def test_radius_beyond_diameter_is_exact(self, cycle256_setup):
-        _, _, _, _, basis = cycle256_setup
+        g, s, _, _, basis = cycle256_setup
         chi = basis.columns[:, 0]
-        trunc = truncated_lagrange(basis, 0, 128.0)
+        trunc = truncated_lagrange(basis.alpha, s, g, basis.nodes, 0, 128.0)
         assert np.abs(trunc - chi).max() < 1e-10
 
     def test_single_kept_coefficient_is_projected_to_zero(self, cycle256_setup):
         g, s, k, nodes, basis = cycle256_setup
         # radius below the node spacing keeps only the center; the projection
         # against a single nonzero entry zeroes it, leaving the constant term
-        trunc = truncated_lagrange(basis, 0, 1.0)
+        trunc = truncated_lagrange(basis.alpha, s, g, nodes, 0, 1.0)
         expected = basis.constants[basis.center_index(0)] * s.kernel_vector
         assert np.allclose(trunc, expected, atol=1e-12)
 
     def test_projection_can_be_disabled(self, cycle256_setup):
         g, s, k, nodes, basis = cycle256_setup
-        raw = truncated_lagrange(basis, 0, 1.0, reimpose_side_condition=False)
+        raw = truncated_lagrange(basis.alpha, s, g, nodes, 0, 1.0, reimpose_side_condition=False)
         j = basis.center_index(0)
         expected = k.matrix[:, [0]] @ basis.coefficients[[j], j] + basis.constants[j] * s.kernel_vector
         assert np.allclose(raw, expected, atol=1e-12)
 
     def test_truncation_error_against_tail_mass(self, cycle256_setup):
-        g, _, k, nodes, basis = cycle256_setup
+        g, s, k, nodes, basis = cycle256_setup
         chi = basis.columns[:, 0]
         kernel_sup = np.abs(k.matrix).max()
         for radius, recorded in ((16.0, 3.5), (32.0, 3.5e-2), (64.0, 1e-6)):
-            trunc = truncated_lagrange(basis, 0, radius)
+            trunc = truncated_lagrange(basis.alpha, s, g, nodes, 0, radius)
             dropped = g.metric[0, nodes] > radius
             tail_mass = np.abs(basis.coefficients[dropped, 0]).sum()
             diff = np.abs(trunc - chi).max()
@@ -369,7 +368,7 @@ def test_nan_radius_is_refused_and_infinite_radius_is_not(cycle256_setup):
     for refuse in (
         lambda: LocalLagrangeConfig(center=0, radius=float("nan")),
         lambda: local_lagrange(k.alpha, s, g, nodes, 0, float("nan")),
-        lambda: truncated_lagrange(basis, 0, float("nan")),
+        lambda: truncated_lagrange(basis.alpha, s, g, nodes, 0, float("nan")),
     ):
         with pytest.raises(ValueError, match="radius must be positive, got nan"):
             refuse()
@@ -418,7 +417,7 @@ def test_truncation_from_the_eigenpairs_matches_the_kernel_route(case):
     s = decompose_graph(graph)
     for alpha in (1.5, 2.0, 2.5):
         for reproject in (True, False):
-            chi = truncated_lagrange_from_eigenpairs(s, graph, nodes, center, radius, alpha, reproject)
+            chi = truncated_lagrange(alpha, s, graph, nodes, center, radius, reproject)
             reference = _truncation_through_the_kernel(s, graph, nodes, center, radius, alpha, reproject)
             assert np.abs(chi - reference).max() <= 1e-9 * np.abs(reference).max(), (alpha, reproject)
 
@@ -430,12 +429,12 @@ class TestRefusals:
 
         g, s, _, nodes, _ = cycle256_setup
         with pytest.raises(NonPositiveAlpha):
-            truncated_lagrange_from_eigenpairs(s, g, nodes, 0, 32.0, alpha)
+            truncated_lagrange(alpha, s, g, nodes, 0, 32.0)
 
     def test_truncation_refuses_a_center_off_the_nodes(self, cycle256_setup):
         g, s, _, nodes, _ = cycle256_setup
         with pytest.raises(ValueError):
-            truncated_lagrange_from_eigenpairs(s, g, nodes, 1, 32.0, 2.0)
+            truncated_lagrange(2.0, s, g, nodes, 1, 32.0)
 
     def test_problem_refuses_a_decomposition_or_kernel_of_another_size(self, cycle4_setup):
         g, s, k = cycle4_setup
@@ -457,6 +456,15 @@ class TestRefusals:
         p = InterpolationProblem(g, s, k.alpha, np.array([0, 2]), np.array([1.0, 0.0]))
         other = InterpolationProblem(g, s, k.alpha, np.array(nodes), np.zeros(len(nodes)))
         with pytest.raises(InconsistentDimensions):
+            evaluate(solve_interpolant(other), p)
+
+    def test_evaluate_refuses_an_interpolant_of_another_alpha(self):
+        g = cycle_graph(32)
+        s = decompose_graph(g)
+        nodes = np.arange(0, 32, 4)
+        p = InterpolationProblem(g, s, 2.0, nodes, np.sin(nodes))
+        other = InterpolationProblem(g, s, 3.0, nodes, np.sin(nodes))
+        with pytest.raises(InconsistentDimensions, match="alpha = 3.0.*alpha = 2.0"):
             evaluate(solve_interpolant(other), p)
 
     def test_center_index_refuses_a_vertex_off_the_nodes(self, cycle256_setup):

@@ -147,6 +147,33 @@ def test_numeric_writers_give_the_bytes_of_the_csv_module(tmp_path):
     assert out.read_bytes() == expected
 
 
+def test_matrix_coefficient_and_fit_writers_give_the_bytes_of_the_csv_module(tmp_path):
+    # negative, tiny, huge and integer-valued floats, and the interpolant's constant row
+    from graphsplines.diagnostics import DecayFit
+    from graphsplines.interpolation import Interpolant
+
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    fmt = gio.fmt
+    values = np.array([-2.5, -0.0, 5e-324, -1e-300, 1e308, -1.7976931348623157e308, 3.0, -7.0, 0.1, 1 / 3])
+
+    matrix = values.reshape(2, 5)
+    gio.write_matrix_csv(out, matrix)
+    with open(ref, "w", newline="") as fh:
+        csv.writer(fh).writerows([[fmt(x) for x in row] for row in matrix])
+    assert out.read_bytes() == ref.read_bytes()
+
+    nodes = np.arange(0, 40, 4)
+    gio.write_interpolant_csv(out, Interpolant(-4.0, values, 2.0, nodes))
+    rows = [(int(v), fmt(b)) for v, b in zip(nodes, values)] + [("constant", fmt(-4.0))]
+    assert out.read_bytes() == _csv_reference(ref, ["node", "beta"], rows)
+
+    for fit in (DecayFit(1e308, 0.5, 2.0, -1e-300, -3.0, False), DecayFit(5e-324, 1.25, 1.0, 1.0, 0.1, True)):
+        gio.write_fit_csv(out, fit)
+        numbers = (fit.amplitude, fit.rate, fit.scale, fit.r_squared, fit.slope)
+        header = ["amplitude", "rate", "scale", "r_squared", "slope", "no_decay"]
+        assert out.read_bytes() == _csv_reference(ref, header, [(*map(fmt, numbers), int(fit.no_decay))])
+
+
 def test_empty_numeric_files_hold_only_their_header(tmp_path):
     out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
     gio.write_nodes_csv(out, [])
