@@ -34,7 +34,6 @@ from .interpolation import (
     Interpolant,
     InterpolationProblem,
     LagrangeBasis,
-    LocalLagrangeConfig,
     dirichlet_lagrange,
     evaluate,
     lagrange_basis,

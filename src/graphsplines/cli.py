@@ -106,8 +106,6 @@ def _cmd_graph_knn(args) -> int:
 def _cmd_lagrange(args) -> int:
     g = gio.read_edge_csv(args.graph)
     nodes = gio.read_nodes_csv(args.nodes)
-    if args.center not in nodes:
-        raise ValidationError(f"center {args.center} is not in the node set")
     truncated = args.truncate is not None
     if args.local and args.radius is None:
         raise ValidationError("--local requires --radius")

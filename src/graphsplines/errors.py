@@ -106,10 +106,6 @@ class InconsistentDimensions(ValidationError):
     pass
 
 
-class EmptyNeighborhood(ValidationError):
-    pass
-
-
 # --- diagnostics -------------------------------------------------------------
 
 class InsufficientData(ValidationError):

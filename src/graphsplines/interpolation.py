@@ -42,7 +42,6 @@ from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
-    EmptyNeighborhood,
     InconsistentDimensions,
     NonPositiveAlpha,
     SingularSystem,
@@ -71,6 +70,11 @@ def _check_values(values, count: int) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise InconsistentDimensions("values must be finite")
     return values
+
+
+def _check_radius(radius: float) -> None:
+    if not radius > 0:  # refuses nan too
+        raise ValueError(f"radius must be positive, got {radius}")
 
 
 @dataclass
@@ -207,29 +211,6 @@ def native_semi_inner_product(
     return float((s.eigenvectors.T @ f) @ (s.eigenvalue_powers(alpha) * (s.eigenvectors.T @ g)))
 
 
-@dataclass(frozen=True)
-class LocalLagrangeConfig:
-    """Center vertex and cutoff radius for localized cardinal solves."""
-
-    center: int
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:  # refuses nan too
-            raise ValueError(f"radius must be positive, got {self.radius}")
-
-    def nodes_within(self, graph: WeightedGraph, nodes: np.ndarray) -> np.ndarray:
-        """Interpolation nodes inside the ball; must contain the center."""
-        if self.radius == np.inf:  # the ball is the whole graph: no search needed
-            return nodes
-        neighborhood = nodes[graph.distances_from(self.center)[nodes] <= self.radius]
-        if neighborhood.size == 0:
-            raise EmptyNeighborhood(
-                f"no nodes within distance {self.radius} of vertex {self.center}"
-            )
-        return neighborhood
-
-
 @dataclass
 class LagrangeBasis:
     """Cardinal interpolants for every node, sharing one factorization.
@@ -286,23 +267,24 @@ def truncated_lagrange(
     The radius is checked first. The cardinal function ``chi`` is
     :func:`dirichlet_lagrange` on the Laplacian of ``decomposition`` (which
     checks the rest), ``beta = (L^alpha chi)_K`` and ``C = v0^T chi``.
-    Coefficients of nodes farther than ``radius`` from ``center`` are removed;
-    the kept ones are then projected back onto the hyperplane orthogonal to the
-    kernel eigenvector restricted to the kept nodes (minimal-change repair of
-    the side condition; disable with ``reimpose_side_condition=False``). The
+    Only the coefficients of the nodes whose graph distance from ``center``
+    (one Dijkstra search) is at most ``radius`` are kept; they are then
+    projected back onto the hyperplane orthogonal to the kernel eigenvector
+    restricted to the kept nodes (minimal-change repair of the side
+    condition; disable with ``reimpose_side_condition=False``). The
     constant term is preserved, and ``Phi(., kept) beta + C v0`` is applied
     through the eigenpairs as in :func:`evaluate`; no kernel is formed.
     """
-    config = LocalLagrangeConfig(center=center, radius=radius)
+    _check_radius(radius)
     chi = dirichlet_lagrange(graph, nodes, center, alpha, np.inf, decomposition)
     nodes = np.asarray(nodes, dtype=int)
     beta, constant = _coefficients(decomposition, chi, nodes, alpha)
-    kept = config.nodes_within(graph, nodes)
-    beta = beta[np.isin(nodes, kept)]
+    kept = graph.distances_from(center)[nodes] <= radius
+    nodes, beta = nodes[kept], beta[kept]
     if reimpose_side_condition:
-        u = decomposition.kernel_vector[kept]
+        u = decomposition.kernel_vector[nodes]
         beta -= (beta @ u) / (u @ u) * u
-    return _expansion(decomposition, kept, beta, constant, alpha)
+    return _expansion(decomposition, nodes, beta, constant, alpha)
 
 
 def local_lagrange(
@@ -356,8 +338,10 @@ def dirichlet_lagrange(
 ) -> np.ndarray:
     """Cardinal function centered at ``center``, from the Dirichlet form of ``L^alpha``.
 
-    K is the set of ``nodes`` within ``radius`` of the center (all of them by
-    default). The function is exactly ``e_center`` on K and, on the other
+    K is the set of ``nodes`` whose graph distance from the center is at most
+    ``radius``, from one Dijkstra search; with the default infinite radius it is
+    every node and no search is made. The center must be a node and the radius
+    positive. The function is exactly ``e_center`` on K and, on the other
     vertices, the :func:`spline_regress` extension of those values for the
     Laplacian of ``decomposition``'s kind (normalized without one). It needs
     no kernel, and for an integer ``alpha`` no eigendecomposition; a given
@@ -366,6 +350,7 @@ def dirichlet_lagrange(
     """
     nodes = _check_nodes(nodes, graph.n_vertices)
     if center not in nodes:
-        raise ValueError(f"center {center} must be one of the interpolation nodes")
-    known = LocalLagrangeConfig(center=center, radius=radius).nodes_within(graph, nodes)
+        raise ValueError(f"center {center} is not in the node set")
+    _check_radius(radius)
+    known = nodes if radius == np.inf else nodes[graph.distances_from(center)[nodes] <= radius]
     return _spline(graph, known, (known == center).astype(float), alpha, decomposition)

@@ -171,7 +171,7 @@ def test_only_the_bordered_check_builds_a_kernel(monkeypatch, capsys):
     graph, s, nodes = _cycle32()
     p = interpolation.InterpolationProblem(graph, s, 2.0, nodes, np.sin(nodes))
     interpolation.evaluate(interpolation.solve_interpolant(p), p)
-    basis = interpolation.lagrange_basis(2.0, s, graph, nodes)
+    interpolation.lagrange_basis(2.0, s, graph, nodes)
     interpolation.local_lagrange(2.0, s, graph, nodes, 0, 8.0)
     interpolation.truncated_lagrange(2.0, s, graph, nodes, 0, 8.0)
     assert len(kernels) == 0
@@ -187,7 +187,7 @@ def test_tracer_binds_the_solve_routines_by_their_parameter_names(monkeypatch):
     tracer = tracing.Tracer()
     with tracer.installed():
         interpolation.solve_interpolant(interpolation.InterpolationProblem(graph, s, 2.0, nodes, np.sin(nodes)))
-        basis = interpolation.lagrange_basis(2.0, s, graph, nodes)
+        interpolation.lagrange_basis(2.0, s, graph, nodes)
         interpolation.local_lagrange(2.0, s, graph, nodes, 0, 8.0)
         interpolation.truncated_lagrange(2.0, s, graph, nodes, 0, 8.0)
     names = ("solve_interpolant", "lagrange_basis", "local_lagrange", "truncated_lagrange")

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -495,6 +499,44 @@ def test_data_commands_give_byte_identical_outputs_and_manifests(tmp_path, comma
         path.unlink()
     assert run(*argv, "-o", out) == 0
     assert [path.read_bytes() for path in written] == first
+
+
+# One run of the commands whose outputs the README promises at any BLAS thread count; it runs in a
+# fresh interpreter, so that the BLAS reads its thread variables when numpy is imported.
+_THREAD_COUNT_RUN = """
+import sys
+from graphsplines import cli
+graph, nodes, known = sys.argv[1:]
+for argv in (
+    ["lagrange", "--graph", graph, "--nodes", nodes, "--center", "0", "--alpha", "2", "-o", "full.csv"],
+    ["lagrange", "--graph", graph, "--nodes", nodes, "--center", "0", "--alpha", "3", "--local", "--radius", "0.3",
+     "-o", "local.csv"],
+    ["interp", "--graph", graph, "--known", known, "--alpha", "2", "-o", "interp.csv"],
+):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_integer_alpha_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    rng = np.random.default_rng(5)
+    graph, nodes, known = (tmp_path / f"{name}.csv" for name in ("graph", "nodes", "known"))
+    gio.write_edge_csv(graph, knn_graph(rng.random((400, 2)), 8))
+    gio.write_nodes_csv(nodes, range(0, 400, 2))
+    known_values = zip(range(0, 400, 2), rng.random(200).tolist())
+    known.write_text("vertex,value\n" + "".join(f"{v},{x!r}\n" for v, x in known_values))
+    package_root = str(Path(interpolation.__file__).parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        folder = tmp_path / f"threads{threads}"
+        folder.mkdir()
+        blas = {name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = dict(os.environ, PYTHONPATH=path, **blas)
+        argv = [sys.executable, "-c", _THREAD_COUNT_RUN, graph, nodes, known]
+        subprocess.run(argv, cwd=folder, env=env, check=True, timeout=120)
+        outputs.append({p.name: p.read_bytes() for p in folder.iterdir()})
+    assert len(outputs[0]) == 6  # three outputs and their manifests
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -19,7 +19,7 @@ from graphsplines import (
     solve_interpolant,
     truncated_lagrange,
 )
-from graphsplines.errors import EmptyNeighborhood, InconsistentDimensions, SingularSystem
+from graphsplines.errors import InconsistentDimensions, SingularSystem
 
 
 @pytest.fixture(scope="module")
@@ -349,30 +349,26 @@ class TestLocalLagrange:
         with pytest.raises(ValueError):
             local_lagrange(k.alpha, s, g, nodes, 1, 4.0)
 
-    def test_config_validates_radius_and_neighborhood(self, cycle256_setup):
-        from graphsplines import LocalLagrangeConfig
-
-        g, _, _, nodes, _ = cycle256_setup
-        with pytest.raises(ValueError):
-            LocalLagrangeConfig(center=0, radius=0.0)
-        cfg = LocalLagrangeConfig(center=0, radius=5.0)
-        assert 0 in cfg.nodes_within(g, nodes)
-        with pytest.raises(EmptyNeighborhood):
-            LocalLagrangeConfig(center=1, radius=0.5).nodes_within(g, nodes)
+    def test_zero_radius_is_refused(self, cycle256_setup):
+        g, s, k, nodes, basis = cycle256_setup
+        for refuse in (
+            lambda: local_lagrange(k.alpha, s, g, nodes, 0, 0.0),
+            lambda: truncated_lagrange(basis.alpha, s, g, nodes, 0, 0.0),
+        ):
+            with pytest.raises(ValueError, match="radius must be positive, got 0.0"):
+                refuse()
 
 
 def test_nan_radius_is_refused_and_infinite_radius_is_not(cycle256_setup):
-    from graphsplines import LocalLagrangeConfig
-
     g, s, k, nodes, basis = cycle256_setup
     for refuse in (
-        lambda: LocalLagrangeConfig(center=0, radius=float("nan")),
         lambda: local_lagrange(k.alpha, s, g, nodes, 0, float("nan")),
         lambda: truncated_lagrange(basis.alpha, s, g, nodes, 0, float("nan")),
     ):
         with pytest.raises(ValueError, match="radius must be positive, got nan"):
             refuse()
-    assert LocalLagrangeConfig(center=0, radius=np.inf).nodes_within(g, nodes).size == nodes.size
+    full = local_lagrange(k.alpha, s, g, nodes, 0, np.inf)
+    assert np.array_equal(full[nodes], (nodes == 0).astype(float))
 
 
 def _weighted_cycle(seed, n=256):
