@@ -160,9 +160,9 @@ def _cmd_decay(args) -> int:
     profile = decay_profile(f, g, args.center, bin_width)
     fit = fit_exponential_decay(profile, scale=args.fit_scale) if args.fit else None
     gio.write_profile_csv(args.output, profile)
-    _manifest(args, "decay", [args.graph, args.function])
     if fit is not None:
         gio.write_fit_csv(str(args.output) + ".fit.csv", fit)
+    _manifest(args, "decay", [args.graph, args.function])
     return 0
 
 

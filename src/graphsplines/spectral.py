@@ -174,7 +174,8 @@ def eigendecompose(L: np.ndarray, kind: LaplacianKind) -> SpectralDecomposition:
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {L.shape}")
-    if not np.allclose(L, L.T, rtol=0, atol=1e-12):
+    # exact equality, the usual case, implies the tolerance test and costs a tenth of it
+    if not np.array_equal(L, L.T) and not np.allclose(L, L.T, rtol=0, atol=1e-12):
         raise ValueError("matrix is not symmetric")
     n = L.shape[0]
 

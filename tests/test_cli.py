@@ -501,6 +501,19 @@ def test_data_commands_give_byte_identical_outputs_and_manifests(tmp_path, comma
     assert [path.read_bytes() for path in written] == first
 
 
+@pytest.mark.parametrize("command", sorted(_DATA_COMMANDS))
+def test_the_manifest_is_the_last_file_a_command_writes(tmp_path, monkeypatch, command):
+    inputs = _data_inputs(tmp_path / "inputs")
+    template, _ = _DATA_COMMANDS[command]
+    argv = [str(a).format(**inputs, out=tmp_path) for a in template]
+    calls = []
+    for name in [name for name in vars(gio) if name.startswith("write_")]:
+        writer = getattr(gio, name)
+        monkeypatch.setattr(gio, name, lambda *a, _name=name, _writer=writer, **k: calls.append(_name) or _writer(*a, **k))
+    assert run(*argv, "-o", tmp_path / "out.csv") == 0
+    assert calls[-1] == "write_manifest" and calls.count("write_manifest") == 1, calls
+
+
 # One run of the commands whose outputs the README promises at any BLAS thread count; it runs in a
 # fresh interpreter, so that the BLAS reads its thread variables when numpy is imported.
 _THREAD_COUNT_RUN = """

@@ -1,5 +1,10 @@
+import ast
 import csv
+import hashlib
+import json
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,3 +185,117 @@ def test_empty_numeric_files_hold_only_their_header(tmp_path):
     assert out.read_bytes() == _csv_reference(ref, ["vertex"], [])
     gio.write_pairs_csv(out, [], ["seminorm", "error"])
     assert out.read_bytes() == _csv_reference(ref, ["seminorm", "error"], [])
+
+
+def test_a_rerun_rewrites_its_outputs_in_place_without_a_truncating_open(tmp_path, monkeypatch):
+    from graphsplines import cli
+
+    gio.write_edge_csv(tmp_path / "g.csv", build_graph([(i, (i + 1) % 16, 1.0, 1.0) for i in range(16)]))
+    gio.write_nodes_csv(tmp_path / "nodes.csv", range(0, 16, 4))
+    out, kernel = tmp_path / "chi.csv", tmp_path / "kernel.csv"
+    argv = ["lagrange", "--graph", str(tmp_path / "g.csv"), "--nodes", str(tmp_path / "nodes.csv"), "--center", "4",
+            "--truncate", "6", "--alpha", "1.5", "--dump-kernel", str(kernel), "-o", str(out)]
+    assert cli.main(argv) == 0
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append((str(file), mode))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(gio, "open", spy, raising=False)
+    assert cli.main(argv) == 0
+    writes = {(file, mode) for file, mode in opened if set(mode) & set("wax+")}
+    assert writes == {(str(out), "r+b"), (str(kernel), "r+b"), (str(out) + ".manifest.json", "r+b")}
+
+
+def test_a_shorter_rewrite_leaves_the_bytes_of_a_fresh_write(tmp_path):
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    gio.write_function_csv(out, np.linspace(0, 1, 100))
+    out.chmod(0o640)
+    inode = out.stat().st_ino
+    gio.write_function_csv(out, _AWKWARD)
+    gio.write_function_csv(fresh, _AWKWARD)
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_ino == inode and out.stat().st_mode & 0o777 == 0o640
+
+
+def test_a_symlinked_output_writes_through_to_its_target(tmp_path):
+    from graphsplines import cli
+
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old,and,much,longer,content\n" * 20)
+    link.symlink_to(target)
+    assert cli.main(["graph", "cycle", "--n", "4", "-o", str(link)]) == 0
+    assert link.is_symlink()
+    assert gio.read_edge_csv(target).edges == ((0, 1, 1.0, 1.0), (0, 3, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0))
+
+
+def test_an_output_that_is_no_regular_file_is_written_without_truncation():
+    gio.write_function_csv(os.devnull, _AWKWARD)
+
+
+def test_a_file_that_may_be_written_but_not_read_is_rewritten_whole(tmp_path, monkeypatch):
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    gio.write_function_csv(out, np.linspace(0, 1, 100))
+
+    def write_only(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(gio, "open", write_only, raising=False)
+    gio.write_function_csv(out, _AWKWARD)
+    monkeypatch.undo()
+    gio.write_function_csv(fresh, _AWKWARD)
+    assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_text_rows_and_manifests_give_the_bytes_of_the_csv_and_json_modules(tmp_path):
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    header = ["method", "target"]
+    rows = [("spline", "a,b"), ("nnr", 'say "y"'), ("spline", "two\nlines"), ("spline", "\u00e9t\u00e9")]
+    gio.write_rows(out, header, rows)
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert out.read_bytes() == ref.read_bytes()
+
+    flags = {"output": tmp_path / "out.csv", "alpha": 1.5, "center": 3, "local": False}
+    gio.write_manifest(out, "lagrange", flags, [ref], "9.9")
+    manifest = {
+        "tool": "graphsplines",
+        "version": "9.9",
+        "subcommand": "lagrange",
+        "flags": flags,
+        "inputs": {str(ref): hashlib.sha256(ref.read_bytes()).hexdigest()},
+    }
+    expected = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
+    assert (tmp_path / "out.csv.manifest.json").read_bytes() == expected.encode()
+
+
+def _writes(tree):
+    """Line numbers of the calls in ``tree`` that can write a file: ``write_text``, ``write_bytes`` and every
+    ``open`` whose mode is given and is not a literal read-only mode (the second argument of ``open(path, mode)``,
+    the first of ``path.open(mode)``; ``os.open(path, flags)`` counts as a write)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("write_text", "write_bytes"):
+            yield node.lineno
+        elif name == "open":
+            at = 1 if isinstance(node.func, ast.Name) else 0
+            mode = node.args[at] if len(node.args) > at else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")):
+                yield node.lineno
+
+
+def test_the_package_writes_files_only_through_its_one_writer():
+    found, allowed = [], set()
+    for source in sorted(Path(gio.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        if source.name == "io.py":
+            writer = [node for node in tree.body if getattr(node, "name", None) == "_write_bytes"]
+            allowed = {line for node in writer for line in _writes(node)}
+        found += [f"{source.name}:{line}" for line in _writes(tree) if source.name != "io.py" or line not in allowed]
+    assert found == []
+    assert allowed, "io._write_bytes opens no file for writing"

@@ -156,6 +156,14 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]), UNNORM)
 
+    def test_symmetry_is_checked_to_an_absolute_1e_12(self):
+        L = laplacian(cycle_graph(8), UNNORM)
+        L[2, 3] += 1e-13  # one off-diagonal entry of one pair: not exactly symmetric, still accepted
+        assert eigendecompose(L, UNNORM).n == 8
+        L[2, 3] += 1e-11
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            eigendecompose(L, UNNORM)
+
 
 class TestPseudoInversePower:
     def test_two_vertex_hand_value(self):
