@@ -38,27 +38,24 @@ class WeightedGraph:
     distances are built from them on each access and nothing is cached, so
     instances are safe to share between threads.
 
-    The CSR arrays are assembled directly: one ``argsort`` of the key
-    ``row * n + col`` orders the 2m directed ends, and that permutation gives
-    the sorted column indices and both data arrays; ``indptr`` is the running
-    count of ends per row. The keys are unique because :func:`build_graph`
-    refuses non-integer ids, self-loops and repeated pairs, so the result is
-    the canonical CSR (sorted indices, no duplicates) that scipy's COO to CSR
-    conversion gives, with no duplicate folding or format conversion.
+    The CSR arrays are assembled directly: ``order``, the :func:`build_graph`
+    ``argsort`` of the key ``row * n + col`` of every end (``u0 v0``, ``v0 u0``,
+    ``u1 v1``, ...), gives the sorted column indices and both data arrays;
+    ``indptr`` is the running count of ends per row. The keys are unique as
+    :func:`build_graph` refuses non-integer ids, self-loops and repeated
+    pairs, so the result is the canonical CSR (sorted indices, no duplicates)
+    that scipy's COO to CSR conversion gives, with no duplicate folding or
+    format conversion.
     """
 
-    def __init__(self, n_vertices: int, edges: Sequence[Edge] | np.ndarray):
+    def __init__(self, n_vertices: int, ends: np.ndarray, weights: np.ndarray, lengths: np.ndarray, order: np.ndarray):
         self.n_vertices = n = int(n_vertices)
-        u, v, w, ell = np.asarray(edges, dtype=float).reshape(-1, 4).T
-        u, v = u.astype(np.int64), v.astype(np.int64)
-        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        order = np.argsort(rows * n + cols)
-        index = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max else np.int64
-        indices = cols[order].astype(index)
+        index = np.int32 if max(n, ends.size) <= np.iinfo(np.int32).max else np.int64
+        indices = ends[:, ::-1].ravel()[order].astype(index)
         indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        self.adjacency = csr_matrix((np.tile(w, 2)[order], indices, indptr), shape=(n, n))
-        self._sparse_lengths = csr_matrix((np.tile(ell, 2)[order], indices, indptr), shape=(n, n))
+        np.cumsum(np.bincount(ends.ravel(), minlength=n), out=indptr[1:])
+        self.adjacency = csr_matrix((np.repeat(weights, 2)[order], indices, indptr), shape=(n, n))
+        self._sparse_lengths = csr_matrix((np.repeat(lengths, 2)[order], indices, indptr), shape=(n, n))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -171,14 +168,20 @@ def build_graph(edge_list: Iterable[Edge] | np.ndarray, n_vertices: int | None =
     reject(~in_range, ValueError, f"out of range for {n_vertices} vertices")
     reject((np.floor(u) != u) | (np.floor(v) != v), ValueError, "has a vertex id that is not an integer")
     reject(u == v, SelfLoop, "is a self-loop")
-    keys = np.minimum(u, v) * n_vertices + np.maximum(u, v)
-    repeated = np.ones(len(edges), dtype=bool)
-    repeated[np.unique(keys, return_index=True)[1]] = False
+    # one sort of the directed keys orders the CSR store; two share a key only if a pair is listed
+    # twice, and as equal keys sort in no set order, np.unique then finds each pair's first listing
+    ends = np.column_stack([u, v]).astype(np.int64)
+    keys = (ends * n_vertices + ends[:, ::-1]).ravel()
+    order = np.argsort(keys)
+    repeated = np.zeros(len(edges), dtype=bool)
+    if (np.diff(keys[order]) == 0).any():
+        repeated[:] = True
+        repeated[np.unique(keys.reshape(-1, 2).min(axis=1), return_index=True)[1]] = False
     reject(repeated, DuplicateEdge, "is listed more than once")
     reject(~((0 < w) & (w < np.inf)), NonPositiveWeight, "has weight {w}")
     reject(~((0 < ell) & (ell < np.inf)), NonPositiveLength, "has length {ell}")
 
-    g = WeightedGraph(n_vertices, edges)
+    g = WeightedGraph(n_vertices, ends, w, ell, order)
     # both orientations are stored, so strong components are the undirected ones (and need no transpose)
     n_comp, _ = connected_components(g._sparse_lengths, directed=True, connection="strong")
     if n_comp != 1:
@@ -215,13 +218,19 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     (ties broken by lower index); the directed relation is symmetrized by
     union. Edge length is the Euclidean distance, edge weight its reciprocal.
 
-    Neighbours are picked in blocks of 128 rows. One matrix product per block
-    gives approximate squared distances of the centred points; every column
-    within their rounding error of the row's (k + 1)-th smallest value is a
-    candidate. Only the candidates' exact distances, ``sqrt(sum((a - b)**2))``,
-    are computed and ranked by (distance, index). Memory is O(128 n) plus the
-    candidates' coordinates, about k + 1 per row unless the points sit far
-    below the rounding scale of the cloud's spread.
+    Neighbours are picked in blocks of 128 rows. With ``c`` the centred points
+    and ``sq`` their squared norms, one product per block,
+    ``[-2c, 1, sq][lo:hi] @ [c, sq, 1]^T``, gives approximate squared distances;
+    every column within their rounding error of the row's (k + 1)-th smallest
+    value is a candidate.
+    Only the candidates' exact distances, ``sqrt(sum((a - b)**2))``, are
+    computed, and all blocks' candidates are ranked at once by (row, distance,
+    index). Memory is O(128 n) plus three numbers per candidate, about k + 1 per
+    row unless the points sit far below the rounding scale of the spread.
+    The product's d + 2 terms have absolute sum at most ``2 (sq_i + sq_j)``
+    (Cauchy-Schwarz), so in any order, fused or not, it is off by at most
+    ``gamma_{d+2} 2 (sq_i + sq_j) ~ (d + 2) eps (sq_i + max sq)`` (Higham 2002,
+    sec. 3.1), a sixteenth of the slack ``s`` below.
 
     Raises :class:`DuplicatePoint` if two points coincide (a zero-length edge
     would have infinite weight) and :class:`DisconnectedGraph` if the union is
@@ -241,38 +250,33 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     kk = min(k, n - 1)
     c = pts - pts.mean(axis=0)
     sq = (c * c).sum(axis=1)
-    nearest = np.empty((n, kk + 1), dtype=np.intp)
-    near_dist = np.empty((n, kk + 1))
+    left, right = np.column_stack([-2.0 * c, np.ones(n), sq]), np.column_stack([c, sq, np.ones(n)])
+    found = []
     for lo in range(0, n, _KNN_BLOCK_ROWS):
-        hi = min(lo + _KNN_BLOCK_ROWS, n)
-        approx = (-2.0 * c[lo:hi]) @ c.T
-        approx += sq
-        approx += sq[lo:hi, None]
+        approx = left[lo : lo + _KNN_BLOCK_ROWS] @ right.T
         t = np.partition(approx, kk, axis=1)[:, kk]
-        # s bounds |approx - exact squared distance|: the rounding of the product,
-        # the sums, the centring and the ranked distances below. The kk + 1 columns
-        # at or below t have exact values <= t + s, so each true neighbour (ties
-        # included) is at most t + s exactly and at most t + 2s approximately, and
-        # no true neighbour is dropped. A nan or inf from overflow keeps the column.
-        s = 16 * (dim + 2) * np.finfo(float).eps * (sq[lo:hi] + sq.max())
+        # s bounds |approx - exact squared distance|: the product (see above), the centring
+        # and the ranked distances below. The kk + 1 columns at or below t have exact values
+        # <= t + s, so each true neighbour (ties included) is at most t + s exactly and at most
+        # t + 2s approximately, and no true neighbour is dropped. A nan or inf keeps the column.
+        s = 16 * (dim + 2) * np.finfo(float).eps * (sq[lo : lo + len(t)] + sq.max())
         row, col = np.divmod(np.flatnonzero(~(approx > (t + 2 * s)[:, None])), n)
         diff = pts[lo + row] - pts[col]
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        # candidates come in (row, index) order and lexsort is stable, so this
-        # ranks by row, then distance, then lower index: each row starts with its own point
-        order = np.lexsort((dist, row))
-        start = np.searchsorted(row, np.arange(hi - lo))
-        take = order[start[:, None] + np.arange(kk + 1)]
-        nearest[lo:hi] = col[take]
-        near_dist[lo:hi] = dist[take]
+        found.append((lo + row, col, np.sqrt((diff * diff).sum(axis=1))))
+    row, col, dist = (np.concatenate(parts) for parts in zip(*found))
+    # candidates come in (row, index) order and lexsort is stable, so this
+    # ranks by row, then distance, then lower index: each row starts with its own point
+    order = np.lexsort((dist, row))
+    take = order[np.searchsorted(row, np.arange(n))[:, None] + np.arange(kk + 1)]
+    nearest, near_dist = col[take], dist[take]
 
     coincide = np.flatnonzero(near_dist[:, 1] == 0.0)
     if coincide.size:
         raise DuplicatePoint(f"points {coincide[0]} and {nearest[coincide[0], 1]} coincide")
 
     # (a - b)**2 == (b - a)**2, so both rows of a pair kept the same distance for it
-    ends = np.sort(np.column_stack([np.repeat(np.arange(n), kk), nearest[:, 1:].ravel()]), axis=1)
-    pairs, first = np.unique(ends[:, 0] * n + ends[:, 1], return_index=True)
+    here, there = np.repeat(np.arange(n), kk), nearest[:, 1:].ravel()
+    pairs, first = np.unique(np.minimum(here, there) * n + np.maximum(here, there), return_index=True)
     d = near_dist[:, 1:].ravel()[first]
     return build_graph(np.column_stack([*np.divmod(pairs, n), 1.0 / d, d]), n)
 

@@ -8,13 +8,15 @@ vertex as the weighted average of its known neighbors.
 The spline is the minimal-norm polyharmonic interpolant, found from its
 Dirichlet form: it satisfies ``(L^alpha s)_U = 0`` on the unknown set U, so
 ``s_U = -(L^alpha)_UU^-1 (L^alpha)_UK F`` with one symmetric solve per known
-set (``interpolation.spline_regress``; the CV loop forms ``L^alpha`` once).
-For an integer alpha ``L^alpha`` is a sparse product of Laplacians, so no
-eigendecomposition or kernel matrix is built here.
+set (``interpolation.spline_regress``). For an integer alpha ``L^alpha`` is a
+sparse product of Laplacians, so no eigendecomposition or kernel matrix is
+built here.
 
-Per fold the loop does two things. It reads the row block ``(L^alpha)_U``
-once; its U columns are the system, and its product with the known values
-padded by zeros on U is the right-hand side. The baseline then comes from one
+With F the targets on every row, the Dirichlet form gives a CV fold's error
+in closed form, ``e_U = s_U - F_U = -(L^alpha)_UU^-1 (L^alpha F)_U``, a
+leave-fold-out form of Rippa's residual (Adv. Comput. Math. 11, 1999). So
+``L^alpha F`` is formed once per run, and a fold gathers only the |U| x |U|
+block and |U| rows of it for one symmetric solve. The baseline comes from one
 sparse product of the adjacency with the known-set indicator and the centered
 known values. The report keeps the smallest fold rcond (``min_rcond``) next
 to the count of baseline fallbacks.
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import TooFewRows, ZeroVarianceColumn
 from .graphs import WeightedGraph, complement, knn_graph
-from .interpolation import _solve_dirichlet, spline_regress
+from .interpolation import _solve_symmetric, spline_regress
 from .io import read_table
 from .spectral import LaplacianKind, _sparse_laplacian, laplacian_power
 
@@ -172,13 +174,16 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
     every repeat a seeded shuffle partitions the rows into folds; each fold in
     turn is treated as unknown and both methods predict it from the same known
     set. Per-fold MSEs are averaged within a repeat, and the report carries the
-    mean and population standard deviation over repeats.
+    mean and population standard deviation over repeats. A fold's spline error
+    is ``-(L^alpha)_UU^-1 (L^alpha F)_U`` (module docstring): its work is the
+    |U| x |U| block and |U| rows of ``L^alpha F``, which is formed once.
     """
     if d.n_rows < cfg.folds:
         raise TooFewRows(f"{d.n_rows} rows cannot be split into {cfg.folds} folds")
     normalized = normalize(d)
     g = knn_graph(normalized.features, cfg.k_neighbors)
     power = laplacian_power(g, cfg.alpha)
+    residual = power @ d.targets
 
     n, t = d.n_rows, d.targets.shape[1]
     repeat_mse = {"spline": np.zeros((cfg.repeats, t)), "nnr": np.zeros((cfg.repeats, t))}
@@ -195,9 +200,10 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
             known_values = d.targets[known]
             truth = d.targets[unknown]
 
-            preds, rcond = _solve_dirichlet(power, known, unknown, known_values)
+            # F-ordered through the transpose, like a rows-then-columns gather: rcond keeps every bit
+            error, rcond = _solve_symmetric(power.T[np.ix_(unknown, unknown)].T, -residual[unknown])
             min_rcond = min(min_rcond, rcond)
-            fold_mse["spline"][fi] = ((preds - truth) ** 2).mean(axis=0)
+            fold_mse["spline"][fi] = (error**2).mean(axis=0)
 
             nnr, isolated = _nnr_predictions(g, known, known_values, unknown)
             fallbacks += int(isolated.sum())
@@ -207,17 +213,8 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
 
     report = RegressionReport(nnr_fallbacks=fallbacks, min_rcond=min_rcond)
     for method in ("spline", "nnr"):
-        for j, name in enumerate(d.target_names):
-            series = repeat_mse[method][:, j]
-            report.rows.append(
-                ReportRow(
-                    method=method,
-                    target=name,
-                    k_neighbors=cfg.k_neighbors,
-                    mean_mse=float(series.mean()),
-                    std_mse=float(series.std()),
-                )
-            )
+        for name, series in zip(d.target_names, repeat_mse[method].T):
+            report.rows.append(ReportRow(method, name, cfg.k_neighbors, float(series.mean()), float(series.std())))
     return report
 
 

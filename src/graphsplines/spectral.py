@@ -147,12 +147,11 @@ class KernelMatrix:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its first entry larger than 1e-12 in magnitude is positive."""
-    # a C-ordered copy: the layout picks the BLAS kernels of later products, and so their last bits
-    out = vectors.copy()
     # argmax finds the first such entry; a column without one reads its row 0, which is >= -1e-12
-    first = out[np.argmax(np.abs(out) > 1e-12, axis=0), np.arange(out.shape[1])]
-    out[:, first < -1e-12] *= -1.0
-    return out
+    first = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), np.arange(vectors.shape[1])]
+    # a C-ordered result: the layout picks the BLAS kernels of later products, and so their last
+    # bits; multiplying by +-1 is exact, so it holds the flipped columns bit for bit
+    return np.multiply(vectors, np.where(first < -1e-12, -1.0, 1.0), order="C")
 
 
 def eigendecompose(L: np.ndarray, kind: LaplacianKind) -> SpectralDecomposition:

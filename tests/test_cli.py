@@ -552,6 +552,44 @@ def test_integer_alpha_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# ``ml cv`` at an integer alpha and ``graph knn``, which the README also promises at any BLAS thread count
+_THREAD_COUNT_CV_RUN = """
+import sys
+from graphsplines import cli
+table, points = sys.argv[1:]
+for argv in (
+    ["ml", "cv", "--data", table, "--features", "x0,x1,x2,x3", "--targets", "y0,y1", "--k", "8", "--alpha", "2",
+     "--folds", "5", "--repeats", "2", "--seed", "3", "-o", "report.csv"],
+    ["graph", "knn", "--points", points, "--k", "6", "-o", "edges.csv"],
+):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_cv_and_knn_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(600, 4))
+    y = np.column_stack([x @ [1.0, -0.5, 0.25, 2.0], np.sin(x).sum(axis=1)]) + rng.normal(0, 0.1, (600, 2))
+    table, points = tmp_path / "table.csv", tmp_path / "points.csv"
+    rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.column_stack([x, y]))
+    table.write_text("x0,x1,x2,x3,y0,y1\n" + rows)
+    cloud = rng.random((700, 3))
+    points.write_text("a,b,c\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in cloud))
+    package_root = str(Path(interpolation.__file__).parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        folder = tmp_path / f"threads{threads}"
+        folder.mkdir()
+        blas = {name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = dict(os.environ, PYTHONPATH=path, **blas)
+        argv = [sys.executable, "-c", _THREAD_COUNT_CV_RUN, table, points]
+        subprocess.run(argv, cwd=folder, env=env, check=True, timeout=120)
+        outputs.append({p.name: p.read_bytes() for p in folder.iterdir()})
+    assert len(outputs[0]) == 4  # two outputs and their manifests
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 @pytest.mark.parametrize("check", sorted(_VERIFY_FLAGS))
 def test_verify_refuses_fewer_than_one_trial(tmp_path, capsys, check, trials):

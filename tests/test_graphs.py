@@ -290,6 +290,38 @@ class TestKnnCandidates:
         assert traced_peak_mb(lambda: knn_graph(pts, 10)) <= 28.0
 
 
+@st.composite
+def badly_rounding_clouds(draw):
+    """Up to 300 points, and a k, whose squared distances round badly in one fused product.
+
+    An integer lattice scaled by 2^e (every distance exact, many tied), the same lattice shifted
+    by a far offset (the centring and the product cancel), or a tight cluster beside a far one
+    (the slack is set by the far cluster's norms).
+    """
+    kind = draw(st.sampled_from(["lattice", "far lattice", "two clusters"]))
+    n, d, k = draw(st.integers(3, 300)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-40, 40))
+    if kind == "two clusters":
+        m = draw(st.integers(1, n - 1))
+        tight = 2.0 ** draw(st.integers(-30, -10)) * rng.normal(size=(m, d))
+        return np.concatenate([scale * tight, scale * (1e3 + rng.normal(size=(n - m, d)))]), k
+    side = int(np.ceil(n ** (1 / d))) + 1
+    cells = rng.choice(side**d, size=n, replace=False)
+    pts = scale * np.stack(np.unravel_index(cells, (side,) * d), axis=1).astype(float)
+    if kind == "far lattice":
+        pts += scale * 2.0 ** draw(st.integers(10, 40)) * rng.uniform(1.0, 2.0, size=d)
+    return pts, k
+
+
+class TestKnnProperty:
+    @given(badly_rounding_clouds())
+    @settings(max_examples=30, deadline=None)
+    def test_knn_graph_matches_the_reference(self, cloud):
+        pts, k = cloud
+        assert knn_outcome(knn_graph, pts, k) == knn_outcome(reference_graph, pts, k)
+
+
 class TestEdgeTable:
     def test_array_input_matches_tuple_list(self):
         rng = np.random.default_rng(3)

@@ -24,7 +24,9 @@ from graphsplines.errors import (
     TooFewRows,
     ZeroVarianceColumn,
 )
+from graphsplines.interpolation import _solve_symmetric
 from graphsplines.ml import _nnr_predictions
+from graphsplines.spectral import laplacian_power
 
 
 def write_csv(path, text):
@@ -300,6 +302,74 @@ class TestCrossValidateReference:
         # dsycon's estimate is a lower bound on 1 / kappa; the 1e-12 allows for the rounding
         # of both computations, since on systems this small the estimate is exact
         assert (1.0 - 1e-12) / kappa <= cross_validate(d, cfg).min_rcond <= 10.0 / kappa
+
+
+def dirichlet_reference_cv(d, cfg):
+    """Repeated k-fold CV with every fold's spline solved in plain numpy from the Dirichlet form.
+
+    On ``knn_graph`` of the z-scored features, ``M`` is ``L^alpha`` of the dense normalized
+    Laplacian: ``L @ L`` at alpha = 2, else ``Q diag(lambda^alpha) Q^T`` from ``np.linalg.eigh``
+    with the zero eigenvalue set to 0. Each fold predicts ``s_U = -(M_UU)^-1 M_UK F_K`` with
+    ``np.linalg.solve``, and the baseline with ``_nnr_predictions``. Returns ``{(method,
+    target): (mean, std)}``, the fallback count and the smallest rcond of ``_solve_symmetric``
+    on the folds' blocks of ``laplacian_power``, gathered rows then columns.
+    """
+    g = knn_graph(normalize(d).features, cfg.k_neighbors)
+    n, t = d.targets.shape
+    W = g.weights
+    dinv = 1.0 / np.sqrt(W.sum(axis=1))
+    L = np.eye(n) - dinv[:, None] * W * dinv[None, :]
+    if cfg.alpha == 2.0:
+        M = L @ L
+    else:
+        lam, Q = np.linalg.eigh(L)
+        lam[0] = 0.0
+        M = (Q * lam**cfg.alpha) @ Q.T
+    power = laplacian_power(g, cfg.alpha)
+    mse = {"spline": np.zeros((cfg.repeats, t)), "nnr": np.zeros((cfg.repeats, t))}
+    fallbacks, min_rcond = 0, np.inf
+    for r in range(cfg.repeats):
+        fold_mse = {"spline": [], "nnr": []}
+        for fold in np.array_split(np.random.default_rng([cfg.seed, r]).permutation(n), cfg.folds):
+            unknown = np.sort(fold)
+            known = np.setdiff1d(np.arange(n), unknown)
+            data, truth = d.targets[known], d.targets[unknown]
+            spline = -np.linalg.solve(M[np.ix_(unknown, unknown)], M[np.ix_(unknown, known)] @ data)
+            rows = power[unknown]
+            min_rcond = min(min_rcond, _solve_symmetric(rows[:, unknown], -(rows[:, known] @ data))[1])
+            nnr, isolated = _nnr_predictions(g, known, data, unknown)
+            fallbacks += int(isolated.sum())
+            fold_mse["spline"].append(((spline - truth) ** 2).mean(axis=0))
+            fold_mse["nnr"].append(((nnr - truth) ** 2).mean(axis=0))
+        for method in mse:
+            mse[method][r] = np.mean(fold_mse[method], axis=0)
+    stats = {
+        (method, name): (float(mse[method][:, j].mean()), float(mse[method][:, j].std()))
+        for method in mse
+        for j, name in enumerate(d.target_names)
+    }
+    return stats, fallbacks, min_rcond
+
+
+class TestCrossValidateDirichletReference:
+    # each fold's error comes from (L^alpha F)_U and the |U| x |U| block alone; a plain spline solve
+    # per fold must give the same scores, and the rcond of today's rows-then-columns block
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_matches_a_plain_numpy_spline_per_fold(self, alpha):
+        d = TestCrossValidate().make_dataset(n=90, seed=21)
+        cfg = CVConfig(k_neighbors=6, folds=5, repeats=4, alpha=alpha, seed=21)
+        report = cross_validate(d, cfg)
+        expected, fallbacks, min_rcond = dirichlet_reference_cv(d, cfg)
+        assert len(report.rows) == len(expected)
+        for row in report.rows:
+            mean, std = expected[(row.method, row.target)]
+            if row.method == "nnr":
+                assert (row.mean_mse, row.std_mse) == (mean, std)
+            else:
+                assert row.mean_mse == pytest.approx(mean, rel=1e-12, abs=0.0)
+                assert row.std_mse == pytest.approx(std, rel=1e-12, abs=0.0)
+        assert report.nnr_fallbacks == fallbacks
+        assert report.min_rcond == min_rcond
 
 
 class TestWendlandBump:
