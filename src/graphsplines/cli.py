@@ -28,7 +28,7 @@ from .errors import GraphSplinesError, NumericalError, ValidationError
 from .graphs import cycle_graph, knn_graph, lattice_graph
 from .interpolation import Interpolant, _coefficients, _spline, dirichlet_lagrange, truncated_lagrange
 from .ml import CVConfig, cross_validate, load_dataset, smoothness_experiment
-from .spectral import decompose_graph, pseudo_inverse_power
+from .spectral import decompose_graph
 
 # --help shows the docstring's first two paragraphs; the third is about this code
 _DESCRIPTION = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
@@ -114,19 +114,14 @@ def _cmd_lagrange(args) -> int:
     if args.no_reproject and not truncated:
         raise ValidationError("--no-reproject requires --truncate")
     radius = args.radius if args.local else np.inf  # the full function is the local one whose ball holds every node
-    # Every mode solves the Dirichlet form (no kernel; for an integer alpha, no eigh). A truncated
-    # function needs the eigenpairs for its coefficients; the kernel is built only to be dumped.
-    decomposition = decompose_graph(g) if truncated or args.dump_kernel else None
+    # Every mode solves the Dirichlet form (no kernel; for an integer alpha, no eigh); --truncate decomposes once
     if truncated:
         values = truncated_lagrange(
-            args.alpha, decomposition, g, nodes, args.center, args.truncate, reimpose_side_condition=not args.no_reproject
+            args.alpha, decompose_graph(g), g, nodes, args.center, args.truncate, reimpose_side_condition=not args.no_reproject
         )
     else:
-        values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius, decomposition)
-    kernel = pseudo_inverse_power(decomposition, args.alpha) if args.dump_kernel else None
+        values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius)
     gio.write_function_csv(args.output, values)
-    if args.dump_kernel:
-        gio.write_matrix_csv(args.dump_kernel, kernel.matrix)
     _manifest(args, "lagrange", [args.graph, args.nodes])
     return 0
 
@@ -135,16 +130,13 @@ def _cmd_interp(args) -> int:
     g = gio.read_edge_csv(args.graph)
     vertices, data = gio.read_function_csv(args.known)
     # The Dirichlet-form values are written as solved: re-evaluating them through the kernel
-    # would lose digits to its conditioning. The eigenpairs serve the coefficients and the dump.
-    decomposition = decompose_graph(g) if args.coefficients or args.dump_kernel else None
-    kernel = pseudo_inverse_power(decomposition, args.alpha) if args.dump_kernel else None
+    # would lose digits to its conditioning. The eigenpairs serve only the coefficients.
+    decomposition = decompose_graph(g) if args.coefficients else None
     values = _spline(g, vertices, data, args.alpha, decomposition)
     gio.write_function_csv(args.output, values)
     if args.coefficients:
         beta, constant = _coefficients(decomposition, values, vertices, args.alpha)
         gio.write_interpolant_csv(args.coefficients, Interpolant(float(constant), beta, args.alpha, vertices))
-    if args.dump_kernel:
-        gio.write_matrix_csv(args.dump_kernel, kernel.matrix)
     _manifest(args, "interp", [args.graph, args.known])
     return 0
 
@@ -261,7 +253,6 @@ def _fill_lagrange(lag: _Parser) -> None:
     mode.add_argument("--local", action="store_true", help="interpolate only at the nodes within --radius of the center")
     mode.add_argument("--truncate", type=float, default=None, metavar="K", help="drop kernel coefficients beyond distance K")
     lag.add_argument("--no-reproject", action="store_true", help="skip the side-condition repair after truncation")
-    lag.add_argument("--dump-kernel", default=None, metavar="PATH", help="debug: write the dense kernel matrix CSV")
     lag.add_argument("-o", "--output", required=True)
     lag.set_defaults(func=_cmd_lagrange)
 
@@ -271,7 +262,6 @@ def _fill_interp(itp: _Parser) -> None:
     itp.add_argument("--known", required=True, help="function CSV (vertex,value) on the known vertices")
     itp.add_argument("--alpha", type=float, default=2.0)
     itp.add_argument("--coefficients", default=None, metavar="PATH", help="also write the solved coefficients CSV")
-    itp.add_argument("--dump-kernel", default=None, metavar="PATH", help="debug: write the dense kernel matrix CSV")
     itp.add_argument("-o", "--output", required=True)
     itp.set_defaults(func=_cmd_interp)
 

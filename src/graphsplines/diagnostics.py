@@ -37,8 +37,8 @@ from .io import fmt
 from .spectral import (
     LaplacianKind,
     SpectralDecomposition,
-    _dirichlet_eigenvalue,
     decompose_graph,
+    dirichlet_eigenvalue,
     laplacian,
     pseudo_inverse_power,
     sobolev_seminorm,
@@ -248,7 +248,7 @@ def cycle_cover_constant(g: WeightedGraph, nodes) -> float:
         if k + 2 >= n_nodes:
             end += n
         interior = [order[p % n] for p in range(start + 1, end)]
-        worst = max(worst, (1.0 / _dirichlet_eigenvalue(L, interior)) ** 2)
+        worst = max(worst, (1.0 / dirichlet_eigenvalue(L, interior)) ** 2)
     return 2.0 * worst
 
 
@@ -323,7 +323,7 @@ def ml_cover_constant(g: WeightedGraph, known) -> MLCoverReport:
         # two unknowns, growing the neighbourhood by a second hop adds only known vertices.
         neighborhood = g.neighbors(v0)
         interior = np.union1d([v0], neighborhood[unknown[neighborhood]])
-        min_lam = min(min_lam, _dirichlet_eigenvalue(L, interior))
+        min_lam = min(min_lam, dirichlet_eigenvalue(L, interior))
 
     empirical = M * (1.0 / min_lam) ** 2
     return MLCoverReport(

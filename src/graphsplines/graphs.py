@@ -34,9 +34,9 @@ class WeightedGraph:
     Use :func:`build_graph` (or one of the generators below) instead of the
     constructor; they validate the edges and check connectivity. Each edge is
     stored once, in two CSR matrices holding both orientations: ``adjacency``
-    of edge weights and the edge lengths. The ``edges`` tuples, dense views and
-    distances are built from them on each access and nothing is cached, so
-    instances are safe to share between threads.
+    of edge weights and the edge lengths. The ``edges`` tuples and the distances
+    are built from them on each access and nothing is cached, so instances are
+    safe to share between threads.
 
     The CSR arrays are assembled directly: ``order``, the :func:`build_graph`
     ``argsort`` of the key ``row * n + col`` of every end (``u0 v0``, ``v0 u0``,
@@ -65,16 +65,6 @@ class WeightedGraph:
         upper = A.indices > rows  # the lengths share this sorted CSR pattern
         columns = (rows[upper], A.indices[upper], A.data[upper], self._sparse_lengths.data[upper])
         return tuple(zip(*(c.tolist() for c in columns)))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Dense adjacency matrix of edge weights (zero where no edge), built on each access."""
-        return self.adjacency.toarray()
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """Dense matrix of edge lengths (zero where no edge), built on each access."""
-        return self._sparse_lengths.toarray()
 
     @property
     def metric(self) -> np.ndarray:

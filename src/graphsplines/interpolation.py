@@ -28,9 +28,8 @@ solve) and ``dirichlet_lagrange``, which ``local_lagrange`` is for a ball.
 and :func:`truncated_lagrange` share, are each one
 :meth:`SpectralDecomposition.apply_power`; a truncated cardinal function keeps
 only the coefficients of the nodes near its center. Every routine takes the
-order ``alpha``; the n x n kernel is built only by ``--dump-kernel``, which
-writes it, and by ``verify coeff-symmetry``, which checks the bordered system
-against it.
+order ``alpha``; the n x n kernel is built only by ``verify coeff-symmetry``,
+which checks the bordered system against it.
 """
 from __future__ import annotations
 
@@ -113,7 +112,12 @@ def _solve_symmetric(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]
     Returns ``(x, rcond)``, where ``rcond`` is the reciprocal condition
     estimate (1-norm, ``dsycon``). Refuses, with :class:`SingularSystem`, a
     system whose ``rcond`` is smaller than the machine epsilon.
+
+    ``A`` is made Fortran-ordered, as ``dsysv`` reads it, before its 1-norm is
+    taken: the column sums round differently in the two layouts, and so
+    ``rcond`` does not depend on how the caller laid ``A`` out.
     """
+    A = np.asfortranarray(A)
     anorm = np.linalg.norm(A, 1)
     lwork, _ = lapack.dsysv_lwork(A.shape[0])
     factor, ipiv, sol, info = lapack.dsysv(A, rhs, lwork=int(lwork), overwrite_a=True, overwrite_b=True)
@@ -125,26 +129,6 @@ def _solve_symmetric(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]
     if rcond < np.finfo(float).eps:
         raise SingularSystem(f"reciprocal condition estimate {rcond:.3e} below machine epsilon")
     return sol, float(rcond)
-
-
-def _solve_dirichlet(
-    A: np.ndarray, known: np.ndarray, unknown: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Values on ``unknown`` of the spline through ``values`` on ``known``.
-
-    ``A`` is ``L^alpha``. The spline has ``(L^alpha s)_U = 0`` on the unknown
-    set U, so ``s_U = -(A_UU)^-1 A_UK F``; ``A_UU`` is positive definite for a
-    proper nonempty U. Only the row block ``A_U`` is read, once: the system
-    is its U columns, and the right-hand side is ``-A_U F0`` with ``F0`` the
-    values on K and zero on U, which is ``-A_UK F`` without a 2-D gather. One
-    :func:`_solve_symmetric` carries every value column. Returns the values
-    (one row per unknown vertex, shaped like ``values``) and the solve's
-    reciprocal condition estimate.
-    """
-    rows = A[unknown]
-    padded = np.zeros((A.shape[0],) + values.shape[1:])
-    padded[known] = values
-    return _solve_symmetric(rows[:, unknown], -(rows @ padded))
 
 
 def _spline(graph: WeightedGraph, nodes, values, alpha: float, decomposition=None) -> np.ndarray:
@@ -317,6 +301,12 @@ def spline_regress(
     without it the normalized Laplacian is used. Every spline's nodes, values
     and ``alpha`` are checked here, and ``L^alpha`` is formed only when some
     vertex is unknown.
+
+    ``(L^alpha s)_U = 0`` gives ``s_U = -((L^alpha)_UU)^-1 (L^alpha)_UK F``, and
+    ``(L^alpha)_UU`` is positive definite for a proper nonempty U. The row block
+    ``(L^alpha)_U`` is read once: its U columns are the system, and
+    ``-(L^alpha)_U F0`` (``F`` on K, zero on U) the right-hand sides of one
+    :func:`_solve_symmetric`.
     """
     known = _check_nodes(known, g.n_vertices)
     values = _check_values(values, known.size)
@@ -325,7 +315,10 @@ def spline_regress(
     unknown = complement(g, known)
     if unknown.size == 0:
         return values[:0].copy()
-    return _solve_dirichlet(laplacian_power(g, alpha, decomposition), known, unknown, values)[0]
+    rows = laplacian_power(g, alpha, decomposition)[unknown]
+    padded = np.zeros((g.n_vertices,) + values.shape[1:])
+    padded[known] = values
+    return _solve_symmetric(rows[:, unknown], -(rows @ padded))[0]
 
 
 def dirichlet_lagrange(

@@ -200,8 +200,7 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
             known_values = d.targets[known]
             truth = d.targets[unknown]
 
-            # F-ordered through the transpose, like a rows-then-columns gather: rcond keeps every bit
-            error, rcond = _solve_symmetric(power.T[np.ix_(unknown, unknown)].T, -residual[unknown])
+            error, rcond = _solve_symmetric(power[np.ix_(unknown, unknown)], -residual[unknown])
             min_rcond = min(min_rcond, rcond)
             fold_mse["spline"][fi] = (error**2).mean(axis=0)
 

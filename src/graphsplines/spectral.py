@@ -270,16 +270,9 @@ def sobolev_seminorm(
     return float(np.linalg.norm(g[subset]))
 
 
-def dirichlet_eigenvalue(g: WeightedGraph, interior: Sequence[int], kind: LaplacianKind) -> float:
-    """Smallest eigenvalue of the Laplacian principal submatrix on ``interior``.
-
-    Positive for any proper nonempty subset of a connected graph.
-    """
-    return _dirichlet_eigenvalue(laplacian(g, kind), interior)
-
-
-def _dirichlet_eigenvalue(L: np.ndarray, interior: Sequence[int]) -> float:
-    """:func:`dirichlet_eigenvalue` on a dense Laplacian built once by the caller."""
+def dirichlet_eigenvalue(L: np.ndarray, interior: Sequence[int]) -> float:
+    """Smallest eigenvalue of the principal submatrix on ``interior`` of a dense Laplacian ``L``; positive
+    for any proper nonempty subset of a connected graph."""
     interior = np.unique(np.asarray(interior, dtype=int))
     if interior.size == 0:
         raise EmptyInterior("interior vertex set is empty")

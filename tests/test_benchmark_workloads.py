@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphsplines import cli, cycle_graph, interpolation, io, spectral
+from graphsplines import cli, cycle_graph, interpolation, spectral
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -112,49 +112,15 @@ def test_cycle256_lagrange_makes_one_eigh_per_job(monkeypatch, tmp_path, capsys)
     assert per_call == [0, 0, 1, 0]
 
 
-@pytest.mark.parametrize("call", [0, 1])  # the default and the --local alpha = 2 calls
-def test_kernel_dump_still_writes_the_kernel(monkeypatch, tmp_path, capsys, call):
-    workload = _workloads(monkeypatch).WORKLOADS["cycle256-lagrange"](tmp_path, 1)
-    argv = workload.job(0).calls[call]
-    calls = _count_eigh(monkeypatch)
-    kernel = tmp_path / "kernel.csv"
-    assert cli.main([*argv, "--dump-kernel", str(kernel)]) == 0, capsys.readouterr().err
-    assert len(calls) == 1
-    rows = kernel.read_text().splitlines()
-    assert len(rows) == workload.n and all(len(row.split(",")) == workload.n for row in rows)
-
-
 def test_truncated_lagrange_builds_the_kernel_only_to_dump_it(monkeypatch, tmp_path, capsys):
-    # the truncated alpha = 1.5 call decomposes the Laplacian once and forms no n x n kernel;
-    # --dump-kernel builds that kernel from the same decomposition
+    # the truncated alpha = 1.5 call decomposes the Laplacian once and forms no n x n kernel
     workload = _workloads(monkeypatch).WORKLOADS["cycle256-lagrange"](tmp_path, 1)
     argv = workload.job(0).calls[2]
     assert "--truncate" in argv and argv[argv.index("--alpha") + 1] == "1.5"
-    graph = io.read_edge_csv(argv[argv.index("--graph") + 1])
-    expected = tmp_path / "expected.csv"
-    io.write_matrix_csv(expected, spectral.pseudo_inverse_power(spectral.decompose_graph(graph), 1.5).matrix)
-
     eigh = _count_eigh(monkeypatch)
     kernels = _count_calls(monkeypatch, spectral, "pseudo_inverse_power")
     assert cli.main(argv) == 0, capsys.readouterr().err
     assert (len(eigh), len(kernels)) == (1, 0)
-    dumped = tmp_path / "kernel.csv"
-    assert cli.main([*argv, "--dump-kernel", str(dumped)]) == 0, capsys.readouterr().err
-    assert (len(eigh), len(kernels)) == (2, 1)
-    assert dumped.read_bytes() == expected.read_bytes()
-
-
-@pytest.mark.parametrize("call", [0, 1])  # the default and the --local calls, at a fractional alpha
-def test_fractional_alpha_kernel_dump_decomposes_once(monkeypatch, tmp_path, capsys, call):
-    # L^1.5 and the dumped kernel come from the same eigenpairs, so one eigh serves both
-    argv = _workloads(monkeypatch).WORKLOADS["cycle256-lagrange"](tmp_path, 1).job(0).calls[call]
-    if "--alpha" in argv:
-        argv[argv.index("--alpha") + 1] = "1.5"
-    else:
-        argv += ["--alpha", "1.5"]
-    calls = _count_eigh(monkeypatch)
-    assert cli.main([*argv, "--dump-kernel", str(tmp_path / "kernel.csv")]) == 0, capsys.readouterr().err
-    assert len(calls) == 1
 
 
 def _cycle32():

@@ -153,14 +153,22 @@ class TestInterpAndDecay:
         known = tmp_path / "known.csv"
         known.write_text("vertex,value\n0,1\n2,1\n")
         coeffs = tmp_path / "coeffs.csv"
-        kern = tmp_path / "kernel.csv"
         assert run("interp", "--graph", cycle_csv, "--known", known,
-                   "--coefficients", coeffs, "--dump-kernel", kern, "-o", tmp_path / "pred.csv") == 0
+                   "--coefficients", coeffs, "-o", tmp_path / "pred.csv") == 0
         lines = coeffs.read_text().splitlines()
         assert lines[0] == "node,beta"
         assert lines[-1].startswith("constant,")
         assert float(lines[-1].split(",")[1]) == pytest.approx(2.0)  # constant data on the 4-cycle
-        assert len(kern.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("command", ["lagrange", "interp"])
+    def test_kernel_dump_flag_is_a_usage_error(self, tmp_path, cycle_csv, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_text("vertex,value\n0,1\n2,0\n")
+        given = ["--nodes", data, "--center", 0] if command == "lagrange" else ["--known", data]
+        before = sorted(tmp_path.iterdir())
+        assert run(command, "--graph", cycle_csv, *given, "--dump-kernel", tmp_path / "k.csv", "-o", tmp_path / "o.csv") == 1
+        assert "unrecognized arguments: --dump-kernel" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before  # no output, kernel or manifest
 
     def test_decay_profile_and_fit(self, tmp_path):
         g_csv = tmp_path / "g.csv"
@@ -307,10 +315,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError("dsysv failed"), MemoryError()])
     def test_lapack_and_memory_failures_are_three(self, monkeypatch, tmp_path, cycle_csv, capsys, error):
-        def failing(A, known, unknown, values):
+        def failing(A, rhs):
             raise error
 
-        monkeypatch.setattr(interpolation, "_solve_dirichlet", failing)  # the one solve of every interp call
+        monkeypatch.setattr(interpolation, "_solve_symmetric", failing)  # the one solve of every interp call
         known = tmp_path / "known.csv"
         known.write_text("vertex,value\n0,1\n2,0\n")
         assert run("interp", "--graph", cycle_csv, "--known", known, "-o", tmp_path / "o.csv") == 3
@@ -773,7 +781,7 @@ def test_alpha_4_lagrange_is_cardinal_and_matches_least_squares(tmp_path, seed):
     chi = gio.read_function_csv(out)[1]
     assert np.array_equal(chi[nodes], (nodes == center).astype(float))
     # L^4 = (L^2)^T L^2, so the least-squares fit of L^2 chi = 0 on U solves the same problem
-    weights = graph.weights
+    weights = graph.adjacency.toarray()
     dinv = 1.0 / np.sqrt(weights.sum(axis=1))
     lap = np.eye(n) - dinv[:, None] * weights * dinv[None, :]
     lap2 = lap @ lap
@@ -968,7 +976,7 @@ def test_interp_values_match_a_long_double_reference(tmp_path):
 
 @pytest.mark.parametrize(
     "alpha, flags, eighs",
-    [(2, (), 0), (1.5, (), 1), (2, ("--coefficients",), 1), (1.5, ("--coefficients", "--dump-kernel"), 1)],
+    [(2, (), 0), (1.5, (), 1), (2, ("--coefficients",), 1), (1.5, ("--coefficients",), 1)],
 )
 def test_interp_solves_one_system_and_decomposes_only_when_needed(monkeypatch, tmp_path, alpha, flags, eighs):
     import scipy.linalg
@@ -1110,10 +1118,10 @@ _LEAF_NAMESPACES = [
       "func": cli._cmd_graph_knn}),
     (["lagrange", "--graph", "g", "--nodes", "n", "--center", "0", "-o", "o"],
      {"command": "lagrange", "graph": "g", "nodes": "n", "center": 0, "alpha": 2.0, "radius": None, "local": False,
-      "truncate": None, "no_reproject": False, "dump_kernel": None, "output": "o", "func": cli._cmd_lagrange}),
+      "truncate": None, "no_reproject": False, "output": "o", "func": cli._cmd_lagrange}),
     (["interp", "--graph", "g", "--known", "k", "-o", "o"],
-     {"command": "interp", "graph": "g", "known": "k", "alpha": 2.0, "coefficients": None, "dump_kernel": None,
-      "output": "o", "func": cli._cmd_interp}),
+     {"command": "interp", "graph": "g", "known": "k", "alpha": 2.0, "coefficients": None, "output": "o",
+      "func": cli._cmd_interp}),
     (["decay", "--graph", "g", "--function", "f", "--center", "0", "-o", "o"],
      {"command": "decay", "graph": "g", "function": "f", "center": 0, "bin_width": None, "fit": False,
       "fit_scale": 1.0, "output": "o", "func": cli._cmd_decay}),

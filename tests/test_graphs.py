@@ -33,7 +33,7 @@ class TestBuildGraph:
     def test_minimal_two_vertex_graph(self):
         g = build_graph([(0, 1, 1.0, 1.0)])
         assert g.n_vertices == 2
-        assert g.weights[0, 1] == g.weights[1, 0] == 1.0
+        assert g.adjacency.toarray()[0, 1] == g.adjacency.toarray()[1, 0] == 1.0
 
     def test_declared_isolated_vertex_is_disconnected(self):
         with pytest.raises(DisconnectedGraph):
@@ -122,7 +122,7 @@ class TestGenerators:
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(30, 2))
         g = knn_graph(pts, k=5)
-        assert np.all(g.weights == g.weights.T)
+        assert np.all(g.adjacency.toarray() == g.adjacency.toarray().T)
         assert g.degrees.min() >= 1
         assert g.degrees.max() < 30
 
@@ -182,7 +182,9 @@ class TestMetricSets:
 
     def test_metric_against_floyd_warshall(self):
         g = random_connected_graph(25, np.random.default_rng(5))
-        dist = np.where(g.lengths > 0, g.lengths, np.inf)
+        dist = np.full((25, 25), np.inf)
+        for u, v, _, ell in g.edges:
+            dist[u, v] = dist[v, u] = ell
         np.fill_diagonal(dist, 0.0)
         for k in range(25):
             dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
@@ -332,8 +334,8 @@ class TestEdgeTable:
         from_array = build_graph(np.array(edges), 30)
         assert from_array.edges == from_list.edges
         assert all(type(u) is int and type(v) is int and u < v for u, v, _, _ in from_array.edges)
-        assert np.array_equal(from_array.weights, from_list.weights)
-        assert np.array_equal(from_array.lengths, from_list.lengths)
+        assert np.array_equal(from_array.adjacency.toarray(), from_list.adjacency.toarray())
+        assert np.array_equal(from_array.metric, from_list.metric)
 
     def test_each_error_names_the_first_offending_edge(self):
         path = [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0)]
@@ -430,7 +432,7 @@ class TestSparseStorage:
         dense = np.zeros((40, 40))
         for u, v, w, _ in g.edges:
             dense[u, v] = dense[v, u] = w
-        assert np.array_equal(g.weights, dense)
+        assert np.array_equal(g.adjacency.toarray(), dense)
 
     def test_edges_are_built_from_the_csr_store(self):
         g = random_connected_graph(40, np.random.default_rng(12))
@@ -441,7 +443,7 @@ class TestSparseStorage:
     def test_neighbors_and_degrees_match_the_dense_weights(self):
         for seed in range(5):
             g = random_connected_graph(30, np.random.default_rng(seed))
-            W = g.weights
+            W = g.adjacency.toarray()
             for v in range(g.n_vertices):
                 assert np.array_equal(g.neighbors(v), np.flatnonzero(W[v] > 0))
             assert np.array_equal(g.degrees, np.count_nonzero(W, axis=1))

@@ -10,6 +10,7 @@ from graphsplines import (
     evaluate,
     knn_graph,
     lagrange_basis,
+    laplacian_power,
     lattice_graph,
     local_lagrange,
     native_semi_inner_product,
@@ -20,6 +21,7 @@ from graphsplines import (
     truncated_lagrange,
 )
 from graphsplines.errors import InconsistentDimensions, SingularSystem
+from graphsplines.interpolation import _solve_symmetric
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +108,8 @@ class TestSolveInterpolant:
 
 def _normalized_eigenpairs(g):
     """Eigenpairs of the normalized Laplacian from ``np.linalg.eigh``, the zero eigenvalue set to 0."""
-    dinv = 1.0 / np.sqrt(g.weights.sum(axis=1))
-    lam, vecs = np.linalg.eigh(np.eye(g.n_vertices) - g.weights * np.outer(dinv, dinv))
+    dinv = 1.0 / np.sqrt(g.adjacency.toarray().sum(axis=1))
+    lam, vecs = np.linalg.eigh(np.eye(g.n_vertices) - g.adjacency.toarray() * np.outer(dinv, dinv))
     lam[0] = 0.0
     return lam, vecs
 
@@ -146,6 +148,23 @@ def bordered_oracle(g, alpha, nodes, data):
     bordered[:m, m] = bordered[m, :m] = v0[nodes]
     sol = np.linalg.solve(bordered, np.append(data, 0.0))
     return kernel[:, nodes] @ sol[:m] + sol[m] * v0
+
+
+class TestSolveSymmetric:
+    def test_rcond_does_not_depend_on_the_layout_of_the_block(self):
+        # seed 5: the 1-norm of this (L^2)_UU block rounds differently when its columns are summed
+        # in C and in F order, so an rcond taken from the caller's layout moved in its last bit
+        rng = np.random.default_rng(5)
+        g = knn_graph(rng.standard_normal((200, 3)), 8)
+        unknown = np.sort(rng.choice(200, 20, replace=False))
+        block = laplacian_power(g, 2)[np.ix_(unknown, unknown)]
+        assert block.flags.c_contiguous
+        assert np.linalg.norm(block, 1) != np.linalg.norm(np.asfortranarray(block), 1)
+        rhs = rng.standard_normal(20)
+        c_solution, c_rcond = _solve_symmetric(block.copy(), rhs.copy())
+        f_solution, f_rcond = _solve_symmetric(np.asfortranarray(block), rhs.copy())
+        assert c_rcond == f_rcond
+        assert np.array_equal(c_solution, f_solution)
 
 
 class TestDirichletOracle:

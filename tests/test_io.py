@@ -192,9 +192,9 @@ def test_a_rerun_rewrites_its_outputs_in_place_without_a_truncating_open(tmp_pat
 
     gio.write_edge_csv(tmp_path / "g.csv", build_graph([(i, (i + 1) % 16, 1.0, 1.0) for i in range(16)]))
     gio.write_nodes_csv(tmp_path / "nodes.csv", range(0, 16, 4))
-    out, kernel = tmp_path / "chi.csv", tmp_path / "kernel.csv"
+    out = tmp_path / "chi.csv"
     argv = ["lagrange", "--graph", str(tmp_path / "g.csv"), "--nodes", str(tmp_path / "nodes.csv"), "--center", "4",
-            "--truncate", "6", "--alpha", "1.5", "--dump-kernel", str(kernel), "-o", str(out)]
+            "--truncate", "6", "--alpha", "1.5", "-o", str(out)]
     assert cli.main(argv) == 0
     opened = []
 
@@ -205,7 +205,7 @@ def test_a_rerun_rewrites_its_outputs_in_place_without_a_truncating_open(tmp_pat
     monkeypatch.setattr(gio, "open", spy, raising=False)
     assert cli.main(argv) == 0
     writes = {(file, mode) for file, mode in opened if set(mode) & set("wax+")}
-    assert writes == {(str(out), "r+b"), (str(kernel), "r+b"), (str(out) + ".manifest.json", "r+b")}
+    assert writes == {(str(out), "r+b"), (str(out) + ".manifest.json", "r+b")}
 
 
 def test_a_shorter_rewrite_leaves_the_bytes_of_a_fresh_write(tmp_path):

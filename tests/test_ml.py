@@ -316,7 +316,7 @@ def dirichlet_reference_cv(d, cfg):
     """
     g = knn_graph(normalize(d).features, cfg.k_neighbors)
     n, t = d.targets.shape
-    W = g.weights
+    W = g.adjacency.toarray()
     dinv = 1.0 / np.sqrt(W.sum(axis=1))
     L = np.eye(n) - dinv[:, None] * W * dinv[None, :]
     if cfg.alpha == 2.0:
