@@ -214,9 +214,9 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     every column within their rounding error of the row's (k + 1)-th smallest
     value is a candidate.
     Only the candidates' exact distances, ``sqrt(sum((a - b)**2))``, are
-    computed, and all blocks' candidates are ranked at once by (row, distance,
-    index). Memory is O(128 n) plus three numbers per candidate, about k + 1 per
-    row unless the points sit far below the rounding scale of the spread.
+    computed, and each block ranks its own candidates by distance, then index.
+    Memory is O(128 n): a block's candidates are at most 128 n, and about k + 1
+    per row unless the points sit far below the rounding scale of the spread.
     The product's d + 2 terms have absolute sum at most ``2 (sq_i + sq_j)``
     (Cauchy-Schwarz), so in any order, fused or not, it is off by at most
     ``gamma_{d+2} 2 (sq_i + sq_j) ~ (d + 2) eps (sq_i + max sq)`` (Higham 2002,
@@ -241,7 +241,8 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
     c = pts - pts.mean(axis=0)
     sq = (c * c).sum(axis=1)
     left, right = np.column_stack([-2.0 * c, np.ones(n), sq]), np.column_stack([c, sq, np.ones(n)])
-    found = []
+    nearest = np.empty((n, kk + 1), dtype=np.intp)
+    near_dist = np.empty((n, kk + 1))
     for lo in range(0, n, _KNN_BLOCK_ROWS):
         approx = left[lo : lo + _KNN_BLOCK_ROWS] @ right.T
         t = np.partition(approx, kk, axis=1)[:, kk]
@@ -252,23 +253,29 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
         s = 16 * (dim + 2) * np.finfo(float).eps * (sq[lo : lo + len(t)] + sq.max())
         row, col = np.divmod(np.flatnonzero(~(approx > (t + 2 * s)[:, None])), n)
         diff = pts[lo + row] - pts[col]
-        found.append((lo + row, col, np.sqrt((diff * diff).sum(axis=1))))
-    row, col, dist = (np.concatenate(parts) for parts in zip(*found))
-    # candidates come in (row, index) order and lexsort is stable, so this
-    # ranks by row, then distance, then lower index: each row starts with its own point
-    order = np.lexsort((dist, row))
-    take = order[np.searchsorted(row, np.arange(n))[:, None] + np.arange(kk + 1)]
-    nearest, near_dist = col[take], dist[take]
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        # each row's candidates, in index order, padded with +inf to the widest row; a stable
+        # sort ranks by distance, then lower index, and puts the padding after a real +inf
+        counts = np.bincount(row, minlength=len(t))
+        starts = np.cumsum(counts) - counts
+        ranked = np.full((len(t), counts.max()), np.inf)
+        ranked[row, np.arange(row.size) - starts[row]] = dist
+        take = starts[:, None] + np.argsort(ranked, axis=1, kind="stable")[:, : kk + 1]
+        nearest[lo : lo + len(t)], near_dist[lo : lo + len(t)] = col[take], dist[take]
 
     coincide = np.flatnonzero(near_dist[:, 1] == 0.0)
     if coincide.size:
         raise DuplicatePoint(f"points {coincide[0]} and {nearest[coincide[0], 1]} coincide")
 
-    # (a - b)**2 == (b - a)**2, so both rows of a pair kept the same distance for it
+    # (a - b)**2 == (b - a)**2, so both rows of a pair kept the same distance for it, and
+    # any of a pair's (at most two) listings gives its distance
     here, there = np.repeat(np.arange(n), kk), nearest[:, 1:].ravel()
-    pairs, first = np.unique(np.minimum(here, there) * n + np.maximum(here, there), return_index=True)
-    d = near_dist[:, 1:].ravel()[first]
-    return build_graph(np.column_stack([*np.divmod(pairs, n), 1.0 / d, d]), n)
+    keys = np.minimum(here, there) * n + np.maximum(here, there)
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    d = near_dist[:, 1:].ravel()[order[first]]
+    return build_graph(np.column_stack([*np.divmod(keys[first], n), 1.0 / d, d]), n)
 
 
 def ball(g: WeightedGraph, center: int, r: float) -> np.ndarray:

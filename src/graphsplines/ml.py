@@ -17,9 +17,9 @@ in closed form, ``e_U = s_U - F_U = -(L^alpha)_UU^-1 (L^alpha F)_U``, a
 leave-fold-out form of Rippa's residual (Adv. Comput. Math. 11, 1999). So
 ``L^alpha F`` is formed once per run, and a fold gathers only the |U| x |U|
 block and |U| rows of it for one symmetric solve. The baseline comes from one
-sparse product of the adjacency with the known-set indicator and the centered
-known values. The report keeps the smallest fold rcond (``min_rcond``) next
-to the count of baseline fallbacks.
+sparse product per repeat of the adjacency with, for each fold, the known-set
+indicator and the centered known values. The report keeps the smallest fold
+rcond (``min_rcond``) next to the count of baseline fallbacks.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TooFewRows, ZeroVarianceColumn
-from .graphs import WeightedGraph, complement, knn_graph
+from .graphs import WeightedGraph, knn_graph
 from .interpolation import _solve_symmetric, spline_regress
 from .io import read_table
 from .spectral import LaplacianKind, _sparse_laplacian, laplacian_power
@@ -95,30 +95,41 @@ def normalize(d: Dataset) -> Dataset:
 
 
 def _nnr_predictions(
-    g: WeightedGraph, known: np.ndarray, known_values: np.ndarray, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted average of the known neighbors of each query vertex.
+    g: WeightedGraph, targets: np.ndarray, folds: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Weighted average of the known neighbors of each vertex of each fold.
 
-    ``known_values`` has one row per known vertex and one column per target.
-    Returns the predictions (one row per query) and the mask of queries with
-    no known neighbor, which get the column means of the known values.
+    ``targets`` has one row per vertex and one column per target; a fold's
+    known set is every vertex outside it. Returns, per fold, the predictions
+    (one row per fold vertex, in the fold's order) and the mask of fold
+    vertices with no known neighbor, which get the column means of the known
+    values.
 
-    One sparse product ``W S`` over the whole graph gives both sums: column 0
-    of ``S`` is the indicator of the known set, so it yields each vertex's
-    total weight to known neighbors, and the other columns hold the centered
-    known values, zero on the unknown vertices.
+    One sparse product ``W S`` over the whole graph gives every fold's sums:
+    ``S`` holds one block of columns per fold, the indicator of its known set,
+    which yields each vertex's total weight to known neighbors, and the
+    centered known values, zero on the fold. scipy sums each column of the
+    product in the same order whatever the column count, so a fold's sums
+    have the bits of a product over its block alone.
     """
-    base = known_values.mean(axis=0)
-    spread = np.zeros((g.n_vertices, 1 + known_values.shape[1]))
-    spread[known, 0] = 1.0
+    n, t = targets.shape
+    known = np.ones((n, len(folds)), dtype=bool)
+    for f, fold in enumerate(folds):
+        known[fold, f] = False
+    base = np.array([targets[known[:, f]].mean(axis=0) for f in range(len(folds))])
+    spread = np.zeros((n, len(folds), 1 + t))
+    spread[:, :, 0] = known
     # centered form: exact for constant data and better conditioned generally
-    spread[known, 1:] = known_values - base
-    sums = (g.adjacency @ spread)[queries]
-    totals = sums[:, 0]
-    isolated = totals == 0.0
-    preds = base + sums[:, 1:] / np.where(isolated, 1.0, totals)[:, None]
-    preds[isolated] = base
-    return preds, isolated
+    spread[:, :, 1:] = np.where(known[:, :, None], targets[:, None, :] - base, 0.0)
+    sums = (g.adjacency @ spread.reshape(n, -1)).reshape(spread.shape)
+    out = []
+    for f, fold in enumerate(folds):
+        totals, weighted = sums[fold, f, 0], sums[fold, f, 1:]
+        isolated = totals == 0.0
+        preds = base[f] + weighted / np.where(isolated, 1.0, totals)[:, None]
+        preds[isolated] = base[f]
+        out.append((preds, isolated))
+    return out
 
 
 @dataclass
@@ -176,7 +187,8 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
     set. Per-fold MSEs are averaged within a repeat, and the report carries the
     mean and population standard deviation over repeats. A fold's spline error
     is ``-(L^alpha)_UU^-1 (L^alpha F)_U`` (module docstring): its work is the
-    |U| x |U| block and |U| rows of ``L^alpha F``, which is formed once.
+    |U| x |U| block and |U| rows of ``L^alpha F``, which is formed once. The
+    baseline predicts all of a repeat's folds from one sparse product.
     """
     if d.n_rows < cfg.folds:
         raise TooFewRows(f"{d.n_rows} rows cannot be split into {cfg.folds} folds")
@@ -192,21 +204,16 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
 
     for r in range(cfg.repeats):
         rng = np.random.default_rng([cfg.seed, r])
-        folds = np.array_split(rng.permutation(n), cfg.folds)
+        folds = [np.sort(fold) for fold in np.array_split(rng.permutation(n), cfg.folds)]
         fold_mse = {"spline": np.zeros((cfg.folds, t)), "nnr": np.zeros((cfg.folds, t))}
-        for fi, fold in enumerate(folds):
-            unknown = np.sort(fold)
-            known = complement(g, unknown)
-            known_values = d.targets[known]
-            truth = d.targets[unknown]
-
+        baseline = _nnr_predictions(g, d.targets, folds)
+        for fi, (unknown, (nnr, isolated)) in enumerate(zip(folds, baseline)):
             error, rcond = _solve_symmetric(power[np.ix_(unknown, unknown)], -residual[unknown])
             min_rcond = min(min_rcond, rcond)
             fold_mse["spline"][fi] = (error**2).mean(axis=0)
 
-            nnr, isolated = _nnr_predictions(g, known, known_values, unknown)
             fallbacks += int(isolated.sum())
-            fold_mse["nnr"][fi] = ((nnr - truth) ** 2).mean(axis=0)
+            fold_mse["nnr"][fi] = ((nnr - d.targets[unknown]) ** 2).mean(axis=0)
         for method in repeat_mse:
             repeat_mse[method][r] = fold_mse[method].mean(axis=0)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphsplines import cli, cycle_graph, interpolation, spectral
+from graphsplines import cli, cycle_graph, interpolation, ml, spectral
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,6 +97,16 @@ def _count_eigh(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", counting)
     return calls
+
+
+def test_cv768_makes_one_baseline_product_per_repeat(monkeypatch, tmp_path, capsys):
+    # the baseline's sparse product covers a whole repeat; the spline still solves once per fold
+    workload = _workloads(monkeypatch).WORKLOADS["cv768"](tmp_path, 1)
+    baselines = _count_calls(monkeypatch, ml, "_nnr_predictions")
+    solves = _count_calls(monkeypatch, interpolation, "_solve_symmetric")
+    for argv in workload.job(0).calls:
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    assert (len(baselines), len(solves)) == (workload.repeats, workload.folds * workload.repeats)
 
 
 def test_cycle256_lagrange_makes_one_eigh_per_job(monkeypatch, tmp_path, capsys):

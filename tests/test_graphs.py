@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -219,6 +220,21 @@ class TestKnnBlocks:
     def test_random_cloud_matches_full_tensor(self):
         pts = np.random.default_rng(5).normal(size=(300, 3))
         assert list(knn_graph(pts, 5).edges) == knn_reference(pts, 5)
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_a_row_of_exact_ties_beside_rows_of_k_plus_one_candidates(self, k):
+        # the centre is exactly 1105 from each of the 108 integer points of its circle, so its
+        # row ranks all 109 of them (itself included) while the block's other rows, the circle
+        # points and a cloud just outside it, mostly have only the k + 1 they keep
+        R = 5 * 13 * 17
+        ring = sorted({(x, s * y) for x in range(-R, R + 1) for y in [math.isqrt(R * R - x * x)] for s in (1, -1)
+                       if x * x + y * y == R * R})
+        assert len(ring) == 108
+        rng = np.random.default_rng(0)
+        angle, radius = rng.uniform(0, 2 * np.pi, 59), R * (1.001 + 0.004 * rng.random(59))
+        cloud = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+        pts = np.vstack([[(0.0, 0.0)], np.array(ring, dtype=float), cloud])
+        assert list(knn_graph(pts, k).edges) == knn_reference(pts, k)
 
     def test_duplicate_point_in_a_later_block(self):
         pts = np.random.default_rng(6).normal(size=(200, 2))

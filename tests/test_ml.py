@@ -114,12 +114,30 @@ class TestNormalize:
 
 
 def nnr_at(g, known, values, query):
-    """The baseline's prediction at one query vertex."""
-    preds, _ = _nnr_predictions(g, np.asarray(known), np.asarray(values)[:, None], np.array([query]))
-    return float(preds[0, 0])
+    """The baseline's prediction at one query vertex, from ``values`` on ``known`` (every other vertex is the fold)."""
+    targets = np.zeros((g.n_vertices, 1))
+    targets[known, 0] = values
+    fold = complement(g, np.asarray(known))
+    [(preds, _)] = _nnr_predictions(g, targets, [fold])
+    return float(preds[np.flatnonzero(fold == query)[0], 0])
 
 
 class TestNNRPredict:
+    @pytest.mark.parametrize("k, n_folds", [(2, 2), (5, 7)])
+    def test_batched_folds_match_one_fold_per_call_bit_for_bit(self, k, n_folds):
+        d = TestCrossValidate().make_dataset(n=60, seed=13)
+        g = knn_graph(normalize(d).features, k)
+        folds = [np.sort(f) for f in np.array_split(np.random.default_rng(k).permutation(60), n_folds)]
+        batched = _nnr_predictions(g, d.targets, folds)
+        assert len(batched) == n_folds
+        for fold, (preds, isolated) in zip(folds, batched):
+            [(alone, alone_isolated)] = _nnr_predictions(g, d.targets, [fold])
+            assert preds.shape == (fold.size, 2)
+            assert np.array_equal(preds.view(np.uint64), alone.view(np.uint64))
+            assert np.array_equal(isolated, alone_isolated)
+        if k == 2:  # two folds leave some fold vertices without a known neighbor
+            assert any(isolated.any() for _, isolated in batched)
+
     def test_equal_weights_average(self):
         g = build_graph([(0, 1, 1.0, 1.0), (0, 2, 1.0, 1.0)])
         assert nnr_at(g, [1, 2], np.array([2.0, 4.0]), 0) == 3.0
@@ -220,6 +238,20 @@ class TestCrossValidate:
         r2 = cross_validate(d, CVConfig(k_neighbors=4, folds=5, repeats=2, seed=2))
         assert any(a.mean_mse != b.mean_mse for a, b in zip(r1.rows, r2.rows))
 
+    def test_one_baseline_product_per_repeat(self, monkeypatch):
+        import graphsplines.ml as ml
+
+        calls = []
+        original = ml._nnr_predictions
+
+        def counting(g, targets, folds):
+            calls.append(len(folds))
+            return original(g, targets, folds)
+
+        monkeypatch.setattr(ml, "_nnr_predictions", counting)
+        cross_validate(self.make_dataset(), CVConfig(k_neighbors=4, folds=5, repeats=3, seed=1))
+        assert calls == [5, 5, 5]
+
     def test_too_few_rows(self):
         d = self.make_dataset(n=5)
         with pytest.raises(TooFewRows):
@@ -310,9 +342,9 @@ def dirichlet_reference_cv(d, cfg):
     On ``knn_graph`` of the z-scored features, ``M`` is ``L^alpha`` of the dense normalized
     Laplacian: ``L @ L`` at alpha = 2, else ``Q diag(lambda^alpha) Q^T`` from ``np.linalg.eigh``
     with the zero eigenvalue set to 0. Each fold predicts ``s_U = -(M_UU)^-1 M_UK F_K`` with
-    ``np.linalg.solve``, and the baseline with ``_nnr_predictions``. Returns ``{(method,
-    target): (mean, std)}``, the fallback count and the smallest rcond of ``_solve_symmetric``
-    on the folds' blocks of ``laplacian_power``, gathered rows then columns.
+    ``np.linalg.solve``, and the baseline with ``_nnr_predictions``, one fold per call. Returns
+    ``{(method, target): (mean, std)}``, the fallback count and the smallest rcond of
+    ``_solve_symmetric`` on the folds' blocks of ``laplacian_power``, gathered rows then columns.
     """
     g = knn_graph(normalize(d).features, cfg.k_neighbors)
     n, t = d.targets.shape
@@ -337,7 +369,7 @@ def dirichlet_reference_cv(d, cfg):
             spline = -np.linalg.solve(M[np.ix_(unknown, unknown)], M[np.ix_(unknown, known)] @ data)
             rows = power[unknown]
             min_rcond = min(min_rcond, _solve_symmetric(rows[:, unknown], -(rows[:, known] @ data))[1])
-            nnr, isolated = _nnr_predictions(g, known, data, unknown)
+            [(nnr, isolated)] = _nnr_predictions(g, d.targets, [unknown])
             fallbacks += int(isolated.sum())
             fold_mse["spline"].append(((spline - truth) ** 2).mean(axis=0))
             fold_mse["nnr"].append(((nnr - truth) ** 2).mean(axis=0))

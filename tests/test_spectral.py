@@ -299,19 +299,20 @@ class TestLaplacianPower:
 
     @pytest.mark.parametrize("kind", [NORM, UNNORM])
     def test_integer_power_is_the_product_of_the_sparse_laplacian(self, kind):
-        from scipy.sparse import csr_matrix
-
         from graphsplines import laplacian_power
 
         rng = np.random.default_rng(16)
-        for n in (3, 17, 60, 120):
-            g = random_connected_graph(n, rng)
+        graphs = [random_connected_graph(n, rng) for n in (3, 17, 60, 120)] + [knn_graph(rng.normal(size=(200, 3)), 6)]
+        for g in graphs:
             s = decompose_graph(g, kind)
             L = csr_matrix(laplacian(g, kind))
             power = L
-            for alpha in (1, 2, 3):
+            for alpha in (1, 2, 3, 4):
                 assert np.array_equal(laplacian_power(g, float(alpha), s).view(np.uint64), power.toarray().view(np.uint64))
                 power = power @ L
+        # scipy's products leave their rows unsorted, so the last product must take the first
+        # factor's entries in stored order to add each entry's terms as scipy does
+        assert not (L @ L).has_sorted_indices and not (L @ L @ L).has_sorted_indices
 
     def test_fractional_power_is_symmetric_square_root(self):
         from graphsplines import laplacian_power
