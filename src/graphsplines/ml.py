@@ -110,17 +110,23 @@ def _nnr_predictions(
     which yields each vertex's total weight to known neighbors, and the
     centered known values, zero on the fold. scipy sums each column of the
     product in the same order whatever the column count, so a fold's sums
-    have the bits of a product over its block alone.
+    have the bits of a product over its block alone. With two or more
+    targets, one sum over the targets masked to each known set gives every
+    fold's means, with the bits of ``targets[known].mean(axis=0)``.
     """
     n, t = targets.shape
     known = np.ones((n, len(folds)), dtype=bool)
     for f, fold in enumerate(folds):
         known[fold, f] = False
-    base = np.array([targets[known[:, f]].mean(axis=0) for f in range(len(folds))])
+    masked = np.where(known[:, :, None], targets[:, None, :], 0.0)
+    if t == 1:  # numpy sums a lone column pairwise, and the fold's zeros would regroup that sum
+        base = np.array([targets[known[:, f]].mean(axis=0) for f in range(len(folds))])
+    else:  # rows are added in order, as in targets[known].mean(axis=0), and adding +0.0 is exact
+        base = masked.sum(axis=0) / known.sum(axis=0)[:, None]
     spread = np.zeros((n, len(folds), 1 + t))
     spread[:, :, 0] = known
     # centered form: exact for constant data and better conditioned generally
-    spread[:, :, 1:] = np.where(known[:, :, None], targets[:, None, :] - base, 0.0)
+    spread[:, :, 1:] = np.where(known[:, :, None], masked - base, 0.0)
     sums = (g.adjacency @ spread.reshape(n, -1)).reshape(spread.shape)
     out = []
     for f, fold in enumerate(folds):

@@ -5,9 +5,10 @@ The Laplacian is built once, as CSR from the adjacency and the degrees, and is
 made dense only on request: for ``eigh``, for Dirichlet submatrices and by the
 public :func:`laplacian`. Kernel matrices are pseudo-inverse powers applied via
 the eigendecomposition; ``L^alpha`` itself (read by Dirichlet-form regression)
-is a product of sparse Laplacians for an integer alpha, its last factor added
-straight into the dense result, and needs no eigendecomposition; Sobolev-type
-semi-norms are ``||L^(alpha/2) f||`` restricted to a vertex set.
+is a product of sparse Laplacians for an integer alpha and needs no
+eigendecomposition: splines read its rows as CSR, and the dense
+:func:`laplacian_power` adds its last factor straight into the dense result;
+Sobolev-type semi-norms are ``||L^(alpha/2) f||`` restricted to a vertex set.
 """
 from __future__ import annotations
 
@@ -243,18 +244,31 @@ def laplacian_power(
     """
     if not (0 < alpha < np.inf):
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
-    kind = decomposition.kind if decomposition is not None else LaplacianKind.NORMALIZED
+    kind = _kind(decomposition)
     if float(alpha).is_integer():
         L = _sparse_laplacian(g, kind)
         if alpha == 1:
             return L.toarray()
-        power = L
-        for _ in range(int(alpha) - 2):
-            power = power @ L
-        return _dense_product(power, L)
+        return _dense_product(_sparse_power(L, int(alpha) - 1), L)
     if decomposition is None:
         decomposition = decompose_graph(g, kind)
     return _spectral_power(decomposition, alpha)
+
+
+def _kind(decomposition: SpectralDecomposition | None) -> LaplacianKind:
+    """The Laplacian kind a spline reads: ``decomposition.kind``, normalized without one."""
+    return decomposition.kind if decomposition is not None else LaplacianKind.NORMALIZED
+
+
+def _sparse_power(L: csr_matrix, power: int) -> csr_matrix:
+    """CSR ``L^power`` for a positive integer ``power``: scipy's products ``((L L) L) ...``.
+
+    Its entries have the bits of the dense :func:`laplacian_power`; its rows need not be sorted.
+    """
+    result = L
+    for _ in range(power - 1):
+        result = result @ L
+    return result
 
 
 def _dense_product(A: csr_matrix, B: csr_matrix) -> np.ndarray:

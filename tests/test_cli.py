@@ -560,6 +560,52 @@ def test_integer_alpha_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# ``lagrange --local`` and ``interp`` at alpha = 2 on graphs whose Dirichlet blocks take the band LU; the
+# run records each dgbtrf half-bandwidth, and the planar ones pass 64, where dgbtrf works in blocks
+_THREAD_COUNT_BAND_RUN = """
+import sys
+from scipy.linalg import lapack
+from graphsplines import cli
+bands = []
+factor = lapack.dgbtrf
+lapack.dgbtrf = lambda ab, kl, ku, **kwargs: bands.append(kl) or factor(ab, kl, ku, **kwargs)
+for name, radius in (("cycle", "24"), ("planar", "0.3")):
+    graph, nodes, known = (f"../{name}-{kind}.csv" for kind in ("graph", "nodes", "known"))
+    for argv in (
+        ["lagrange", "--graph", graph, "--nodes", nodes, "--center", "0", "--alpha", "2", "--local", "--radius",
+         radius, "-o", f"{name}-local.csv"],
+        ["interp", "--graph", graph, "--known", known, "--alpha", "2", "-o", f"{name}-interp.csv"],
+    ):
+        assert cli.main(argv) == 0, argv
+assert len(bands) == 4 and min(bands[2:]) > 64, bands
+"""
+
+
+def test_band_route_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    rng = np.random.default_rng(5)
+    cycle, cycle_nodes, _, _ = _weighted_cycle_case(5)
+    for name, graph, nodes in (
+        ("cycle", cycle, cycle_nodes),
+        ("planar", knn_graph(rng.random((1000, 2)), 8), np.arange(0, 1000, 2)),
+    ):
+        gio.write_edge_csv(tmp_path / f"{name}-graph.csv", graph)
+        gio.write_nodes_csv(tmp_path / f"{name}-nodes.csv", nodes)
+        rows = "".join(f"{v},{x!r}\n" for v, x in zip(nodes.tolist(), rng.random(nodes.size).tolist()))
+        (tmp_path / f"{name}-known.csv").write_text("vertex,value\n" + rows)
+    package_root = str(Path(interpolation.__file__).parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        folder = tmp_path / f"threads{threads}"
+        folder.mkdir()
+        blas = {name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = dict(os.environ, PYTHONPATH=path, **blas)
+        subprocess.run([sys.executable, "-c", _THREAD_COUNT_BAND_RUN], cwd=folder, env=env, check=True, timeout=120)
+        outputs.append({p.name: p.read_bytes() for p in folder.iterdir()})
+    assert len(outputs[0]) == 8  # four outputs and their manifests
+    assert outputs[0] == outputs[1]
+
+
 # ``ml cv`` at an integer alpha and ``graph knn``, which the README also promises at any BLAS thread count
 _THREAD_COUNT_CV_RUN = """
 import sys

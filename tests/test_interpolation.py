@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
+from scipy.sparse import csr_matrix
 
 from graphsplines import (
     InterpolationProblem,
     LaplacianKind,
     build_graph,
+    complement,
     cycle_graph,
     decompose_graph,
+    dirichlet_lagrange,
     evaluate,
     knn_graph,
     lagrange_basis,
@@ -18,10 +24,12 @@ from graphsplines import (
     random_connected_graph,
     sobolev_seminorm,
     solve_interpolant,
+    spline_regress,
     truncated_lagrange,
 )
 from graphsplines.errors import InconsistentDimensions, SingularSystem
-from graphsplines.interpolation import _solve_symmetric
+from graphsplines.interpolation import _principal_block, _solve_symmetric
+from graphsplines.spectral import _sparse_laplacian, _sparse_power
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +173,113 @@ class TestSolveSymmetric:
         f_solution, f_rcond = _solve_symmetric(np.asfortranarray(block), rhs.copy())
         assert c_rcond == f_rcond
         assert np.array_equal(c_solution, f_solution)
+
+
+_BAND_GRAPHS = {
+    "cycle-1": lambda: _weighted_cycle(1, 200)[0],
+    "cycle-2": lambda: _weighted_cycle(2, 200)[0],
+    "lattice-20x20": lambda: lattice_graph(20, 20),
+    "planar-400": lambda: _knn(1, 400)[0],
+    "planar-1000": lambda: _knn(1, 1000)[0],
+}
+
+
+def _dense_route(g, known, values, alpha):
+    """The unknown values and rcond of the spline solved from the rows of the dense ``laplacian_power``."""
+    unknown = complement(g, known)
+    rows = laplacian_power(g, alpha)[unknown]
+    padded = np.zeros(g.n_vertices)
+    padded[known] = values
+    return _solve_symmetric(rows[:, unknown], -(rows @ padded))
+
+
+def _band_calls(monkeypatch):
+    """The half-bandwidth of every ``dgbtrf`` call made from now on."""
+    calls = []
+    factor = lapack.dgbtrf
+
+    def recording(ab, kl, ku, **kwargs):
+        calls.append(kl)
+        return factor(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgbtrf", recording)
+    return calls
+
+
+class TestBandRoute:
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(_BAND_GRAPHS))
+    def test_matches_the_dense_route(self, monkeypatch, name, alpha):
+        # the band LU and dsysv solve the same block: they may differ by the rounding that the
+        # block's condition amplifies, eps / rcond relative to max|s|
+        g = _BAND_GRAPHS[name]()
+        n = g.n_vertices
+        rng = np.random.default_rng([alpha, n])
+        bands = _band_calls(monkeypatch)
+        for unknown_share in (0.1, 0.5, 0.9):
+            known = np.sort(rng.permutation(n)[round(unknown_share * n) :])
+            values = rng.standard_normal(known.size)
+            expected, rcond = _dense_route(g, known, values, alpha)
+            got = spline_regress(g, known, values, alpha)
+            assert np.abs(got - expected).max() <= 10 * np.finfo(float).eps / rcond * np.abs(expected).max()
+        assert bands  # at least one of the three took the band route
+
+    @pytest.mark.parametrize("radius", [np.inf, 24.0])
+    def test_a_cycle_takes_the_band_route(self, monkeypatch, radius):
+        # reverse Cuthill-McKee lays the ring of (L^2)_UU out with half-bandwidth 4
+        graph, nodes, center, _ = _weighted_cycle(3)
+        bands = _band_calls(monkeypatch)
+        dirichlet_lagrange(graph, nodes, center, 2.0, radius)
+        assert bands == [4]
+
+    def test_a_wide_block_takes_the_dense_route_with_its_bits(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        g = knn_graph(rng.standard_normal((600, 8)), 10)
+        known = np.sort(rng.permutation(600)[:300])
+        values = rng.standard_normal(300)
+        bands = _band_calls(monkeypatch)
+        got = spline_regress(g, known, values, 2.0)
+        assert bands == []
+        unknown = complement(g, known)
+        rows = _sparse_power(_sparse_laplacian(g, LaplacianKind.NORMALIZED), 2)[unknown]
+        padded = np.zeros(600)
+        padded[known] = values
+        expected, _ = _solve_symmetric(_principal_block(rows, unknown, 600).toarray(), -(rows @ padded))
+        assert np.array_equal(got, expected)
+
+    def test_an_exactly_singular_band_block_is_refused(self, monkeypatch):
+        # a 2 x 2 block of ones beside the identity: elimination leaves an exact zero pivot
+        A = np.eye(8)
+        A[:2, :2] = 1.0
+        bands = _band_calls(monkeypatch)
+        with pytest.raises(SingularSystem, match="exactly singular pivot"):
+            _solve_symmetric(csr_matrix(A), np.ones(8))
+        assert bands == [1]
+
+    def test_a_band_block_below_machine_epsilon_is_refused(self, monkeypatch):
+        # a tridiagonal block with one decoupled row of scale 1e-18: rcond about 1e-18
+        A = np.eye(8) + np.diag(np.full(7, 1e-3), 1) + np.diag(np.full(7, 1e-3), -1)
+        A[3, 2:5] = A[2:5, 3] = 0.0
+        A[3, 3] = 1e-18
+        bands = _band_calls(monkeypatch)
+        with pytest.raises(SingularSystem, match="below machine epsilon"):
+            _solve_symmetric(csr_matrix(A), np.ones(8))
+        assert bands == [1]
+
+    def test_an_integer_alpha_spline_holds_no_dense_square(self):
+        # planar points, half known: the band of (L^2)_UU is all the solve stores, far below one n x n array
+        n = 4000
+        rng = np.random.default_rng(n)
+        g = knn_graph(rng.random((n, 2)), 8)
+        known = np.sort(rng.permutation(n)[: n // 2])
+        values = rng.standard_normal(n // 2)
+        tracemalloc.start()
+        try:
+            spline_regress(g, known, values, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
 
 
 class TestDirichletOracle:

@@ -138,6 +138,17 @@ class TestNNRPredict:
         if k == 2:  # two folds leave some fold vertices without a known neighbor
             assert any(isolated.any() for _, isolated in batched)
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_fold_vertices_without_a_known_neighbor_get_the_known_means_bit_for_bit(self, t):
+        d = TestCrossValidate().make_dataset(n=60, seed=13)
+        g = knn_graph(normalize(d).features, 2)
+        targets = np.random.default_rng(t).standard_normal((60, t)) * 1e3
+        folds = [np.sort(f) for f in np.array_split(np.random.default_rng(2).permutation(60), 2)]
+        for fold, (preds, isolated) in zip(folds, _nnr_predictions(g, targets, folds)):
+            assert isolated.any()
+            mean = targets[complement(g, fold)].mean(axis=0)
+            assert np.array_equal(preds[isolated], np.broadcast_to(mean, (isolated.sum(), t)))
+
     def test_equal_weights_average(self):
         g = build_graph([(0, 1, 1.0, 1.0), (0, 2, 1.0, 1.0)])
         assert nnr_at(g, [1, 2], np.array([2.0, 4.0]), 0) == 3.0
