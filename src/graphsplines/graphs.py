@@ -224,7 +224,11 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
 
     Raises :class:`DuplicatePoint` if two points coincide (a zero-length edge
     would have infinite weight) and :class:`DisconnectedGraph` if the union is
-    not connected; the caller should raise ``k`` in that case.
+    not connected; the caller should raise ``k`` in that case. Raises
+    ``ValueError`` naming a point when ``4 max sq`` overflows, since that
+    bounds every exact squared distance and every partial sum of the product,
+    and naming two points that differ but whose nearest distance underflows
+    to 0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -238,8 +242,14 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
         raise ValueError("points must be finite")
 
     kk = min(k, n - 1)
-    c = pts - pts.mean(axis=0)
-    sq = (c * c).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = pts - pts.mean(axis=0)
+        sq = (c * c).sum(axis=1)
+        reach = 4 * sq.max()
+    if not np.isfinite(reach):
+        # every exact |a - b|^2 and every partial sum of the product is at most 4 max sq
+        far = np.argmax(np.abs(c).max(axis=1))
+        raise ValueError(f"point {far} lies too far from the mean: squared distances overflow a double")
     left, right = np.column_stack([-2.0 * c, np.ones(n), sq]), np.column_stack([c, sq, np.ones(n)])
     nearest = np.empty((n, kk + 1), dtype=np.intp)
     near_dist = np.empty((n, kk + 1))
@@ -265,7 +275,10 @@ def knn_graph(points: np.ndarray, k: int) -> WeightedGraph:
 
     coincide = np.flatnonzero(near_dist[:, 1] == 0.0)
     if coincide.size:
-        raise DuplicatePoint(f"points {coincide[0]} and {nearest[coincide[0], 1]} coincide")
+        i, j = coincide[0], nearest[coincide[0], 1]
+        if (pts[i] != pts[j]).any():
+            raise ValueError(f"points {i} and {j} differ, but their squared distance underflows to 0")
+        raise DuplicatePoint(f"points {i} and {j} coincide")
 
     # (a - b)**2 == (b - a)**2, so both rows of a pair kept the same distance for it, and
     # any of a pair's (at most two) listings gives its distance

@@ -18,8 +18,9 @@ its Dirichlet form ``(L^alpha s)_U = 0``, and ``beta = (L^alpha s)_K``.
 :func:`spline_regress` checks every spline's nodes, values and ``alpha`` and
 solves the Dirichlet form with ``_solve_symmetric``, one factorization
 carrying every right-hand side; with K = V it forms no ``L^alpha``. For an
-integer ``alpha`` it hands over the CSR block ``(L^alpha)_UU`` and forms no
-n x n array. ``_solve_symmetric`` has two routes and one refusal. A CSR block
+integer ``alpha`` it multiplies only the CSR rows on U, ``L[U] L ... L``,
+hands over their CSR column slice ``(L^alpha)_UU`` and forms no n x n
+array. ``_solve_symmetric`` has two routes and one refusal. A CSR block
 whose reverse Cuthill-McKee band is narrow (half-bandwidth b < m / sqrt(12)
 for m rows, where the band LU's 4 m b^2 flops undercut the m^3 / 3 of
 ``dsysv``) is factored in its band by LAPACK's ``dgbtrf``. Any other block,
@@ -368,10 +369,11 @@ def spline_regress(
     ``(L^alpha)_UU`` is positive definite for a proper nonempty U. The row block
     ``(L^alpha)_U`` is read once: its U columns are the system, and
     ``-(L^alpha)_U F0`` (``F`` on K, zero on U) the right-hand sides of one
-    :func:`_solve_symmetric`. For an integer ``alpha`` the rows are CSR, the
-    rows on U of ``L^(alpha-1)`` times ``L``, and the system is their CSR
-    block, so no n x n array is formed; a fractional ``alpha`` reads the
-    rows of the dense :func:`laplacian_power`.
+    :func:`_solve_symmetric`. For an integer ``alpha`` the rows are CSR,
+    ``L[U]`` times ``L`` alpha - 1 times (``spectral._sparse_power``, with the
+    bits of L^alpha's rows), and the system is their CSR column slice, so no
+    n x n array is formed; a fractional ``alpha`` reads the rows of the dense
+    :func:`laplacian_power`.
     """
     known = _check_nodes(known, g.n_vertices)
     values = _check_values(values, known.size)
@@ -383,26 +385,10 @@ def spline_regress(
     padded = np.zeros((g.n_vertices,) + values.shape[1:])
     padded[known] = values
     if float(alpha).is_integer():
-        # row i of scipy's L^(alpha-1) @ L reads only row i of L^(alpha-1): these are rows of L^alpha
-        L = _sparse_laplacian(g, _kind(decomposition))
-        rows = L[unknown] if alpha == 1 else _sparse_power(L, int(alpha) - 1)[unknown] @ L
-        system = _principal_block(rows, unknown, g.n_vertices)
+        rows = _sparse_power(_sparse_laplacian(g, _kind(decomposition)), int(alpha), unknown)
     else:
         rows = laplacian_power(g, alpha, decomposition)[unknown]
-        system = rows[:, unknown]
-    return _solve_symmetric(system, -(rows @ padded))[0]
-
-
-def _principal_block(rows: csr_matrix, unknown: np.ndarray, n: int) -> csr_matrix:
-    """The U columns of the CSR rows ``(L^alpha)_U``: each row keeps its stored entries in
-    ``unknown``, in their stored order, renumbered by their place in ``unknown``."""
-    place = np.full(n, -1, dtype=rows.indices.dtype)
-    place[unknown] = np.arange(unknown.size)
-    columns = place[rows.indices]
-    kept = columns >= 0
-    before = np.zeros(kept.size + 1, dtype=rows.indptr.dtype)
-    np.cumsum(kept, out=before[1:])
-    return csr_matrix((rows.data[kept], columns[kept], before[rows.indptr]), shape=(unknown.size,) * 2)
+    return _solve_symmetric(rows[:, unknown], -(rows @ padded))[0]
 
 
 def dirichlet_lagrange(

@@ -260,12 +260,15 @@ def _kind(decomposition: SpectralDecomposition | None) -> LaplacianKind:
     return decomposition.kind if decomposition is not None else LaplacianKind.NORMALIZED
 
 
-def _sparse_power(L: csr_matrix, power: int) -> csr_matrix:
-    """CSR ``L^power`` for a positive integer ``power``: scipy's products ``((L L) L) ...``.
+def _sparse_power(L: csr_matrix, power: int, rows: np.ndarray | None = None) -> csr_matrix:
+    """CSR rows ``rows`` (all rows when None) of ``L^power`` for a positive integer ``power``:
+    scipy's products ``((L[rows] L) L) ...``.
 
-    Its entries have the bits of the dense :func:`laplacian_power`; its rows need not be sorted.
+    Row i of scipy's ``A @ B`` reads only row i of ``A``, in its stored order, so starting from
+    ``L[rows]`` gives the rows of ``((L L) L) ...`` with their bits and their stored order. Its
+    entries have the bits of the dense :func:`laplacian_power`; its rows need not be sorted.
     """
-    result = L
+    result = L if rows is None else L[rows]
     for _ in range(power - 1):
         result = result @ L
     return result

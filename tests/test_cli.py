@@ -1236,10 +1236,19 @@ def _input_refusal(case, tmp_path):
     if case == "knn-k-0":
         table.write_text("x,y\n0,0\n1,0\n3,0\n")
         return ("graph", "knn", "--points", table, "--k", 0, "-o", out), "k must be >= 1"
+    if case == "knn-overflow":
+        table.write_text("x,y\n0,0\n1e200,0\n3e200,0\n")
+        return ("graph", "knn", "--points", table, "--k", 1, "-o", out), "point 2 lies too far from the mean"
+    if case == "knn-underflow":
+        table.write_text("x,y\n0,0\n1e-170,0\n3e-170,0\n")
+        return ("graph", "knn", "--points", table, "--k", 1, "-o", out), "points 0 and 1 differ"
     return ("graph", "lattice", "--rows", 1, "--cols", 1, "-o", out), "at least 2 vertices"
 
 
-@pytest.mark.parametrize("case", ["empty-edge-list", "edge-list-header", "one-row-table", "knn-k-0", "lattice-1x1"])
+@pytest.mark.parametrize(
+    "case",
+    ["empty-edge-list", "edge-list-header", "one-row-table", "knn-k-0", "knn-overflow", "knn-underflow", "lattice-1x1"],
+)
 def test_input_refusals_exit_two_with_one_error_line(tmp_path, capsys, case):
     argv, message = _input_refusal(case, tmp_path)
     capsys.readouterr()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -297,10 +298,19 @@ class TestKnnCandidates:
             pts, k = adversarial_cloud(kind, seed)
             assert knn_outcome(knn_graph, pts, k) == knn_outcome(reference_graph, pts, k), (kind, seed)
 
-    def test_overflowing_distances_match_the_reference(self):
+    def test_overflowing_distances_are_refused(self):
+        # 4 max sq bounds every squared distance and partial sum; here it passes the double range
         pts = 1e160 * np.random.default_rng(12).normal(size=(50, 3))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert knn_outcome(knn_graph, pts, 4) == knn_outcome(reference_graph, pts, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^point \d+ lies too far from the mean"):
+                knn_graph(pts, 4)
+
+    def test_distinct_points_whose_distance_underflows_are_refused(self):
+        # (1e-170)^2 underflows to 0, but the points are not duplicates
+        pts = np.array([[0.0, 0.0], [1e-170, 0.0], [3e-170, 0.0]])
+        with pytest.raises(ValueError, match="points 0 and 1 differ"):
+            knn_graph(pts, 1)
 
     # the former 128 x n x d difference tensor and full-row sort peaked at 56 MB here
     def test_knn_graph_memory_is_a_few_row_blocks(self):

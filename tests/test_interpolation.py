@@ -28,7 +28,7 @@ from graphsplines import (
     truncated_lagrange,
 )
 from graphsplines.errors import InconsistentDimensions, SingularSystem
-from graphsplines.interpolation import _principal_block, _solve_symmetric
+from graphsplines.interpolation import _solve_symmetric
 from graphsplines.spectral import _sparse_laplacian, _sparse_power
 
 
@@ -244,7 +244,7 @@ class TestBandRoute:
         rows = _sparse_power(_sparse_laplacian(g, LaplacianKind.NORMALIZED), 2)[unknown]
         padded = np.zeros(600)
         padded[known] = values
-        expected, _ = _solve_symmetric(_principal_block(rows, unknown, 600).toarray(), -(rows @ padded))
+        expected, _ = _solve_symmetric(rows[:, unknown].toarray(), -(rows @ padded))
         assert np.array_equal(got, expected)
 
     def test_an_exactly_singular_band_block_is_refused(self, monkeypatch):
@@ -280,6 +280,48 @@ class TestBandRoute:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n
+
+
+_ROW_POWER_GRAPHS = {**_BAND_GRAPHS, "knn-8d": lambda: knn_graph(np.random.default_rng(8).standard_normal((600, 8)), 10)}
+
+
+class TestRowsOfThePower:
+    def test_an_integer_alpha_spline_multiplies_only_its_unknown_rows(self, monkeypatch):
+        g = lattice_graph(20, 20)
+        rng = np.random.default_rng(20)
+        known = np.sort(rng.permutation(400)[40:])
+        left_rows = []
+        product = csr_matrix.__matmul__
+
+        def recording(a, b):
+            left_rows.append(a.shape[0])
+            return product(a, b)
+
+        monkeypatch.setattr(csr_matrix, "__matmul__", recording)
+        spline_regress(g, known, rng.standard_normal(known.size), 3.0)
+        assert set(left_rows) == {40}
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(_ROW_POWER_GRAPHS))
+    def test_the_rows_first_loop_has_the_bits_of_the_full_power(self, name, alpha):
+        # row i of scipy's A @ B reads only row i of A, so L[U] L ... L is (L L ... L)[U] entry for entry
+        g = _ROW_POWER_GRAPHS[name]()
+        n = g.n_vertices
+        L = _sparse_laplacian(g, LaplacianKind.NORMALIZED)
+        rng = np.random.default_rng([alpha, n])
+        full = _sparse_power(L, alpha)
+        for unknown_share in (0.1, 0.5, 0.9):
+            known = np.sort(rng.permutation(n)[round(unknown_share * n) :])
+            unknown = complement(g, known)
+            got, expected = _sparse_power(L, alpha, unknown), full[unknown]
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(got, part), getattr(expected, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b), part
+            values = rng.standard_normal(known.size)
+            padded = np.zeros(n)
+            padded[known] = values
+            solved, _ = _solve_symmetric(expected[:, unknown], -(expected @ padded))
+            assert np.array_equal(spline_regress(g, known, values, alpha), solved)
 
 
 class TestDirichletOracle:
