@@ -27,6 +27,7 @@ from .errors import (
 from .graphs import WeightedGraph, build_graph, cycle_graph, fill_distance, random_connected_graph
 from .interpolation import (
     InterpolationProblem,
+    _check_vertices,
     dirichlet_lagrange,
     evaluate,
     lagrange_basis,
@@ -234,7 +235,7 @@ def cycle_cover_constant(g: WeightedGraph, nodes) -> float:
     # ring order; both orientations are stored, so the directed walk is the undirected one without a transpose
     order = depth_first_order(g.adjacency, 0, directed=True, return_predecessors=False).tolist()
     position = {v: i for i, v in enumerate(order)}
-    nodes = np.unique(np.asarray(nodes, dtype=int))
+    nodes = np.unique(_check_vertices(nodes, g.n_vertices))
     if nodes.size < 2:
         raise TooFewNodes(f"need at least 2 nodes, got {nodes.size}")
     node_pos = sorted(position[int(v)] for v in nodes)
@@ -300,7 +301,7 @@ def ml_cover_constant(g: WeightedGraph, known) -> MLCoverReport:
     Dirichlet eigenvalue over the grown neighborhood subgraphs (times the same
     overlap factor M).
     """
-    unknown = ~np.isin(np.arange(g.n_vertices), known)
+    unknown = ~np.isin(np.arange(g.n_vertices), _check_vertices(known, g.n_vertices))
 
     rho_max = g.rho_max
     for u, v, w, ell in g.edges:

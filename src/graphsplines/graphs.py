@@ -189,8 +189,8 @@ def cycle_graph(n: int, weight: float = 1.0, length: float = 1.0) -> WeightedGra
 
 def lattice_graph(rows: int, cols: int, weight: float = 1.0, length: float = 1.0) -> WeightedGraph:
     """4-neighbor grid with ``rows * cols`` vertices in row-major order."""
-    if rows * cols < 2:
-        raise TooFewVertices("lattice needs at least 2 vertices")
+    if min(rows, cols) < 1 or rows * cols < 2:
+        raise TooFewVertices(f"lattice needs at least 2 vertices, got {rows} rows and {cols} cols")
     idx = np.arange(rows * cols).reshape(rows, cols)
     right = np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()])
     down = np.column_stack([idx[:-1].ravel(), idx[1:].ravel()])

@@ -59,15 +59,22 @@ from .graphs import WeightedGraph, complement
 from .spectral import SpectralDecomposition, _kind, _sparse_laplacian, _sparse_power, laplacian_power
 
 
+def _check_vertices(ids: Sequence[int], n_vertices: int) -> np.ndarray:
+    """Vertex ids as an int array, each in 0..n_vertices-1."""
+    ids = np.asarray(ids, dtype=int)
+    bad = ids[(ids < 0) | (ids >= n_vertices)]
+    if bad.size:
+        raise InconsistentDimensions(f"vertex {bad[0]} out of range for {n_vertices} vertices")
+    return ids
+
+
 def _check_nodes(nodes: Sequence[int], n_vertices: int) -> np.ndarray:
     """Node set as an int array; nonempty, without duplicates, every index in range."""
-    nodes = np.asarray(nodes, dtype=int)
+    nodes = _check_vertices(nodes, n_vertices)
     if nodes.size == 0:
         raise InconsistentDimensions("node set is empty")
     if np.unique(nodes).size != nodes.size:
         raise InconsistentDimensions("node set contains duplicates")
-    if nodes.min() < 0 or nodes.max() >= n_vertices:
-        raise InconsistentDimensions("node index out of range")
     return nodes
 
 
@@ -189,7 +196,7 @@ def _check_factor(driver: str, info: int) -> None:
 
 
 def _check_rcond(rcond: float) -> float:
-    if rcond < np.finfo(float).eps:
+    if not rcond >= np.finfo(float).eps:  # refuses nan too
         raise SingularSystem(f"reciprocal condition estimate {rcond:.3e} below machine epsilon")
     return float(rcond)
 

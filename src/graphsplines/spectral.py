@@ -29,6 +29,7 @@ from .errors import (
     IsolatedVertex,
     MultipleZeroEigenvalues,
     NonPositiveAlpha,
+    ValidationError,
 )
 from .graphs import WeightedGraph
 
@@ -38,16 +39,10 @@ class LaplacianKind(Enum):
     UNNORMALIZED = "unnormalized"  # D - A
 
 
-_DEGREE_BLOCK_ROWS = 128
-
-
 def _sparse_laplacian(g: WeightedGraph, kind: LaplacianKind) -> csr_matrix:
     """Canonical CSR Laplacian of the given kind: the edges and the diagonal; exactly symmetric.
 
-    Degrees are dense row sums over blocks of 128 rows, so they carry the last bits of a
-    sum over a dense weight matrix (summing only the stored weights rounds differently)
-    in O(128 n) memory. Each block is written from the adjacency's ``indptr``, ``indices``
-    and ``data`` into one zeroed buffer, summed, and cleared again.
+    Each degree is its row's stored weights added one by one in stored order.
 
     The CSR arrays are assembled with numpy: row ``i`` keeps the adjacency's sorted
     columns and takes its diagonal entry at the row start plus the count of its
@@ -58,18 +53,13 @@ def _sparse_laplacian(g: WeightedGraph, kind: LaplacianKind) -> csr_matrix:
     n = g.n_vertices
     indptr, indices = A.indptr, A.indices
     rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-    deg = np.empty(n)
-    block = np.zeros((min(_DEGREE_BLOCK_ROWS, n), n))
-    for lo in range(0, n, _DEGREE_BLOCK_ROWS):
-        hi = min(lo + _DEGREE_BLOCK_ROWS, n)
-        stored = slice(indptr[lo], indptr[hi])
-        cells = (rows[stored] - lo, indices[stored])
-        block[cells] = A.data[stored]
-        deg[lo:hi] = block[: hi - lo].sum(axis=1)
-        block[cells] = 0.0
+    deg = np.bincount(rows, weights=A.data, minlength=n)
     if np.any(deg <= 0):
         v = int(np.argmax(deg <= 0))
         raise IsolatedVertex(f"vertex {v} has zero weighted degree")
+    if not np.all(np.isfinite(deg)):
+        v = int(np.argmin(np.isfinite(deg)))
+        raise ValidationError(f"vertex {v} has weighted degree {deg[v]}: its weights overflow a double")
     off, diag = -A.data, deg
     if kind is LaplacianKind.NORMALIZED:
         dinv = 1.0 / np.sqrt(deg)

@@ -1242,12 +1242,22 @@ def _input_refusal(case, tmp_path):
     if case == "knn-underflow":
         table.write_text("x,y\n0,0\n1e-170,0\n3e-170,0\n")
         return ("graph", "knn", "--points", table, "--k", 1, "-o", out), "points 0 and 1 differ"
+    if case == "degree-overflow":
+        edges.write_text("u,v,weight,length\n0,1,1e308,1\n1,2,1e308,1\n2,3,1,1\n")
+        known = tmp_path / "known.csv"
+        known.write_text("vertex,value\n0,1\n3,2\n")
+        return ("interp", "--graph", edges, "--known", known, "-o", out), "vertex 1 has weighted degree inf"
+    if case == "lattice-negative":
+        return ("graph", "lattice", "--rows", -2, "--cols", -3, "-o", out), "got -2 rows and -3 cols"
     return ("graph", "lattice", "--rows", 1, "--cols", 1, "-o", out), "at least 2 vertices"
 
 
 @pytest.mark.parametrize(
     "case",
-    ["empty-edge-list", "edge-list-header", "one-row-table", "knn-k-0", "knn-overflow", "knn-underflow", "lattice-1x1"],
+    [
+        "empty-edge-list", "edge-list-header", "one-row-table", "knn-k-0", "knn-overflow", "knn-underflow",
+        "degree-overflow", "lattice-1x1", "lattice-negative",
+    ],
 )
 def test_input_refusals_exit_two_with_one_error_line(tmp_path, capsys, case):
     argv, message = _input_refusal(case, tmp_path)

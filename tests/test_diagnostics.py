@@ -27,6 +27,7 @@ from graphsplines.diagnostics import random_known_unknown_graph
 from graphsplines.errors import (
     DegenerateDenominator,
     HypothesisViolated,
+    InconsistentDimensions,
     InsufficientData,
     NotACycle,
     TooFewNodes,
@@ -278,6 +279,10 @@ class TestCycleCoverConstant:
         with pytest.raises(TooFewNodes):
             cycle_cover_constant(cycle_graph(6), [2])
 
+    def test_an_out_of_range_node_is_refused(self):
+        with pytest.raises(InconsistentDimensions, match="vertex 300 out of range for 8 vertices"):
+            cycle_cover_constant(cycle_graph(8), [0, 4, 300])
+
     def test_relabelled_uneven_cycles_against_hand_walked_ring(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
@@ -322,6 +327,11 @@ class TestMLCoverConstant:
         g = build_graph([(0, 1, 2.0, 1.0), (1, 2, 1.0, 1.0)])
         with pytest.raises(HypothesisViolated):
             ml_cover_constant(g, known=[0, 2])
+
+    def test_an_out_of_range_known_id_is_refused(self):
+        # dropping -4 would leave vertices 3..5 unknown and blame the edge (3,4)
+        with pytest.raises(InconsistentDimensions, match="vertex -4 out of range for 6 vertices"):
+            ml_cover_constant(cycle_graph(6), known=[0, 1, 2, -4])
 
     def test_star_with_unknown_center(self):
         edges = [(0, i, 1.0, 1.0) for i in range(1, 6)]

@@ -162,10 +162,14 @@ class TestSolveSymmetric:
     def test_rcond_does_not_depend_on_the_layout_of_the_block(self):
         # seed 5: the 1-norm of this (L^2)_UU block rounds differently when its columns are summed
         # in C and in F order, so an rcond taken from the caller's layout moved in its last bit
+        # the block is made here (degrees as dense row sums of W, squared as CSR) so that it keeps that property
         rng = np.random.default_rng(5)
-        g = knn_graph(rng.standard_normal((200, 3)), 8)
+        W = knn_graph(rng.standard_normal((200, 3)), 8).adjacency.toarray()
         unknown = np.sort(rng.choice(200, 20, replace=False))
-        block = laplacian_power(g, 2)[np.ix_(unknown, unknown)]
+        deg = W.sum(axis=1)
+        dinv = 1.0 / np.sqrt(deg)
+        L = csr_matrix((np.diag(deg) - W) * np.outer(dinv, dinv))
+        block = (L @ L).toarray()[np.ix_(unknown, unknown)]
         assert block.flags.c_contiguous
         assert np.linalg.norm(block, 1) != np.linalg.norm(np.asfortranarray(block), 1)
         rhs = rng.standard_normal(20)
@@ -173,6 +177,10 @@ class TestSolveSymmetric:
         f_solution, f_rcond = _solve_symmetric(np.asfortranarray(block), rhs.copy())
         assert c_rcond == f_rcond
         assert np.array_equal(c_solution, f_solution)
+
+    def test_a_nan_block_is_refused(self):
+        with pytest.raises(SingularSystem, match="nan"):
+            _solve_symmetric(np.array([[2.0, np.nan], [np.nan, 2.0]]), np.ones(2))
 
 
 _BAND_GRAPHS = {
@@ -263,6 +271,13 @@ class TestBandRoute:
         A[3, 3] = 1e-18
         bands = _band_calls(monkeypatch)
         with pytest.raises(SingularSystem, match="below machine epsilon"):
+            _solve_symmetric(csr_matrix(A), np.ones(8))
+        assert bands == [1]
+
+    def test_a_band_block_with_nan_is_refused(self, monkeypatch):
+        A = 2.0 * np.eye(8) + np.diag(np.full(7, np.nan), 1) + np.diag(np.full(7, np.nan), -1)
+        bands = _band_calls(monkeypatch)
+        with pytest.raises(SingularSystem, match="nan"):
             _solve_symmetric(csr_matrix(A), np.ones(8))
         assert bands == [1]
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -53,10 +55,17 @@ class TestLaplacian:
         assert np.allclose(L.sum(axis=1), 0.0, atol=1e-12)
 
 
-def dense_laplacian(g, kind):
-    """The Laplacian from the dense weight matrix, as ``D - A`` scaled by ``outer(dinv, dinv)``."""
+def stored_degrees(g):
+    """Each row's stored weights added one by one, in stored order."""
+    A = g.adjacency
+    return np.array([sum(A.data[A.indptr[i] : A.indptr[i + 1]]) for i in range(g.n_vertices)])
+
+
+def dense_laplacian(g, kind, deg=None):
+    """The Laplacian from the dense weight matrix, as ``D - A`` scaled by ``outer(dinv, dinv)``;
+    the degrees are the stored-order sums unless given."""
     A = g.adjacency.toarray()
-    deg = A.sum(axis=1)
+    deg = stored_degrees(g) if deg is None else deg
     L = np.diag(deg) - A
     if kind is NORM:
         dinv = 1.0 / np.sqrt(deg)
@@ -72,6 +81,9 @@ def test_sparse_built_laplacian_equals_the_dense_formula_bit_for_bit(kind):
         L = laplacian(g, kind)
         assert np.array_equal(L, dense_laplacian(g, kind))
         assert np.array_equal(L, L.T)
+        # degrees as dense row sums of the weight matrix round differently; these graphs measured 2 ulps at most
+        row_sums = dense_laplacian(g, kind, g.adjacency.toarray().sum(axis=1))
+        assert np.abs(L - row_sums).max() <= 4 * np.finfo(float).eps * np.abs(L).max()
 
 
 def fix_signs_loop(vectors):
@@ -349,10 +361,9 @@ def test_non_finite_alpha_is_refused(alpha):
 
 
 def _laplacian_through_coo(g, kind):
-    """The CSR Laplacian built with a COO to CSR conversion, from the same block degrees."""
-    A, n = g.adjacency, g.n_vertices
-    deg = np.concatenate([A[lo : lo + 128].toarray().sum(axis=1) for lo in range(0, n, 128)])
-    A = A.tocoo()
+    """The CSR Laplacian built with a COO to CSR conversion, from the stored-order degrees."""
+    n, deg = g.n_vertices, stored_degrees(g)
+    A = g.adjacency.tocoo()
     off, diag = -A.data, deg
     if kind is NORM:
         dinv = 1.0 / np.sqrt(deg)
@@ -371,6 +382,19 @@ def test_sparse_laplacian_arrays_equal_the_coo_built_csr(kind):
         L, expected = _sparse_laplacian(g, kind), _laplacian_through_coo(g, kind)
         for got, want in ((L.indptr, expected.indptr), (L.indices, expected.indices), (L.data, expected.data)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", [NORM, UNNORM])
+def test_the_laplacian_build_needs_memory_in_proportion_to_the_stored_entries(kind):
+    # a 150 x 150 lattice: any n-wide dense block of rows would dwarf the 1.4 MB result
+    g = lattice_graph(150, 150)
+    tracemalloc.start()
+    try:
+        L = _sparse_laplacian(g, kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (L.data.nbytes + L.indices.nbytes + L.indptr.nbytes)
 
 
 def test_reading_an_edge_list_and_its_laplacian_builds_no_coo_matrix(tmp_path, monkeypatch):
