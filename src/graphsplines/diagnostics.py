@@ -23,6 +23,7 @@ from .errors import (
     InsufficientData,
     NotACycle,
     TooFewNodes,
+    ValidationError,
 )
 from .graphs import WeightedGraph, build_graph, cycle_graph, fill_distance, random_connected_graph
 from .interpolation import (
@@ -78,7 +79,11 @@ def decay_profile(f: np.ndarray, g: WeightedGraph, center: int, bin_width: float
         raise ValueError(f"bin width must be positive and finite, got {bin_width}")
     f = np.asarray(f, dtype=float)
     d = g.distances_from(center)
-    bins = np.floor(d / bin_width + 0.5)  # whole floats: an int cast overflows for a tiny width
+    with np.errstate(over="ignore"):
+        scaled = d / bin_width
+    if not np.all(np.isfinite(scaled)):
+        raise ValidationError(f"distance {d.max()} over bin width {bin_width} overflows a double")
+    bins = np.floor(scaled + 0.5)  # whole floats: an int cast overflows for a tiny width
     uniq, which = np.unique(bins, return_inverse=True)
     # every bin holds a vertex and every |f| is >= 0, so a running max from zeros is the bin max;
     # a nan still wins its bin, as in ndarray.max, without the warning maximum.at raises for it

@@ -9,17 +9,18 @@ The spline is the minimal-norm polyharmonic interpolant, found from its
 Dirichlet form: it satisfies ``(L^alpha s)_U = 0`` on the unknown set U, so
 ``s_U = -(L^alpha)_UU^-1 (L^alpha)_UK F`` with one symmetric solve per known
 set (``interpolation.spline_regress``). For an integer alpha ``L^alpha`` is a
-sparse product of Laplacians, so no eigendecomposition or kernel matrix is
-built here.
+CSR product of Laplacians (``spectral._sparse_power``), so no
+eigendecomposition, kernel matrix or n x n array is built here.
 
 With F the targets on every row, the Dirichlet form gives a CV fold's error
 in closed form, ``e_U = s_U - F_U = -(L^alpha)_UU^-1 (L^alpha F)_U``, a
 leave-fold-out form of Rippa's residual (Adv. Comput. Math. 11, 1999). So
-``L^alpha F`` is formed once per run, and a fold gathers only the |U| x |U|
-block and |U| rows of it for one symmetric solve. The baseline comes from one
-sparse product per repeat of the adjacency with, for each fold, the known-set
-indicator and the centered known values. The report keeps the smallest fold
-rcond (``min_rcond``) next to the count of baseline fallbacks.
+``L^alpha F`` is formed once per run, and a fold reads only the |U| x |U|
+block (a repeat's blocks scattered from the CSR entries in one pass at an
+integer alpha) and |U| rows of it for one symmetric solve. The baseline comes
+from one sparse product per repeat of the adjacency with, for each fold, the
+known-set indicator and the centered known values. The report keeps the
+smallest fold rcond (``min_rcond``) next to the count of baseline fallbacks.
 """
 from __future__ import annotations
 
@@ -28,11 +29,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TooFewRows, ZeroVarianceColumn
+from .errors import TooFewRows, ValidationError, ZeroVarianceColumn
 from .graphs import WeightedGraph, knn_graph
 from .interpolation import _solve_symmetric, spline_regress
 from .io import read_table
-from .spectral import LaplacianKind, _sparse_laplacian, laplacian_power
+from .spectral import LaplacianKind, _sparse_laplacian, _sparse_power, laplacian_power
 
 
 @dataclass
@@ -70,6 +71,9 @@ def load_dataset(path, feature_columns: Sequence, target_columns: Sequence, head
     Columns may be named or given as zero-based indices; a table without a
     header names its columns ``col0, col1, ...``.
     """
+    for kind, selected in (("feature", feature_columns), ("target", target_columns)):
+        if len(selected) == 0:
+            raise ValidationError(f"{path}: the {kind} column list is empty")
     names, data = read_table(path, header)
     if data.shape[0] < 2:
         raise TooFewRows(f"{path}: need at least 2 data rows, got {data.shape[0]}")
@@ -138,6 +142,24 @@ def _nnr_predictions(
     return out
 
 
+def _fold_blocks(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, folds: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each fold's block ``M[np.ix_(fold, fold)]`` of the matrix storing ``values[k]`` at (``rows[k]``, ``cols[k]``),
+    scattered in one pass into one zeroed buffer, each block column-major as ``dsysv`` reads it; with no
+    entry stored twice, a block has the bits of the dense gather."""
+    n = sum(fold.size for fold in folds)
+    label, row_at, col_at = (np.empty(n, dtype=np.intp) for _ in range(3))
+    starts = [0]
+    for f, fold in enumerate(folds):  # entry (i, j) of block f sits at starts[f] + i + j |fold|
+        label[fold] = f
+        row_at[fold] = starts[f] + np.arange(fold.size)
+        col_at[fold] = np.arange(fold.size) * fold.size
+        starts.append(starts[f] + fold.size**2)
+    inside = np.flatnonzero(label[rows] == label[cols])
+    out = np.zeros(starts[-1])
+    out[row_at[rows[inside]] + col_at[cols[inside]]] = values[inside]
+    return [out[a:b].reshape(fold.size, fold.size, order="F") for a, b, fold in zip(starts, starts[1:], folds)]
+
+
 @dataclass
 class CVConfig:
     k_neighbors: int
@@ -193,40 +215,52 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
     set. Per-fold MSEs are averaged within a repeat, and the report carries the
     mean and population standard deviation over repeats. A fold's spline error
     is ``-(L^alpha)_UU^-1 (L^alpha F)_U`` (module docstring): its work is the
-    |U| x |U| block and |U| rows of ``L^alpha F``, which is formed once. The
-    baseline predicts all of a repeat's folds from one sparse product.
+    |U| x |U| block (:func:`_fold_blocks` at an integer alpha) and |U| rows of
+    ``L^alpha F``, which is formed once. The baseline predicts all of a
+    repeat's folds from one sparse product.
     """
     if d.n_rows < cfg.folds:
         raise TooFewRows(f"{d.n_rows} rows cannot be split into {cfg.folds} folds")
     normalized = normalize(d)
     g = knn_graph(normalized.features, cfg.k_neighbors)
-    power = laplacian_power(g, cfg.alpha)
+    n, t = d.n_rows, d.targets.shape[1]
+    entries = None  # a positive integer alpha's L^alpha as the coordinates of its stored entries
+    if float(cfg.alpha).is_integer() and cfg.alpha >= 1:
+        power = _sparse_power(_sparse_laplacian(g, LaplacianKind.NORMALIZED), int(cfg.alpha))
+        entries = (np.repeat(np.arange(n), np.diff(power.indptr)), power.indices.astype(np.intp), power.data)
+    else:
+        power = laplacian_power(g, cfg.alpha)  # a fractional alpha's eigenpair power; refuses a bad alpha
     residual = power @ d.targets
 
-    n, t = d.n_rows, d.targets.shape[1]
     repeat_mse = {"spline": np.zeros((cfg.repeats, t)), "nnr": np.zeros((cfg.repeats, t))}
     fallbacks = 0
     min_rcond = np.inf
 
-    for r in range(cfg.repeats):
-        rng = np.random.default_rng([cfg.seed, r])
-        folds = [np.sort(fold) for fold in np.array_split(rng.permutation(n), cfg.folds)]
-        fold_mse = {"spline": np.zeros((cfg.folds, t)), "nnr": np.zeros((cfg.folds, t))}
-        baseline = _nnr_predictions(g, d.targets, folds)
-        for fi, (unknown, (nnr, isolated)) in enumerate(zip(folds, baseline)):
-            error, rcond = _solve_symmetric(power[np.ix_(unknown, unknown)], -residual[unknown])
-            min_rcond = min(min_rcond, rcond)
-            fold_mse["spline"][fi] = (error**2).mean(axis=0)
+    # an overflow reaches the report as inf or nan, and is refused there by its target column
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(cfg.repeats):
+            rng = np.random.default_rng([cfg.seed, r])
+            folds = [np.sort(fold) for fold in np.array_split(rng.permutation(n), cfg.folds)]
+            fold_mse = {"spline": np.zeros((cfg.folds, t)), "nnr": np.zeros((cfg.folds, t))}
+            baseline = _nnr_predictions(g, d.targets, folds)
+            blocks = [power[np.ix_(U, U)] for U in folds] if entries is None else _fold_blocks(*entries, folds)
+            for fi, (unknown, block, (nnr, isolated)) in enumerate(zip(folds, blocks, baseline)):
+                error, rcond = _solve_symmetric(block, -residual[unknown])
+                min_rcond = min(min_rcond, rcond)
+                fold_mse["spline"][fi] = (error**2).mean(axis=0)
 
-            fallbacks += int(isolated.sum())
-            fold_mse["nnr"][fi] = ((nnr - d.targets[unknown]) ** 2).mean(axis=0)
-        for method in repeat_mse:
-            repeat_mse[method][r] = fold_mse[method].mean(axis=0)
+                fallbacks += int(isolated.sum())
+                fold_mse["nnr"][fi] = ((nnr - d.targets[unknown]) ** 2).mean(axis=0)
+            for method in repeat_mse:
+                repeat_mse[method][r] = fold_mse[method].mean(axis=0)
 
-    report = RegressionReport(nnr_fallbacks=fallbacks, min_rcond=min_rcond)
-    for method in ("spline", "nnr"):
-        for name, series in zip(d.target_names, repeat_mse[method].T):
-            report.rows.append(ReportRow(method, name, cfg.k_neighbors, float(series.mean()), float(series.std())))
+        report = RegressionReport(nnr_fallbacks=fallbacks, min_rcond=min_rcond)
+        for method in ("spline", "nnr"):
+            for name, series in zip(d.target_names, repeat_mse[method].T):
+                mean, std = float(series.mean()), float(series.std())
+                if not (np.isfinite(mean) and np.isfinite(std)):
+                    raise ValidationError(f"target column {name!r}: its {method} mean squared error overflows a double")
+                report.rows.append(ReportRow(method, name, cfg.k_neighbors, mean, std))
     return report
 
 
@@ -239,6 +273,14 @@ def wendland_bump(r):
     clamped = np.clip(r, 0.0, 1.0)
     value = (1.0 - clamped) ** 4 * (4.0 * clamped + 1.0)
     return float(value) if value.ndim == 0 else value
+
+
+def _refuse_overflow(scaled: np.ndarray, magnitudes: np.ndarray) -> None:
+    """Refuse the first magnitude whose column of ``scaled`` is not finite."""
+    bad = ~np.isfinite(scaled).all(axis=0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValidationError(f"magnitude {magnitudes[j]} is too large: the scaled field or its norm overflows a double")
 
 
 def smoothness_experiment(
@@ -279,7 +321,11 @@ def smoothness_experiment(
     unknown = np.sort(half[n_points // 2 :])
 
     # one column per magnitude; the order-2 semi-norm ||L^(2/2) f|| is ||L f||
-    fields = np.outer(base, magnitudes)
-    errors = np.linalg.norm(spline_regress(g, known, fields[known], alpha) - fields[unknown], axis=0)
-    seminorms = np.linalg.norm(_sparse_laplacian(g, LaplacianKind.NORMALIZED) @ fields, axis=0)
+    with np.errstate(over="ignore"):  # a magnitude that overflows is refused by name
+        fields = np.outer(base, magnitudes)
+    _refuse_overflow(fields, magnitudes)
+    with np.errstate(over="ignore"):
+        errors = np.linalg.norm(spline_regress(g, known, fields[known], alpha) - fields[unknown], axis=0)
+        seminorms = np.linalg.norm(_sparse_laplacian(g, LaplacianKind.NORMALIZED) @ fields, axis=0)
+    _refuse_overflow(np.stack([errors, seminorms]), magnitudes)
     return [(float(a), float(b)) for a, b in zip(seminorms, errors)]

@@ -6,9 +6,9 @@ made dense only on request: for ``eigh``, for Dirichlet submatrices and by the
 public :func:`laplacian`. Kernel matrices are pseudo-inverse powers applied via
 the eigendecomposition; ``L^alpha`` itself (read by Dirichlet-form regression)
 is a product of sparse Laplacians for an integer alpha and needs no
-eigendecomposition: splines read its rows as CSR, and the dense
-:func:`laplacian_power` adds its last factor straight into the dense result;
-Sobolev-type semi-norms are ``||L^(alpha/2) f||`` restricted to a vertex set.
+eigendecomposition: one CSR power loop (``_sparse_power``) makes it for
+splines, cross-validation and the dense :func:`laplacian_power`; Sobolev-type
+semi-norms are ``||L^(alpha/2) f||`` restricted to a vertex set.
 """
 from __future__ import annotations
 
@@ -225,9 +225,7 @@ def laplacian_power(
 
     The kind is ``decomposition.kind`` when a decomposition is given and
     normalized otherwise. An integer ``alpha`` needs no eigendecomposition: it
-    is ``L.toarray()`` at 1, and otherwise the CSR product ``L^(alpha-1)`` times
-    ``L``, added straight into the dense result with the bits of scipy's
-    ``(L^(alpha-1) @ L).toarray()``; the last product is never stored as CSR.
+    is scipy's CSR product ``((L L) L) ...`` (``_sparse_power``) made dense.
     From alpha = 3 on, rounding leaves it not exactly symmetric. A fractional
     ``alpha`` is built from the eigenpairs (of ``decomposition``, or of a fresh
     one) and symmetrised like :func:`pseudo_inverse_power`.
@@ -236,10 +234,7 @@ def laplacian_power(
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
     kind = _kind(decomposition)
     if float(alpha).is_integer():
-        L = _sparse_laplacian(g, kind)
-        if alpha == 1:
-            return L.toarray()
-        return _dense_product(_sparse_power(L, int(alpha) - 1), L)
+        return _sparse_power(_sparse_laplacian(g, kind), int(alpha)).toarray()
     if decomposition is None:
         decomposition = decompose_graph(g, kind)
     return _spectral_power(decomposition, alpha)
@@ -255,34 +250,13 @@ def _sparse_power(L: csr_matrix, power: int, rows: np.ndarray | None = None) -> 
     scipy's products ``((L[rows] L) L) ...``.
 
     Row i of scipy's ``A @ B`` reads only row i of ``A``, in its stored order, so starting from
-    ``L[rows]`` gives the rows of ``((L L) L) ...`` with their bits and their stored order. Its
-    entries have the bits of the dense :func:`laplacian_power`; its rows need not be sorted.
+    ``L[rows]`` gives the rows of ``((L L) L) ...`` with their bits and their stored order. The
+    rows need not be sorted, and no entry is stored twice.
     """
     result = L if rows is None else L[rows]
     for _ in range(power - 1):
         result = result @ L
     return result
-
-
-def _dense_product(A: csr_matrix, B: csr_matrix) -> np.ndarray:
-    """``(A @ B).toarray()`` bit for bit, with no CSR product made.
-
-    scipy's ``csr_matmat`` adds ``A[i, j] * B[j, k]`` into entry (i, k) row by row,
-    taking row i's entries of ``A`` in their stored order and, for each, row j of ``B``.
-    A product made by scipy, such as ``L @ L``, has unsorted rows, so the stored order is
-    the one that counts. One ``np.bincount`` over the (i, j, k) triples laid out in that
-    order adds each entry's terms in the same sequence, from the same 0.0 start; an entry
-    whose terms cancel is +0.0 both ways, dropped by scipy and summed from +0.0 here.
-    """
-    n = A.shape[0]
-    lengths = np.diff(B.indptr)[A.indices]  # the terms of each stored entry of A: B's row length
-    offsets = np.zeros(A.nnz + 1, dtype=np.intp)
-    np.cumsum(lengths, out=offsets[1:])
-    # term t comes from A's stored entry e (offsets[e] <= t < offsets[e + 1]) and B's stored entry kk[t]
-    kk = np.repeat(B.indptr[A.indices] - offsets[:-1], lengths) + np.arange(offsets[-1])
-    cells = np.repeat(np.arange(n) * n, np.diff(offsets[A.indptr])) + B.indices[kk]
-    terms = np.repeat(A.data, lengths) * B.data[kk]
-    return np.bincount(cells, weights=terms, minlength=n * n).reshape(n, n)
 
 
 def sobolev_seminorm(

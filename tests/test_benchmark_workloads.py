@@ -109,6 +109,19 @@ def test_cv768_makes_one_baseline_product_per_repeat(monkeypatch, tmp_path, caps
     assert (len(baselines), len(solves)) == (workload.repeats, workload.folds * workload.repeats)
 
 
+def test_cv768_forms_no_dense_laplacian_power(monkeypatch, tmp_path, capsys):
+    # an integer alpha reads its fold blocks from the CSR power, so the dense n x n L^alpha is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense laplacian_power called")
+
+    monkeypatch.setattr(ml, "laplacian_power", refuse)
+    workload = _workloads(monkeypatch).WORKLOADS["cv768"](tmp_path, 1)
+    job = workload.job(0)
+    for argv in job.calls:
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    workload.check(job)
+
+
 def test_cycle256_lagrange_makes_one_eigh_per_job(monkeypatch, tmp_path, capsys):
     # an integer alpha builds its Lagrange functions from the Dirichlet form; only the
     # truncated alpha = 1.5 call decomposes the Laplacian

@@ -1249,6 +1249,29 @@ def _input_refusal(case, tmp_path):
         return ("interp", "--graph", edges, "--known", known, "-o", out), "vertex 1 has weighted degree inf"
     if case == "lattice-negative":
         return ("graph", "lattice", "--rows", -2, "--cols", -3, "-o", out), "got -2 rows and -3 cols"
+    if case in ("empty-features", "empty-targets"):
+        table.write_text("a,b,y\n0.5,1.5,2.0\n1.5,0.5,3.0\n2.5,2.5,1.0\n")
+        features, targets, kind = ("", "y", "feature") if case == "empty-features" else ("a,b", "", "target")
+        argv = ("ml", "cv", "--data", table, "--features", features, "--targets", targets, "--k", 1, "--folds", 2, "-o", out)
+        return argv, f"the {kind} column list is empty"
+    if case == "cv-target-overflow":
+        rng = np.random.default_rng(5)
+        rows = np.column_stack([rng.uniform(size=(60, 3)), 1e200 * (1.0 + rng.uniform(size=60))])
+        table.write_text("a,b,c,y\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+        argv = ("ml", "cv", "--data", table, "--features", "a,b,c", "--targets", "y", "--k", 4, "--folds", 3, "-o", out)
+        return argv, "target column 'y'"
+    if case in ("decay-tiny-bin", "decay-long-edges"):
+        length, width, message = {
+            "decay-tiny-bin": ("1", "1e-320", "distance 2.0 over bin width 1e-320 overflows a double"),
+            "decay-long-edges": ("1e308", "1", "distance inf over bin width 1.0 overflows a double"),
+        }[case]
+        edges.write_text("u,v,weight,length\n" + "".join(f"{u},{v},1,{length}\n" for u, v in ((0, 1), (1, 2), (2, 3), (0, 3))))
+        function = tmp_path / "f.csv"
+        function.write_text("vertex,value\n0,1\n1,0.5\n2,0.25\n3,0.5\n")
+        argv = ("decay", "--graph", edges, "--function", function, "--center", 0, "--bin-width", width, "--fit", "-o", out)
+        return argv, message
+    if case == "smoothness-overflow":
+        return ("experiment", "smoothness", "--n", 40, "--magnitudes", "1e308", "-o", out), "magnitude 1e+308 is too large"
     return ("graph", "lattice", "--rows", 1, "--cols", 1, "-o", out), "at least 2 vertices"
 
 
@@ -1256,7 +1279,8 @@ def _input_refusal(case, tmp_path):
     "case",
     [
         "empty-edge-list", "edge-list-header", "one-row-table", "knn-k-0", "knn-overflow", "knn-underflow",
-        "degree-overflow", "lattice-1x1", "lattice-negative",
+        "degree-overflow", "lattice-1x1", "lattice-negative", "empty-features", "empty-targets",
+        "cv-target-overflow", "decay-tiny-bin", "decay-long-edges", "smoothness-overflow",
     ],
 )
 def test_input_refusals_exit_two_with_one_error_line(tmp_path, capsys, case):

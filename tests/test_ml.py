@@ -25,8 +25,8 @@ from graphsplines.errors import (
     ZeroVarianceColumn,
 )
 from graphsplines.interpolation import _solve_symmetric
-from graphsplines.ml import _nnr_predictions
-from graphsplines.spectral import laplacian_power
+from graphsplines.ml import _fold_blocks, _nnr_predictions
+from graphsplines.spectral import LaplacianKind, _sparse_laplacian, _sparse_power, laplacian_power
 
 
 def write_csv(path, text):
@@ -551,6 +551,38 @@ class TestCrossValidateSolvePaths:
         assert spline != [(r.mean_mse, r.std_mse) for r in integer.rows if r.method == "spline"]
         # the baseline does not depend on alpha
         assert [r for r in fractional.rows if r.method == "nnr"] == [r for r in integer.rows if r.method == "nnr"]
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    def test_fold_blocks_have_the_bits_of_the_dense_gather(self, alpha):
+        # 97 rows in 10 folds give blocks of 10 and 9 rows; L stores its diagonal, and from
+        # alpha = 3 on rounding leaves the power, and so its blocks, not exactly symmetric
+        n = 97
+        g = knn_graph(np.random.default_rng(31).normal(size=(n, 4)), 5)
+        power = _sparse_power(_sparse_laplacian(g, LaplacianKind.NORMALIZED), alpha)
+        rows = np.repeat(np.arange(n), np.diff(power.indptr))
+        folds = [np.sort(fold) for fold in np.array_split(np.random.default_rng(32).permutation(n), 10)]
+        dense = laplacian_power(g, float(alpha))
+        assert (alpha >= 3) != np.array_equal(dense, dense.T)
+        blocks = _fold_blocks(rows, power.indices.astype(np.intp), power.data, folds)
+        assert {block.shape[0] for block in blocks} == {9, 10}
+        for fold, block in zip(folds, blocks):
+            expected = dense[np.ix_(fold, fold)]
+            assert block.shape == expected.shape and block.tobytes() == expected.tobytes()
+
+    def test_integer_alpha_peaks_below_one_dense_n_by_n_array(self):
+        import tracemalloc
+
+        n = 3000
+        rng = np.random.default_rng(34)
+        X = rng.uniform(size=(n, 8))
+        d = Dataset(X, X.sum(axis=1, keepdims=True), [f"x{j}" for j in range(8)], ["y"])
+        tracemalloc.start()
+        try:
+            cross_validate(d, CVConfig(k_neighbors=10, folds=10, repeats=1, alpha=2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * np.dtype(float).itemsize
 
 
 class TestSmoothnessSeminorm:
