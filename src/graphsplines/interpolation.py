@@ -17,10 +17,10 @@ its Dirichlet form ``(L^alpha s)_U = 0``, and ``beta = (L^alpha s)_K``.
 
 :func:`spline_regress` checks every spline's nodes, values and ``alpha`` and
 solves the Dirichlet form with ``_solve_symmetric``, one factorization
-carrying every right-hand side; with K = V it forms no ``L^alpha``. For an
-integer ``alpha`` it multiplies only the CSR rows on U, ``L[U] L ... L``,
-hands over their CSR column slice ``(L^alpha)_UU`` and forms no n x n
-array. ``_solve_symmetric`` has two routes and one refusal. A CSR block
+carrying every right-hand side; with K = V it forms no ``L^alpha``. Its rows
+on U come from ``spectral._power``: for an integer ``alpha`` the CSR rows
+``L[U] L ... L``, whose column slice ``(L^alpha)_UU`` is handed over, and no
+n x n array. ``_solve_symmetric`` has two routes and one refusal. A CSR block
 whose reverse Cuthill-McKee band is narrow (half-bandwidth b < m / sqrt(12)
 for m rows, where the band LU's 4 m b^2 flops undercut the m^3 / 3 of
 ``dsysv``) is factored in its band by LAPACK's ``dgbtrf``. Any other block,
@@ -56,7 +56,7 @@ from .errors import (
     SingularSystem,
 )
 from .graphs import WeightedGraph, complement
-from .spectral import SpectralDecomposition, _kind, _sparse_laplacian, _sparse_power, laplacian_power
+from .spectral import SpectralDecomposition, _power
 
 
 def _check_vertices(ids: Sequence[int], n_vertices: int) -> np.ndarray:
@@ -366,21 +366,17 @@ def spline_regress(
     Returns predictions at the unknown vertices in ascending vertex order.
     ``values`` may be a vector or a matrix with one column per target. The
     prediction is the minimal-norm spline, solved in its Dirichlet form from
-    ``L^alpha`` (see :func:`laplacian_power`). ``decomposition`` is read only
-    for its ``kind`` and, for a fractional ``alpha``, for its eigenpairs;
-    without it the normalized Laplacian is used. Every spline's nodes, values
-    and ``alpha`` are checked here, and ``L^alpha`` is formed only when some
-    vertex is unknown.
+    ``L^alpha``. ``decomposition`` is read only for its ``kind`` and, for a
+    fractional ``alpha``, for its eigenpairs; without it the normalized
+    Laplacian is used. Every spline's nodes, values and ``alpha`` are checked
+    here, and ``L^alpha`` is formed only when some vertex is unknown.
 
     ``(L^alpha s)_U = 0`` gives ``s_U = -((L^alpha)_UU)^-1 (L^alpha)_UK F``, and
     ``(L^alpha)_UU`` is positive definite for a proper nonempty U. The row block
     ``(L^alpha)_U`` is read once: its U columns are the system, and
     ``-(L^alpha)_U F0`` (``F`` on K, zero on U) the right-hand sides of one
-    :func:`_solve_symmetric`. For an integer ``alpha`` the rows are CSR,
-    ``L[U]`` times ``L`` alpha - 1 times (``spectral._sparse_power``, with the
-    bits of L^alpha's rows), and the system is their CSR column slice, so no
-    n x n array is formed; a fractional ``alpha`` reads the rows of the dense
-    :func:`laplacian_power`.
+    :func:`_solve_symmetric`. The rows come from ``spectral._power``: at an
+    integer ``alpha`` they are CSR, so no n x n array is formed.
     """
     known = _check_nodes(known, g.n_vertices)
     values = _check_values(values, known.size)
@@ -391,10 +387,7 @@ def spline_regress(
         return values[:0].copy()
     padded = np.zeros((g.n_vertices,) + values.shape[1:])
     padded[known] = values
-    if float(alpha).is_integer():
-        rows = _sparse_power(_sparse_laplacian(g, _kind(decomposition)), int(alpha), unknown)
-    else:
-        rows = laplacian_power(g, alpha, decomposition)[unknown]
+    rows = _power(g, alpha, decomposition, unknown)
     return _solve_symmetric(rows[:, unknown], -(rows @ padded))[0]
 
 

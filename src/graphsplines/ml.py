@@ -8,19 +8,20 @@ vertex as the weighted average of its known neighbors.
 The spline is the minimal-norm polyharmonic interpolant, found from its
 Dirichlet form: it satisfies ``(L^alpha s)_U = 0`` on the unknown set U, so
 ``s_U = -(L^alpha)_UU^-1 (L^alpha)_UK F`` with one symmetric solve per known
-set (``interpolation.spline_regress``). For an integer alpha ``L^alpha`` is a
-CSR product of Laplacians (``spectral._sparse_power``), so no
+set (``interpolation.spline_regress``). ``L^alpha`` comes from
+``spectral._power``: for an integer alpha a CSR product of Laplacians, so no
 eigendecomposition, kernel matrix or n x n array is built here.
 
 With F the targets on every row, the Dirichlet form gives a CV fold's error
 in closed form, ``e_U = s_U - F_U = -(L^alpha)_UU^-1 (L^alpha F)_U``, a
 leave-fold-out form of Rippa's residual (Adv. Comput. Math. 11, 1999). So
 ``L^alpha F`` is formed once per run, and a fold reads only the |U| x |U|
-block (a repeat's blocks scattered from the CSR entries in one pass at an
-integer alpha) and |U| rows of it for one symmetric solve. The baseline comes
-from one sparse product per repeat of the adjacency with, for each fold, the
-known-set indicator and the centered known values. The report keeps the
-smallest fold rcond (``min_rcond``) next to the count of baseline fallbacks.
+block and |U| rows of it for one symmetric solve; a block is made when its
+fold is solved (at an integer alpha scattered from the CSR entries), so one
+of (n / folds)^2 doubles is held at a time. The baseline comes from one
+sparse product per repeat of the adjacency with, for each fold, the known-set
+indicator and the centered known values. The report keeps the smallest fold
+rcond (``min_rcond``) next to the count of baseline fallbacks.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .errors import TooFewRows, ValidationError, ZeroVarianceColumn
 from .graphs import WeightedGraph, knn_graph
 from .interpolation import _solve_symmetric, spline_regress
 from .io import read_table
-from .spectral import LaplacianKind, _sparse_laplacian, _sparse_power, laplacian_power
+from .spectral import _power
 
 
 @dataclass
@@ -142,22 +143,33 @@ def _nnr_predictions(
     return out
 
 
-def _fold_blocks(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, folds: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each fold's block ``M[np.ix_(fold, fold)]`` of the matrix storing ``values[k]`` at (``rows[k]``, ``cols[k]``),
-    scattered in one pass into one zeroed buffer, each block column-major as ``dsysv`` reads it; with no
-    entry stored twice, a block has the bits of the dense gather."""
-    n = sum(fold.size for fold in folds)
-    label, row_at, col_at = (np.empty(n, dtype=np.intp) for _ in range(3))
-    starts = [0]
-    for f, fold in enumerate(folds):  # entry (i, j) of block f sits at starts[f] + i + j |fold|
-        label[fold] = f
-        row_at[fold] = starts[f] + np.arange(fold.size)
-        col_at[fold] = np.arange(fold.size) * fold.size
-        starts.append(starts[f] + fold.size**2)
-    inside = np.flatnonzero(label[rows] == label[cols])
-    out = np.zeros(starts[-1])
-    out[row_at[rows[inside]] + col_at[cols[inside]]] = values[inside]
-    return [out[a:b].reshape(fold.size, fold.size, order="F") for a, b, fold in zip(starts, starts[1:], folds)]
+def _fold_blocks(power, folds: Sequence[np.ndarray]):
+    """A generator of each fold's block ``power[np.ix_(fold, fold)]``, made when asked for and not kept.
+
+    A dense ``power`` is gathered. A CSR one's stored entries inside a fold's block are sorted by fold
+    in one pass; each block is then scattered into zeros, column-major as ``dsysv`` reads it, which
+    with no entry stored twice gives the bits of the dense gather.
+    """
+    if isinstance(power, np.ndarray):
+        return (power[np.ix_(fold, fold)] for fold in folds)
+    label, at = np.empty(power.shape[0], dtype=np.intp), np.empty(power.shape[0], dtype=np.intp)
+    for f, fold in enumerate(folds):  # vertex fold[i] is row and column i of fold f's block
+        label[fold], at[fold] = f, np.arange(fold.size)
+    per_row = np.diff(power.indptr)
+    fold_of, cols = np.repeat(label, per_row), power.indices.astype(np.intp)
+    inside = np.flatnonzero(fold_of == label[cols])
+    inside = inside[np.argsort(fold_of[inside])]  # any order within a fold: no position is written twice
+    splits = np.cumsum(np.bincount(fold_of[inside], minlength=len(folds)))[:-1]
+    coordinates = (np.repeat(at, per_row)[inside], at[cols[inside]], power.data[inside])
+    per_fold = (np.split(e, splits) for e in coordinates)
+    return (_scatter(fold.size, r, c, v) for fold, r, c, v in zip(folds, *per_fold))
+
+
+def _scatter(m: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """An m x m column-major block, zero but for ``values`` at (``rows``, ``cols``)."""
+    block = np.zeros((m, m), order="F")
+    block[rows, cols] = values
+    return block
 
 
 @dataclass
@@ -215,7 +227,7 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
     set. Per-fold MSEs are averaged within a repeat, and the report carries the
     mean and population standard deviation over repeats. A fold's spline error
     is ``-(L^alpha)_UU^-1 (L^alpha F)_U`` (module docstring): its work is the
-    |U| x |U| block (:func:`_fold_blocks` at an integer alpha) and |U| rows of
+    |U| x |U| block (from :func:`_fold_blocks`, one at a time) and |U| rows of
     ``L^alpha F``, which is formed once. The baseline predicts all of a
     repeat's folds from one sparse product.
     """
@@ -224,12 +236,7 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
     normalized = normalize(d)
     g = knn_graph(normalized.features, cfg.k_neighbors)
     n, t = d.n_rows, d.targets.shape[1]
-    entries = None  # a positive integer alpha's L^alpha as the coordinates of its stored entries
-    if float(cfg.alpha).is_integer() and cfg.alpha >= 1:
-        power = _sparse_power(_sparse_laplacian(g, LaplacianKind.NORMALIZED), int(cfg.alpha))
-        entries = (np.repeat(np.arange(n), np.diff(power.indptr)), power.indices.astype(np.intp), power.data)
-    else:
-        power = laplacian_power(g, cfg.alpha)  # a fractional alpha's eigenpair power; refuses a bad alpha
+    power = _power(g, cfg.alpha)  # CSR at an integer alpha, the dense eigenpair power at a fractional one
     residual = power @ d.targets
 
     repeat_mse = {"spline": np.zeros((cfg.repeats, t)), "nnr": np.zeros((cfg.repeats, t))}
@@ -243,9 +250,9 @@ def cross_validate(d: Dataset, cfg: CVConfig) -> RegressionReport:
             folds = [np.sort(fold) for fold in np.array_split(rng.permutation(n), cfg.folds)]
             fold_mse = {"spline": np.zeros((cfg.folds, t)), "nnr": np.zeros((cfg.folds, t))}
             baseline = _nnr_predictions(g, d.targets, folds)
-            blocks = [power[np.ix_(U, U)] for U in folds] if entries is None else _fold_blocks(*entries, folds)
-            for fi, (unknown, block, (nnr, isolated)) in enumerate(zip(folds, blocks, baseline)):
-                error, rcond = _solve_symmetric(block, -residual[unknown])
+            blocks = _fold_blocks(power, folds)
+            for fi, (unknown, (nnr, isolated)) in enumerate(zip(folds, baseline)):
+                error, rcond = _solve_symmetric(next(blocks), -residual[unknown])
                 min_rcond = min(min_rcond, rcond)
                 fold_mse["spline"][fi] = (error**2).mean(axis=0)
 
@@ -326,6 +333,6 @@ def smoothness_experiment(
     _refuse_overflow(fields, magnitudes)
     with np.errstate(over="ignore"):
         errors = np.linalg.norm(spline_regress(g, known, fields[known], alpha) - fields[unknown], axis=0)
-        seminorms = np.linalg.norm(_sparse_laplacian(g, LaplacianKind.NORMALIZED) @ fields, axis=0)
+        seminorms = np.linalg.norm(_power(g, 1) @ fields, axis=0)
     _refuse_overflow(np.stack([errors, seminorms]), magnitudes)
     return [(float(a), float(b)) for a, b in zip(seminorms, errors)]

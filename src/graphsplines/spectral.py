@@ -4,11 +4,12 @@ All decay estimates in this package are phrased through powers of a Laplacian.
 The Laplacian is built once, as CSR from the adjacency and the degrees, and is
 made dense only on request: for ``eigh``, for Dirichlet submatrices and by the
 public :func:`laplacian`. Kernel matrices are pseudo-inverse powers applied via
-the eigendecomposition; ``L^alpha`` itself (read by Dirichlet-form regression)
-is a product of sparse Laplacians for an integer alpha and needs no
-eigendecomposition: one CSR power loop (``_sparse_power``) makes it for
-splines, cross-validation and the dense :func:`laplacian_power`; Sobolev-type
-semi-norms are ``||L^(alpha/2) f||`` restricted to a vertex set.
+the eigendecomposition. ``L^alpha`` itself (read by Dirichlet-form regression)
+has one builder, ``_power``, behind splines, cross-validation and the dense
+:func:`laplacian_power`: an integer alpha is a CSR product of Laplacians and
+needs no eigendecomposition, a fractional one is the eigenpair power, and an
+``L^alpha`` that overflows a double is refused. Sobolev-type semi-norms are
+``||L^(alpha/2) f||`` restricted to a vertex set.
 """
 from __future__ import annotations
 
@@ -218,45 +219,43 @@ def pseudo_inverse_power(s: SpectralDecomposition, alpha: float) -> KernelMatrix
     return KernelMatrix(alpha=float(alpha), matrix=_spectral_power(s, -alpha))
 
 
-def laplacian_power(
-    g: WeightedGraph, alpha: float, decomposition: SpectralDecomposition | None = None
-) -> np.ndarray:
-    """Dense ``L^alpha`` of the graph's Laplacian.
+def laplacian_power(g: WeightedGraph, alpha: float, decomposition: SpectralDecomposition | None = None) -> np.ndarray:
+    """Dense ``L^alpha`` of the graph's Laplacian: ``_power`` made dense."""
+    power = _power(g, alpha, decomposition)
+    return power if isinstance(power, np.ndarray) else power.toarray()
 
-    The kind is ``decomposition.kind`` when a decomposition is given and
-    normalized otherwise. An integer ``alpha`` needs no eigendecomposition: it
-    is scipy's CSR product ``((L L) L) ...`` (``_sparse_power``) made dense.
-    From alpha = 3 on, rounding leaves it not exactly symmetric. A fractional
-    ``alpha`` is built from the eigenpairs (of ``decomposition``, or of a fresh
-    one) and symmetrised like :func:`pseudo_inverse_power`.
+
+def _power(g: WeightedGraph, alpha: float, decomposition: SpectralDecomposition | None = None, rows=None):
+    """Rows ``rows`` (all when None) of ``L^alpha``, of ``decomposition``'s kind (normalized without one).
+
+    An integer ``alpha`` is CSR, scipy's products ``((L[rows] L) L) ...``: row i of ``A @ B`` reads
+    only row i of ``A``, in stored order, so these are the rows of ``((L L) L) ...`` bit for bit, and
+    from alpha = 3 on rounding leaves them not exactly symmetric. A fractional ``alpha`` is dense, the
+    eigenpair power (of ``decomposition``, or of a fresh one) symmetrised like
+    :func:`pseudo_inverse_power`. An ``L^alpha`` that overflows a double is refused, an integer one at
+    the first product that does.
     """
     if not (0 < alpha < np.inf):
         raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
-    kind = _kind(decomposition)
+    kind = decomposition.kind if decomposition is not None else LaplacianKind.NORMALIZED
     if float(alpha).is_integer():
-        return _sparse_power(_sparse_laplacian(g, kind), int(alpha)).toarray()
+        L = _sparse_laplacian(g, kind)
+        result = L if rows is None else L[rows]
+        for _ in range(int(alpha) - 1):
+            result = result @ L
+            _check_finite(result.data, alpha)
+        return result
     if decomposition is None:
         decomposition = decompose_graph(g, kind)
-    return _spectral_power(decomposition, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _spectral_power(decomposition, alpha)
+    _check_finite(result, alpha)
+    return result if rows is None else result[rows]
 
 
-def _kind(decomposition: SpectralDecomposition | None) -> LaplacianKind:
-    """The Laplacian kind a spline reads: ``decomposition.kind``, normalized without one."""
-    return decomposition.kind if decomposition is not None else LaplacianKind.NORMALIZED
-
-
-def _sparse_power(L: csr_matrix, power: int, rows: np.ndarray | None = None) -> csr_matrix:
-    """CSR rows ``rows`` (all rows when None) of ``L^power`` for a positive integer ``power``:
-    scipy's products ``((L[rows] L) L) ...``.
-
-    Row i of scipy's ``A @ B`` reads only row i of ``A``, in its stored order, so starting from
-    ``L[rows]`` gives the rows of ``((L L) L) ...`` with their bits and their stored order. The
-    rows need not be sorted, and no entry is stored twice.
-    """
-    result = L if rows is None else L[rows]
-    for _ in range(power - 1):
-        result = result @ L
-    return result
+def _check_finite(entries: np.ndarray, alpha: float) -> None:
+    if not np.all(np.isfinite(entries)):
+        raise ValidationError(f"L^alpha at alpha = {alpha} overflows a double")
 
 
 def sobolev_seminorm(

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from graphsplines import cli, cycle_graph, interpolation, ml, spectral
 
@@ -111,10 +112,15 @@ def test_cv768_makes_one_baseline_product_per_repeat(monkeypatch, tmp_path, caps
 
 def test_cv768_forms_no_dense_laplacian_power(monkeypatch, tmp_path, capsys):
     # an integer alpha reads its fold blocks from the CSR power, so the dense n x n L^alpha is never built
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense laplacian_power called")
+    power = ml._power
 
-    monkeypatch.setattr(ml, "laplacian_power", refuse)
+    def refuse_dense(*args, **kwargs):
+        result = power(*args, **kwargs)
+        if not isinstance(result, csr_matrix):
+            raise AssertionError("dense L^alpha built")
+        return result
+
+    monkeypatch.setattr(ml, "_power", refuse_dense)
     workload = _workloads(monkeypatch).WORKLOADS["cv768"](tmp_path, 1)
     job = workload.job(0)
     for argv in job.calls:

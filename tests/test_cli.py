@@ -1216,6 +1216,20 @@ def test_lagrange_with_every_vertex_a_node_at_a_fractional_alpha_decomposes_noth
     assert calls == []
 
 
+# L^alpha at these orders overflows a double; each runs in a subprocess with a timeout, so a power loop
+# that does not stop fails the test instead of hanging it
+_LARGE_ALPHA = ("interp-alpha-1e300", "interp-alpha-10000", "interp-alpha-2000.5")
+
+
+def _run_with_timeout(argv, folder):
+    """Exit code and stderr of the command line ``argv`` run in a fresh interpreter, stopped after 20 s."""
+    package_root = str(Path(interpolation.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p))
+    argv = [sys.executable, "-m", "graphsplines.cli", *map(str, argv)]
+    done = subprocess.run(argv, cwd=folder, env=env, capture_output=True, text=True, timeout=20)
+    return done.returncode, done.stderr
+
+
 def _input_refusal(case, tmp_path):
     """argv of one command whose input is refused before any computation, and the message it prints."""
     nodes = tmp_path / "nodes.csv"
@@ -1272,6 +1286,12 @@ def _input_refusal(case, tmp_path):
         return argv, message
     if case == "smoothness-overflow":
         return ("experiment", "smoothness", "--n", 40, "--magnitudes", "1e308", "-o", out), "magnitude 1e+308 is too large"
+    if case in _LARGE_ALPHA:
+        gio.write_edge_csv(edges, cycle_graph(8))
+        known = tmp_path / "known.csv"
+        known.write_text("vertex,value\n0,1\n2,2\n")
+        alpha = case.removeprefix("interp-alpha-")
+        return ("interp", "--graph", edges, "--known", known, "--alpha", alpha, "-o", out), f"alpha = {float(alpha)} overflows"
     return ("graph", "lattice", "--rows", 1, "--cols", 1, "-o", out), "at least 2 vertices"
 
 
@@ -1280,13 +1300,17 @@ def _input_refusal(case, tmp_path):
     [
         "empty-edge-list", "edge-list-header", "one-row-table", "knn-k-0", "knn-overflow", "knn-underflow",
         "degree-overflow", "lattice-1x1", "lattice-negative", "empty-features", "empty-targets",
-        "cv-target-overflow", "decay-tiny-bin", "decay-long-edges", "smoothness-overflow",
+        "cv-target-overflow", "decay-tiny-bin", "decay-long-edges", "smoothness-overflow", *_LARGE_ALPHA,
     ],
 )
 def test_input_refusals_exit_two_with_one_error_line(tmp_path, capsys, case):
     argv, message = _input_refusal(case, tmp_path)
     capsys.readouterr()
-    assert run(*argv) == 2
-    err = capsys.readouterr().err.splitlines()
+    if case in _LARGE_ALPHA:
+        code, err = _run_with_timeout(argv, tmp_path)
+    else:
+        code, err = run(*argv), capsys.readouterr().err
+    assert code == 2
+    err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not (tmp_path / "out.csv").exists()

@@ -29,7 +29,7 @@ from graphsplines import (
 )
 from graphsplines.errors import InconsistentDimensions, SingularSystem
 from graphsplines.interpolation import _solve_symmetric
-from graphsplines.spectral import _sparse_laplacian, _sparse_power
+from graphsplines.spectral import _power
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +249,7 @@ class TestBandRoute:
         got = spline_regress(g, known, values, 2.0)
         assert bands == []
         unknown = complement(g, known)
-        rows = _sparse_power(_sparse_laplacian(g, LaplacianKind.NORMALIZED), 2)[unknown]
+        rows = _power(g, 2)[unknown]
         padded = np.zeros(600)
         padded[known] = values
         expected, _ = _solve_symmetric(rows[:, unknown].toarray(), -(rows @ padded))
@@ -316,27 +316,43 @@ class TestRowsOfThePower:
         spline_regress(g, known, rng.standard_normal(known.size), 3.0)
         assert set(left_rows) == {40}
 
-    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 1.5])
     @pytest.mark.parametrize("name", sorted(_ROW_POWER_GRAPHS))
     def test_the_rows_first_loop_has_the_bits_of_the_full_power(self, name, alpha):
-        # row i of scipy's A @ B reads only row i of A, so L[U] L ... L is (L L ... L)[U] entry for entry
+        # row i of scipy's A @ B reads only row i of A, so L[U] L ... L is (L L ... L)[U] entry for entry;
+        # a fractional alpha's dense rows are the rows of laplacian_power
         g = _ROW_POWER_GRAPHS[name]()
         n = g.n_vertices
-        L = _sparse_laplacian(g, LaplacianKind.NORMALIZED)
-        rng = np.random.default_rng([alpha, n])
-        full = _sparse_power(L, alpha)
+        s = None if alpha == int(alpha) else decompose_graph(g)
+        rng = np.random.default_rng([int(alpha), n])
+        full = _power(g, alpha) if s is None else laplacian_power(g, alpha, s)
         for unknown_share in (0.1, 0.5, 0.9):
             known = np.sort(rng.permutation(n)[round(unknown_share * n) :])
             unknown = complement(g, known)
-            got, expected = _sparse_power(L, alpha, unknown), full[unknown]
-            for part in ("indptr", "indices", "data"):
-                a, b = getattr(got, part), getattr(expected, part)
-                assert a.dtype == b.dtype and np.array_equal(a, b), part
+            got, expected = _power(g, alpha, s, unknown), full[unknown]
+            if s is None:
+                for part in ("indptr", "indices", "data"):
+                    a, b = getattr(got, part), getattr(expected, part)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), part
+            else:
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
             values = rng.standard_normal(known.size)
             padded = np.zeros(n)
             padded[known] = values
             solved, _ = _solve_symmetric(expected[:, unknown], -(expected @ padded))
-            assert np.array_equal(spline_regress(g, known, values, alpha), solved)
+            assert np.array_equal(spline_regress(g, known, values, alpha, s), solved)
+
+    @pytest.mark.parametrize("alpha, bound", [(1.0, 4e-14), (2.0, 3e-13), (1.5, 3e-13)])
+    def test_an_unnormalized_decomposition_routes_the_spline_to_its_laplacian(self, alpha, bound):
+        # constants span the unnormalized Laplacian's kernel, so the spline through constant data is that
+        # constant; the normalized kernel is D^(1/2) 1, which the uneven degrees of a k-NN graph bend.
+        # Bounds: ten times the error measured at each alpha (3.6e-15, 2.8e-14 and 2.8e-14)
+        g = knn_graph(np.random.default_rng(11).standard_normal((200, 3)), 6)
+        known = np.arange(0, 200, 4)
+        values = np.full(known.size, 3.0)
+        got = spline_regress(g, known, values, alpha, decompose_graph(g, LaplacianKind.UNNORMALIZED))
+        assert np.abs(got - 3.0).max() <= bound
+        assert np.abs(spline_regress(g, known, values, alpha, decompose_graph(g)) - 3.0).max() > 1.0
 
 
 class TestDirichletOracle:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from graphsplines.errors import (
 )
 from graphsplines.interpolation import _solve_symmetric
 from graphsplines.ml import _fold_blocks, _nnr_predictions
-from graphsplines.spectral import LaplacianKind, _sparse_laplacian, _sparse_power, laplacian_power
+from graphsplines.spectral import _power, laplacian_power
 
 
 def write_csv(path, text):
@@ -558,16 +560,32 @@ class TestCrossValidateSolvePaths:
         # alpha = 3 on rounding leaves the power, and so its blocks, not exactly symmetric
         n = 97
         g = knn_graph(np.random.default_rng(31).normal(size=(n, 4)), 5)
-        power = _sparse_power(_sparse_laplacian(g, LaplacianKind.NORMALIZED), alpha)
-        rows = np.repeat(np.arange(n), np.diff(power.indptr))
+        power = _power(g, alpha)
         folds = [np.sort(fold) for fold in np.array_split(np.random.default_rng(32).permutation(n), 10)]
         dense = laplacian_power(g, float(alpha))
         assert (alpha >= 3) != np.array_equal(dense, dense.T)
-        blocks = _fold_blocks(rows, power.indices.astype(np.intp), power.data, folds)
+        blocks = list(_fold_blocks(power, folds))
         assert {block.shape[0] for block in blocks} == {9, 10}
         for fold, block in zip(folds, blocks):
             expected = dense[np.ix_(fold, fold)]
             assert block.shape == expected.shape and block.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", [2, 1.5])
+    def test_a_yielded_fold_block_is_freed_once_the_caller_drops_it(self, alpha):
+        # a repeat holds one fold block at a time, not every fold's block at once
+        n = 97
+        g = knn_graph(np.random.default_rng(31).normal(size=(n, 4)), 5)
+        folds = [np.sort(fold) for fold in np.array_split(np.random.default_rng(32).permutation(n), 10)]
+        power = _power(g, alpha)
+        blocks = _fold_blocks(power, folds)
+        for fold in folds:
+            block = next(blocks)
+            assert block.shape == (fold.size, fold.size)
+            assert block.flags.f_contiguous or isinstance(power, np.ndarray)
+            held = [weakref.ref(block)] + ([] if block.base is None else [weakref.ref(block.base)])
+            del block
+            assert all(ref() is None for ref in held)
+        assert next(blocks, None) is None
 
     def test_integer_alpha_peaks_below_one_dense_n_by_n_array(self):
         import tracemalloc
