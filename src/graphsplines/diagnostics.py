@@ -244,15 +244,13 @@ def cycle_cover_constant(g: WeightedGraph, nodes) -> float:
     if nodes.size < 2:
         raise TooFewNodes(f"need at least 2 nodes, got {nodes.size}")
     node_pos = sorted(position[int(v)] for v in nodes)
-    n, n_nodes = g.n_vertices, len(node_pos)
+    n = g.n_vertices
+    # path k runs from node k to node k + 2; the last two wrap past the end of the ring
+    ends = node_pos[2:] + [p + n for p in node_pos[:2]]
 
     L = laplacian(g, LaplacianKind.NORMALIZED)
     worst = 0.0
-    for k in range(n_nodes):
-        start = node_pos[k]
-        end = node_pos[(k + 2) % n_nodes]
-        if k + 2 >= n_nodes:
-            end += n
+    for start, end in zip(node_pos, ends):
         interior = [order[p % n] for p in range(start + 1, end)]
         worst = max(worst, (1.0 / dirichlet_eigenvalue(L, interior)) ** 2)
     return 2.0 * worst

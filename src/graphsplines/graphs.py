@@ -35,8 +35,8 @@ class WeightedGraph:
     constructor; they validate the edges and check connectivity. Each edge is
     stored once, in two CSR matrices holding both orientations: ``adjacency``
     of edge weights and the edge lengths. The ``edges`` tuples and the distances
-    are built from them on each access and nothing is cached, so instances are
-    safe to share between threads.
+    from given sources (:meth:`distances_from`) are built from them on each call
+    and nothing is cached, so instances are safe to share between threads.
 
     The CSR arrays are assembled directly: ``order``, the :func:`build_graph`
     ``argsort`` of the key ``row * n + col`` of every end (``u0 v0``, ``v0 u0``,
@@ -65,11 +65,6 @@ class WeightedGraph:
         upper = A.indices > rows  # the lengths share this sorted CSR pattern
         columns = (rows[upper], A.indices[upper], A.data[upper], self._sparse_lengths.data[upper])
         return tuple(zip(*(c.tolist() for c in columns)))
-
-    @property
-    def metric(self) -> np.ndarray:
-        """All-pairs shortest-path distances, computed on each access (see :meth:`distances_from`)."""
-        return dijkstra(self._sparse_lengths, directed=True)
 
     @property
     def rho_max(self) -> float:
@@ -114,11 +109,9 @@ class GraphMetrics:
 
 
 def graph_metrics(g: WeightedGraph) -> GraphMetrics:
-    return GraphMetrics(
-        max_degree=int(g.degrees.max()),
-        rho_max=g.rho_max,
-        diameter=float(g.metric.max()),
-    )
+    """The one all-pairs search in the package: its largest distance is the diameter."""
+    diameter = float(dijkstra(g._sparse_lengths, directed=True).max())
+    return GraphMetrics(max_degree=int(g.degrees.max()), rho_max=g.rho_max, diameter=diameter)
 
 
 def build_graph(edge_list: Iterable[Edge] | np.ndarray, n_vertices: int | None = None) -> WeightedGraph:
@@ -183,8 +176,8 @@ def cycle_graph(n: int, weight: float = 1.0, length: float = 1.0) -> WeightedGra
     """Ring v0 - v1 - ... - v_{n-1} - v0 with uniform weight and length."""
     if n < 3:
         raise TooFewVertices(f"cycle needs at least 3 vertices, got {n}")
-    edges = [(i, (i + 1) % n, weight, length) for i in range(n)]
-    return build_graph(edges, n)
+    ring = np.arange(n)
+    return build_graph(np.column_stack([ring, (ring + 1) % n, np.full((n, 2), (weight, length))]), n)
 
 
 def lattice_graph(rows: int, cols: int, weight: float = 1.0, length: float = 1.0) -> WeightedGraph:

@@ -143,33 +143,23 @@ def _are_numbers(data: np.ndarray, vertex_columns: int) -> bool:
 
 
 def _walk_rows(path, names: list[str], lines: list[str], body: int, delimiter: str, vertex_columns: int) -> np.ndarray:
-    """The rows from ``lines[body]`` on, split with :mod:`csv`; raises for the first row or cell that is refused."""
+    """The rows from ``lines[body]`` on, split with :mod:`csv`; raises for the first row or cell that is refused.
+
+    Non-blank rows are checked for width, then converted in one ``np.array`` call; only when that fails
+    or breaks a rule of :func:`read_table` are the cells walked, in file order, to name the first bad one.
+    """
     reader = csv.reader(lines[body:], delimiter=delimiter)
-    numbers, rows = [], []
-    for row in reader:
-        if "".join(row).strip():
-            numbers.append(body + reader.line_num)
-            rows.append(row)
-    for line, row in zip(numbers, rows):
+    rows = [(body + reader.line_num, row) for row in reader if "".join(row).strip()]
+    for line, row in rows:
         if len(row) != len(names):
             raise ValidationError(f"{path}: row {line} has {len(row)} cells, expected {len(names)}")
     try:
-        data = np.array(rows, dtype=float).reshape(len(rows), len(names))
+        data = np.array([row for _, row in rows], dtype=float).reshape(len(rows), len(names))
     except ValueError:
         data = None
-    if data is None or not _are_numbers(data, vertex_columns):
-        _reject_first_bad_cell(path, names, numbers, rows, vertex_columns)
-    return data
-
-
-def _are_vertex_ids(x) -> bool:
-    """Integers that a float holds exactly, so that a cast to int keeps them."""
-    return bool(np.all((x % 1 == 0) & (np.abs(x) < 2.0**53)))
-
-
-def _reject_first_bad_cell(path, names: list[str], lines: list[int], rows: list[list[str]], vertex_columns: int) -> None:
-    """Raise for the first cell, in file order, that :func:`read_table` refuses."""
-    for line, row in zip(lines, rows):
+    if data is not None and _are_numbers(data, vertex_columns):
+        return data
+    for line, row in rows:
         for j, cell in enumerate(row):
             token = cell.strip()
             where = f"{path}: row {line}, column {names[j]!r}"
@@ -183,6 +173,12 @@ def _reject_first_bad_cell(path, names: list[str], lines: list[int], rows: list[
                 raise NonNumericColumn(f"{where}: non-finite value {token!r}")
             if j < vertex_columns and not _are_vertex_ids(x):
                 raise NonNumericColumn(f"{where}: vertex {token!r} is not an integer below 2**53 in size")
+    return data
+
+
+def _are_vertex_ids(x) -> bool:
+    """Integers that a float holds exactly, so that a cast to int keeps them."""
+    return bool(np.all((x % 1 == 0) & (np.abs(x) < 2.0**53)))
 
 
 # --- graphs -------------------------------------------------------------------

@@ -319,7 +319,7 @@ def smoothness_experiment(
     sites = rng.uniform(0.0, 1.0, size=(n_points, 2))
     g = knn_graph(sites, k_neighbors)
     grid = (np.arange(n_bumps_per_axis) + 0.5) / n_bumps_per_axis
-    centers = np.array([(x, y) for x in grid for y in grid])
+    centers = np.column_stack([c.ravel() for c in np.meshgrid(grid, grid, indexing="ij")])
     dist = np.linalg.norm(sites[:, None, :] - centers[None, :, :], axis=2)
     base = wendland_bump(dist * n_bumps_per_axis).sum(axis=1)
 

@@ -175,7 +175,7 @@ class TestInterpAndDecay:
         run("graph", "cycle", "--n", 32, "-o", g_csv)
         fn = tmp_path / "f.csv"
         g = gio.read_edge_csv(g_csv)
-        gio.write_function_csv(fn, np.exp(-0.3 * g.metric[0]))
+        gio.write_function_csv(fn, np.exp(-0.3 * g.distances_from(0)))
         out = tmp_path / "prof.csv"
         assert run("decay", "--graph", g_csv, "--function", fn, "--center", 0, "--fit", "-o", out) == 0
         rows = out.read_text().splitlines()
@@ -348,12 +348,16 @@ class TestExitCodes:
 
 
 def test_bulk_ratio_builds_no_all_pairs_metric(monkeypatch, tmp_path):
-    from graphsplines import WeightedGraph
+    from graphsplines import graphs
 
-    def refuse(self):
-        raise AssertionError("all-pairs metric built")
+    search = graphs.dijkstra
 
-    monkeypatch.setattr(WeightedGraph, "metric", property(refuse))
+    def single_source_only(*args, **kwargs):
+        if kwargs.get("indices") is None:
+            raise AssertionError("all-pairs metric built")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "dijkstra", single_source_only)
     assert run("verify", "bulk-ratio", "--trials", 1, "-o", tmp_path / "bulk.csv") == 0
 
 
@@ -1314,3 +1318,36 @@ def test_input_refusals_exit_two_with_one_error_line(tmp_path, capsys, case):
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not (tmp_path / "out.csv").exists()
+
+
+# Runs one command with its address space capped at 2 GiB, then prints the process's peak RSS in KiB.
+# An oversized request must fail at its first allocation, not fill the cap (or, uncapped, the host).
+_CAPPED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from graphsplines import cli
+code = cli.main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "cycle", "--n", 100_000_000_000),
+        ("experiment", "smoothness", "--n", 6, "--bumps-per-axis", 100_000),
+    ],
+    ids=["cycle", "smoothness"],
+)
+def test_oversized_generator_requests_fail_at_once(tmp_path, argv):
+    package_root = str(Path(interpolation.__file__).parents[1])
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    command = [sys.executable, "-c", _CAPPED_RUN, *map(str, argv), "-o", "out.csv"]
+    done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: MemoryError"), err
+    assert list(tmp_path.iterdir()) == []
+    assert int(done.stdout) < 512 * 1024  # KiB: a quarter of the cap

@@ -51,7 +51,7 @@ class TestDecayProfile:
         g = random_connected_graph(20, np.random.default_rng(1))
         f = np.random.default_rng(2).standard_normal(20)
         p = decay_profile(f, g, 3, 0.7)
-        d = g.metric[3]
+        d = g.distances_from(3)
         counts = sum(int(np.sum(np.floor(d / 0.7 + 0.5) == round(dist / 0.7))) for dist in p.distances)
         assert counts == 20
 

@@ -83,7 +83,7 @@ class TestGenerators:
             cycle_graph(2)
 
     def test_cycle_6_shortest_path(self):
-        assert cycle_graph(6).metric[0, 3] == 3.0
+        assert cycle_graph(6).distances_from(0)[3] == 3.0
 
     def test_cycle_256_diameter(self):
         assert graph_metrics(cycle_graph(256)).diameter == 128.0
@@ -129,6 +129,11 @@ class TestGenerators:
         assert g.degrees.max() < 30
 
 
+def _all_pairs(g):
+    """All-pairs distances, one single-source search per row."""
+    return np.array([g.distances_from(c) for c in range(g.n_vertices)])
+
+
 class TestMetricSets:
     def test_ball_on_cycle(self):
         g = cycle_graph(8)
@@ -164,7 +169,7 @@ class TestMetricSets:
     @settings(max_examples=25, deadline=None)
     def test_metric_triangle_inequality(self, n, seed):
         g = random_connected_graph(n, np.random.default_rng(seed))
-        rho = g.metric
+        rho = _all_pairs(g)
         assert np.all(np.abs(rho - rho.T) < 1e-12)
         assert np.all(rho[np.eye(n, dtype=bool)] == 0)
         # rho(u,v) <= rho(u,w) + rho(w,v) for all triples
@@ -176,9 +181,7 @@ class TestMetricSets:
     def test_distances_from_match_metric_rows_exactly(self, n, seed):
         rng = np.random.default_rng(seed)
         g = random_connected_graph(n, rng)
-        rho = g.metric
-        center = int(rng.integers(n))
-        assert np.array_equal(g.distances_from(center), rho[center])
+        rho = _all_pairs(g)
         nodes = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         assert np.array_equal(g.distances_from(nodes), rho[nodes].min(axis=0))
 
@@ -190,12 +193,19 @@ class TestMetricSets:
         np.fill_diagonal(dist, 0.0)
         for k in range(25):
             dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
-        assert np.allclose(g.metric, dist, atol=1e-12)
+        assert np.allclose(_all_pairs(g), dist, atol=1e-12)
 
     def test_direct_edge_longer_than_path_is_overridden(self):
         # edge 0-2 is longer than the route through vertex 1
         g = build_graph([(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (0, 2, 1.0, 10.0)])
-        assert g.metric[0, 2] == 2.0
+        assert g.distances_from(0)[2] == 2.0
+
+    def test_diameter_is_the_largest_single_source_distance_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        graphs = [random_connected_graph(n, rng) for n in (2, 9, 40)]
+        graphs += [lattice_graph(5, 7, length=0.3), knn_graph(rng.uniform(size=(60, 5)), 4)]
+        for g in graphs:
+            assert graph_metrics(g).diameter == _all_pairs(g).max()
 
 
 def knn_reference(points, k):
@@ -361,7 +371,7 @@ class TestEdgeTable:
         assert from_array.edges == from_list.edges
         assert all(type(u) is int and type(v) is int and u < v for u, v, _, _ in from_array.edges)
         assert np.array_equal(from_array.adjacency.toarray(), from_list.adjacency.toarray())
-        assert np.array_equal(from_array.metric, from_list.metric)
+        assert np.array_equal(_all_pairs(from_array), _all_pairs(from_list))
 
     def test_each_error_names_the_first_offending_edge(self):
         path = [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 3, 1.0, 1.0)]
@@ -531,4 +541,4 @@ class TestCsrAssembly:
             assert np.array_equal(g.distances_from(n - 1), dijkstra(lengths, directed=False, indices=n - 1))
             expected = dijkstra(lengths, directed=False, indices=sources, min_only=True)
             assert np.array_equal(g.distances_from(sources), expected)
-            assert np.array_equal(g.metric, dijkstra(lengths, directed=False))
+            assert np.array_equal(_all_pairs(g), dijkstra(lengths, directed=False))

@@ -440,7 +440,7 @@ class TestLagrangeBasis:
         # envelope over one node gap (width 4) so node zeros do not mask the level
         g, _, _, nodes, basis = cycle256_setup
         chi = np.abs(basis.columns[:, 0])
-        d = g.metric[0]
+        d = g.distances_from(0)
         far = chi[d >= 64].max()
         near = chi[np.abs(d - 8) <= 2].max()
         assert far < near / 1e3
@@ -515,7 +515,7 @@ class TestTruncatedLagrange:
         kernel_sup = np.abs(k.matrix).max()
         for radius, recorded in ((16.0, 3.5), (32.0, 3.5e-2), (64.0, 1e-6)):
             trunc = truncated_lagrange(basis.alpha, s, g, nodes, 0, radius)
-            dropped = g.metric[0, nodes] > radius
+            dropped = g.distances_from(0)[nodes] > radius
             tail_mass = np.abs(basis.coefficients[dropped, 0]).sum()
             diff = np.abs(trunc - chi).max()
             assert diff <= 10.0 * tail_mass * kernel_sup
@@ -532,7 +532,7 @@ class TestLocalLagrange:
     def test_cardinality_on_neighborhood(self, cycle256_setup):
         g, s, k, nodes, _ = cycle256_setup
         local = local_lagrange(k.alpha, s, g, nodes, 0, 24.0)
-        inside = nodes[g.metric[0, nodes] <= 24.0]
+        inside = nodes[g.distances_from(0)[nodes] <= 24.0]
         expected = (inside == 0).astype(float)
         assert np.allclose(local[inside], expected, atol=1e-8)
 
@@ -548,7 +548,7 @@ class TestLocalLagrange:
             k = pseudo_inverse_power(s, 2.0)
             center = int(rng.choice(nodes))
             local = local_lagrange(k.alpha, s, g, nodes, center, 24.0)
-            inside = nodes[g.metric[center, nodes] <= 24.0]
+            inside = nodes[g.distances_from(center)[nodes] <= 24.0]
             assert np.allclose(local[inside], (inside == center).astype(float), atol=1e-8)
 
     def test_center_must_be_a_node(self, cycle256_setup):
