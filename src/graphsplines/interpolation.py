@@ -327,13 +327,20 @@ def truncated_lagrange(
     restricted to the kept nodes (minimal-change repair of the side
     condition; disable with ``reimpose_side_condition=False``). The
     constant term is preserved, and ``Phi(., kept) beta + C v0`` is applied
-    through the eigenpairs as in :func:`evaluate`; no kernel is formed.
+    through the eigenpairs as in :func:`evaluate`; no kernel is formed. A
+    ball that keeps every node drops nothing, and ``chi`` itself is returned:
+    ``beta`` already meets the side condition, and the round trip through
+    ``L^alpha`` and ``L^-alpha`` would only lose about log10 of the kernel's
+    condition number in digits (up to 7.6e-10 on uniform cycles of 192 to 512
+    vertices at alpha = 2, every 4th vertex a node).
     """
     _check_radius(radius)
     chi = dirichlet_lagrange(graph, nodes, center, alpha, np.inf, decomposition)
     nodes = np.asarray(nodes, dtype=int)
-    beta, constant = _coefficients(decomposition, chi, nodes, alpha)
     kept = graph.distances_from(center)[nodes] <= radius
+    if kept.all():
+        return chi
+    beta, constant = _coefficients(decomposition, chi, nodes, alpha)
     nodes, beta = nodes[kept], beta[kept]
     if reimpose_side_condition:
         u = decomposition.kernel_vector[nodes]

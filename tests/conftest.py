@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from graphsplines import (
     LaplacianKind,
@@ -19,3 +20,22 @@ def cycle256_setup():
     nodes = np.arange(0, 256, 4)
     basis = lagrange_basis(k.alpha, s, g, nodes)
     return g, s, k, nodes, basis
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The dense decompositions made while the test runs, in order: ``"eigh"`` for each call of
+    ``scipy.linalg.eigh`` (``dsyevd`` and the other symmetric drivers) and ``"svd"`` for each of
+    ``scipy.linalg.svd`` (the ``gesdd`` route of bipartite graphs)."""
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(scipy.linalg, name, counting(name, getattr(scipy.linalg, name)))
+    return calls

@@ -872,30 +872,21 @@ def test_fractional_alpha_lagrange_matches_the_bordered_oracle(tmp_path, case, a
 
 
 @pytest.mark.parametrize("mode", [(), ("--local", "--radius", 24)])
-def test_fractional_alpha_lagrange_builds_no_kernel(monkeypatch, tmp_path, mode):
-    import scipy.linalg
-
+def test_fractional_alpha_lagrange_builds_no_kernel(monkeypatch, tmp_path, decompositions, mode):
     from graphsplines import spectral
 
     graph, nodes, center, _ = _weighted_cycle_case(0)
     g_csv, n_csv = tmp_path / "g.csv", tmp_path / "nodes.csv"
     gio.write_edge_csv(g_csv, graph)
     gio.write_nodes_csv(n_csv, nodes)
-    calls = []
-    eigh = scipy.linalg.eigh
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("kernel built")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
     monkeypatch.setattr(spectral, "pseudo_inverse_power", refuse)
     argv = ("lagrange", "--graph", g_csv, "--nodes", n_csv, "--center", center, "--alpha", 1.5, *mode)
     assert run(*argv, "-o", tmp_path / "chi.csv") == 0
-    assert len(calls) == 1
+    assert len(decompositions) == 1
 
 
 def test_local_and_truncate_together_are_a_usage_error(tmp_path, cycle_csv, capsys):
@@ -1028,21 +1019,16 @@ def test_interp_values_match_a_long_double_reference(tmp_path):
     "alpha, flags, eighs",
     [(2, (), 0), (1.5, (), 1), (2, ("--coefficients",), 1), (1.5, ("--coefficients",), 1)],
 )
-def test_interp_solves_one_system_and_decomposes_only_when_needed(monkeypatch, tmp_path, alpha, flags, eighs):
-    import scipy.linalg
-
-    counts = {"eigh": 0, "solve": 0}
-    eigh, solve = scipy.linalg.eigh, interpolation._solve_symmetric
-
-    def counting_eigh(*args, **kwargs):
-        counts["eigh"] += 1
-        return eigh(*args, **kwargs)
+def test_interp_solves_one_system_and_decomposes_only_when_needed(
+    monkeypatch, tmp_path, decompositions, alpha, flags, eighs
+):
+    counts = {"solve": 0}
+    solve = interpolation._solve_symmetric
 
     def counting_solve(*args):
         counts["solve"] += 1
         return solve(*args)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(interpolation, "_solve_symmetric", counting_solve)
     graph, known, _, _ = _weighted_cycle_case(0, n=64)
     g_csv, known_csv = tmp_path / "g.csv", tmp_path / "known.csv"
@@ -1050,7 +1036,7 @@ def test_interp_solves_one_system_and_decomposes_only_when_needed(monkeypatch, t
     known_csv.write_text("vertex,value\n" + "".join(f"{v},{np.sin(v)}\n" for v in known))
     paths = [a for flag in flags for a in (flag, tmp_path / f"{flag[2:]}.csv")]
     assert run("interp", "--graph", g_csv, "--known", known_csv, "--alpha", alpha, *paths, "-o", tmp_path / "s.csv") == 0
-    assert counts == {"eigh": eighs, "solve": 1}
+    assert (len(decompositions), counts["solve"]) == (eighs, 1)
 
 
 # --- input files written by spreadsheet programs ----------------------------------
@@ -1201,23 +1187,13 @@ def test_subcommand_usage_errors_print_that_subcommands_usage(capsys, argv, usag
     assert capsys.readouterr().err.startswith(usage)
 
 
-def test_lagrange_with_every_vertex_a_node_at_a_fractional_alpha_decomposes_nothing(monkeypatch, tmp_path):
-    import scipy.linalg
-
-    calls = []
-    eigh = scipy.linalg.eigh
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+def test_lagrange_with_every_vertex_a_node_at_a_fractional_alpha_decomposes_nothing(tmp_path, decompositions):
     g_csv, n_csv, out = tmp_path / "g.csv", tmp_path / "nodes.csv", tmp_path / "chi.csv"
     assert run("graph", "cycle", "--n", 32, "-o", g_csv) == 0
     gio.write_nodes_csv(n_csv, range(32))
     assert run("lagrange", "--graph", g_csv, "--nodes", n_csv, "--center", 5, "--alpha", 1.5, "-o", out) == 0
     assert np.array_equal(gio.read_function_csv(out)[1], np.eye(32)[5])
-    assert calls == []
+    assert decompositions == []
 
 
 # L^alpha at these orders overflows a double; each runs in a subprocess with a timeout, so a power loop

@@ -14,6 +14,7 @@ from graphsplines import (
     eigendecompose,
     knn_graph,
     laplacian,
+    laplacian_power,
     lattice_graph,
     pseudo_inverse_power,
     random_connected_graph,
@@ -175,6 +176,75 @@ class TestEigendecompose:
         L[2, 3] += 1e-11
         with pytest.raises(ValueError, match="matrix is not symmetric"):
             eigendecompose(L, UNNORM)
+
+
+def _bipartite_family():
+    """Connected bipartite graphs: uniform and weighted even cycles, lattices, K_{3,5}, a star, a path,
+    the 2-vertex graph and the 4-cycle (the colour classes differ in size in the 15 x 17 and 3 x 3 lattices,
+    K_{3,5}, the star and the path)."""
+    rng = np.random.default_rng(0)
+
+    def weighted_cycle(n):
+        w = rng.uniform(0.5, 2.0, n)
+        return build_graph([(i, (i + 1) % n, float(w[i]), 1.0) for i in range(n)])
+
+    return {
+        "cycle-256": cycle_graph(256),
+        "weighted-cycle-256": weighted_cycle(256),
+        "weighted-cycle-512": weighted_cycle(512),
+        "lattice-20x20": lattice_graph(20, 20),
+        "lattice-15x17": lattice_graph(15, 17),
+        "lattice-3x3": lattice_graph(3, 3),
+        "K3,5": build_graph([(i, 3 + j, 1.0, 1.0) for i in range(3) for j in range(5)]),
+        "star-12": build_graph([(0, j, 1.0, 1.0) for j in range(1, 12)]),
+        "path-31": build_graph([(i, i + 1, 1.0, 1.0) for i in range(30)]),
+        "two-vertex": two_vertex_graph(),
+        "cycle-4": cycle_graph(4),
+    }
+
+
+class TestBipartiteRoute:
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _bipartite_family().items()])
+    def test_agrees_with_divide_and_conquer(self, g, decompositions):
+        # measured against dsyevd: eigenvalues 2.1e-15, L^1.5 3.8e-15 relative, Q^T Q 2.4e-15, residual 3.4e-15
+        L = laplacian(g, NORM)
+        s = eigendecompose(L, NORM)
+        assert decompositions == ["svd"]
+        w, Q = scipy.linalg.eigh(L, driver="evd")
+        w[0] = 0.0
+        assert np.abs(s.eigenvalues - w).max() <= 2.1e-14
+        ours = laplacian_power(g, 1.5, s)
+        ref = (Q * np.where(w > 0, np.abs(w) ** 1.5, 0.0)) @ Q.T
+        assert np.abs(ours - ref).max() <= 3.8e-14 * np.abs(ref).max()
+        assert np.abs(s.eigenvectors.T @ s.eigenvectors - np.eye(g.n_vertices)).max() <= 2.4e-14
+        assert s.residual <= 3.4e-14
+        assert s.eigenvalues[0] == 0.0 and np.all(s.kernel_vector > 0)
+
+    @pytest.mark.parametrize(
+        "graph, kind",
+        [
+            (cycle_graph(9), NORM),
+            (knn_graph(np.random.default_rng(1).random((60, 3)), 5), NORM),
+            (cycle_graph(8), UNNORM),
+            (lattice_graph(4, 5), UNNORM),
+        ],
+        ids=["odd-cycle", "knn", "unnormalized-cycle", "unnormalized-lattice"],
+    )
+    def test_other_input_takes_divide_and_conquer(self, graph, kind, decompositions):
+        s = decompose_graph(graph, kind)
+        assert decompositions == ["eigh"]
+        assert s.residual <= 1e-13
+
+    @pytest.mark.parametrize(
+        "block",
+        [laplacian(cycle_graph(4), NORM), laplacian(cycle_graph(3), NORM)],
+        ids=["two-4-cycles", "two-triangles"],
+    )
+    def test_disconnected_pattern_is_refused_by_divide_and_conquer(self, block, decompositions):
+        # two triangles double-cover in two components, as one bipartite graph does, but keep i beside n + i
+        with pytest.raises(MultipleZeroEigenvalues):
+            eigendecompose(scipy.linalg.block_diag(block, block), NORM)
+        assert decompositions == ["eigh"]
 
 
 class TestPseudoInversePower:
