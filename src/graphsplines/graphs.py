@@ -19,6 +19,7 @@ from .errors import (
     DuplicateEdge,
     DuplicatePoint,
     EmptyNodeSet,
+    InconsistentDimensions,
     NonPositiveLength,
     NonPositiveWeight,
     SelfLoop,
@@ -291,9 +292,19 @@ def ball(g: WeightedGraph, center: int, r: float) -> np.ndarray:
     return np.flatnonzero(g.distances_from(center) <= r)
 
 
-def complement(g: WeightedGraph, vertices: np.ndarray) -> np.ndarray:
+def _check_vertices(ids: Sequence[int], n_vertices: int) -> np.ndarray:
+    """Vertex ids as an int array, each in 0..n_vertices-1."""
+    ids = np.asarray(ids, dtype=int)
+    bad = ids[(ids < 0) | (ids >= n_vertices)]
+    if bad.size:
+        raise InconsistentDimensions(f"vertex {bad[0]} out of range for {n_vertices} vertices")
+    return ids
+
+
+def complement(g: WeightedGraph, vertices: Sequence[int]) -> np.ndarray:
+    """The vertices not in ``vertices``, ascending; an id outside 0..n_vertices-1 is refused."""
     mask = np.ones(g.n_vertices, dtype=bool)
-    mask[vertices] = False
+    mask[_check_vertices(vertices, g.n_vertices)] = False
     return np.flatnonzero(mask)
 
 

@@ -49,23 +49,9 @@ from scipy.linalg import lapack
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import (
-    DimensionMismatch,
-    InconsistentDimensions,
-    NonPositiveAlpha,
-    SingularSystem,
-)
-from .graphs import WeightedGraph, complement
-from .spectral import SpectralDecomposition, _power
-
-
-def _check_vertices(ids: Sequence[int], n_vertices: int) -> np.ndarray:
-    """Vertex ids as an int array, each in 0..n_vertices-1."""
-    ids = np.asarray(ids, dtype=int)
-    bad = ids[(ids < 0) | (ids >= n_vertices)]
-    if bad.size:
-        raise InconsistentDimensions(f"vertex {bad[0]} out of range for {n_vertices} vertices")
-    return ids
+from .errors import DimensionMismatch, InconsistentDimensions, SingularSystem
+from .graphs import WeightedGraph, _check_vertices, complement
+from .spectral import SpectralDecomposition, _check_alpha, _power
 
 
 def _check_nodes(nodes: Sequence[int], n_vertices: int) -> np.ndarray:
@@ -107,8 +93,7 @@ class InterpolationProblem:
         n = self.graph.n_vertices
         if self.decomposition.n != n:
             raise InconsistentDimensions("graph and decomposition sizes differ")
-        if not (0 < self.alpha < np.inf):
-            raise NonPositiveAlpha(f"alpha must be positive and finite, got {self.alpha}")
+        _check_alpha(self.alpha)
         self.nodes = _check_nodes(self.nodes, n)
         self.values = _check_values(self.values, self.nodes.size)
 
@@ -254,8 +239,7 @@ def native_semi_inner_product(
     s: SpectralDecomposition, f: np.ndarray, g: np.ndarray, alpha: float
 ) -> float:
     """Semi-inner product ``<L^(alpha/2) f, L^(alpha/2) g>`` of the kernel's native space."""
-    if not (0 <= alpha < np.inf):
-        raise NonPositiveAlpha(f"alpha must be >= 0 and finite, got {alpha}")
+    _check_alpha(alpha, allow_zero=True)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if f.shape[0] != s.n or g.shape[0] != s.n:
@@ -387,8 +371,7 @@ def spline_regress(
     """
     known = _check_nodes(known, g.n_vertices)
     values = _check_values(values, known.size)
-    if not (0 < alpha < np.inf):
-        raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
+    _check_alpha(alpha)
     unknown = complement(g, known)
     if unknown.size == 0:
         return values[:0].copy()

@@ -9,10 +9,10 @@ of even length, every lattice) is decomposed through one SVD of its
 off-diagonal block, half as many rows and columns as the matrix, and every
 other matrix by ``dsyevd``. Kernel matrices are pseudo-inverse powers applied via
 the eigendecomposition. ``L^alpha`` itself (read by Dirichlet-form regression)
-has one builder, ``_power``, behind splines, cross-validation and the dense
-:func:`laplacian_power`: an integer alpha is a CSR product of Laplacians and
-needs no eigendecomposition, a fractional one is the eigenpair power, and an
-``L^alpha`` that overflows a double is refused. Sobolev-type semi-norms are
+has one builder, ``_power``, behind splines, cross-validation, the semi-norms
+of the diagnostics and the dense :func:`laplacian_power`: an integer alpha is a
+CSR product of Laplacians and needs no eigendecomposition, a fractional one is
+the eigenpair power, and an ``L^alpha`` that overflows a double is refused. Sobolev-type semi-norms are
 ``||L^(alpha/2) f||`` restricted to a vertex set.
 """
 from __future__ import annotations
@@ -290,8 +290,7 @@ def pseudo_inverse_power(s: SpectralDecomposition, alpha: float) -> KernelMatrix
     Symmetric positive semi-definite with the kernel eigenvector annihilated;
     its columns are the splines of smoothness order ``2 * alpha``.
     """
-    if not (0 < alpha < np.inf):
-        raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
+    _check_alpha(alpha)
     return KernelMatrix(alpha=float(alpha), matrix=_spectral_power(s, -alpha))
 
 
@@ -311,8 +310,7 @@ def _power(g: WeightedGraph, alpha: float, decomposition: SpectralDecomposition 
     :func:`pseudo_inverse_power`. An ``L^alpha`` that overflows a double is refused, an integer one at
     the first product that does.
     """
-    if not (0 < alpha < np.inf):
-        raise NonPositiveAlpha(f"alpha must be positive and finite, got {alpha}")
+    _check_alpha(alpha)
     kind = decomposition.kind if decomposition is not None else LaplacianKind.NORMALIZED
     if float(alpha).is_integer():
         L = _sparse_laplacian(g, kind)
@@ -329,6 +327,12 @@ def _power(g: WeightedGraph, alpha: float, decomposition: SpectralDecomposition 
     return result if rows is None else result[rows]
 
 
+def _check_alpha(alpha: float, allow_zero: bool = False) -> None:
+    """Refuse an order ``alpha`` that is not finite, or not positive (negative, with ``allow_zero``)."""
+    if not ((alpha >= 0 if allow_zero else alpha > 0) and alpha < np.inf):  # refuses nan too
+        raise NonPositiveAlpha(f"alpha must be {'>= 0' if allow_zero else 'positive'} and finite, got {alpha}")
+
+
 def _check_finite(entries: np.ndarray, alpha: float) -> None:
     if not np.all(np.isfinite(entries)):
         raise ValidationError(f"L^alpha at alpha = {alpha} overflows a double")
@@ -341,8 +345,7 @@ def sobolev_seminorm(
     subset: Sequence[int] | None = None,
 ) -> float:
     """``||(L^(alpha/2) f)`` restricted to ``subset||_2``; subset defaults to all vertices."""
-    if not (0 <= alpha < np.inf):
-        raise NonPositiveAlpha(f"alpha must be >= 0 and finite, got {alpha}")
+    _check_alpha(alpha, allow_zero=True)
     g = s.apply_power(f, alpha / 2.0)
     if subset is None:
         return float(np.linalg.norm(g))

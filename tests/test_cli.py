@@ -236,6 +236,24 @@ class TestMLCommands:
         assert body[0] == "method,target,k,mean_mse,std_mse"
         assert len(body) == 3  # spline + nnr for one target
 
+    def test_cv_notes_the_baseline_fallbacks(self, tmp_path, capsys):
+        # k = 2 with two folds leaves some held-out rows without a known neighbour
+        from graphsplines import CVConfig, cross_validate, load_dataset
+
+        X = np.random.default_rng(13).normal(size=(60, 3))
+        data = tmp_path / "d.csv"
+        rows = np.column_stack([X, X @ [1.0, -1.0, 0.5]]).tolist()
+        data.write_text("a,b,c,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        out = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert run("ml", "cv", "--data", data, "--features", "a,b,c", "--targets", "y",
+                   "--k", 2, "--folds", 2, "--repeats", 3, "--seed", 13, "-o", out) == 0
+        cfg = CVConfig(k_neighbors=2, folds=2, repeats=3, seed=13)
+        report = cross_validate(load_dataset(data, list("abc"), ["y"]), cfg)
+        assert report.nnr_fallbacks > 0
+        note = f"note: {report.nnr_fallbacks} unknown vertices had no known neighbor (global-mean fallback)\n"
+        assert capsys.readouterr().out == note
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -1264,6 +1282,12 @@ def _input_refusal(case, tmp_path):
         function.write_text("vertex,value\n0,1\n1,0.5\n2,0.25\n3,0.5\n")
         argv = ("decay", "--graph", edges, "--function", function, "--center", 0, "--bin-width", width, "--fit", "-o", out)
         return argv, message
+    if case == "decay-fit-overflow":
+        gio.write_edge_csv(edges, cycle_graph(16))
+        function = tmp_path / "f.csv"
+        function.write_text("vertex,value\n" + "".join(f"{v},{min(v, 16 - v) + 1}\n" for v in range(16)))
+        argv = ("decay", "--graph", edges, "--function", function, "--center", 0, "--fit", "--fit-scale", "1e-4")
+        return (*argv, "-o", out), "decay fit at scale 0.0001 with slope 0.25"
     if case == "smoothness-overflow":
         return ("experiment", "smoothness", "--n", 40, "--magnitudes", "1e308", "-o", out), "magnitude 1e+308 is too large"
     if case in _LARGE_ALPHA:
@@ -1280,7 +1304,8 @@ def _input_refusal(case, tmp_path):
     [
         "empty-edge-list", "edge-list-header", "one-row-table", "knn-k-0", "knn-overflow", "knn-underflow",
         "degree-overflow", "lattice-1x1", "lattice-negative", "empty-features", "empty-targets",
-        "cv-target-overflow", "decay-tiny-bin", "decay-long-edges", "smoothness-overflow", *_LARGE_ALPHA,
+        "cv-target-overflow", "decay-tiny-bin", "decay-long-edges", "decay-fit-overflow", "smoothness-overflow",
+        *_LARGE_ALPHA,
     ],
 )
 def test_input_refusals_exit_two_with_one_error_line(tmp_path, capsys, case):

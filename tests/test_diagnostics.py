@@ -12,6 +12,7 @@ from graphsplines import (
     decay_profile,
     decay_scale,
     decompose_graph,
+    dirichlet_lagrange,
     fill_distance,
     fit_exponential_decay,
     graph_metrics,
@@ -145,6 +146,23 @@ class TestBulkRatio:
         with pytest.raises(ValueError):
             bulk_ratio(basis.columns[:, 0], s, g, 0, 5.0, 9.0, 2.0, 1.0)
 
+    def test_measures_a_tail_far_below_the_semi_norm(self):
+        # chi = exp(-2d) on cycle-64: L chi is (1 - cosh 2) exp(-2k) at distance k = 1..31 and
+        # exp(-64) - exp(-62) at the antipode, so the tails outside radii 27 and 17 stand near exp(-20);
+        # a floor of n eps ||L chi|| on the denominator refused this one as vanishing
+        g = cycle_graph(64)
+        chi = np.exp(-2.0 * g.distances_from(0))
+        k = np.arange(1, 32)
+        side = (1.0 - np.cosh(2.0)) * np.exp(-2.0 * k)
+        antipode = np.exp(-64.0) - np.exp(-62.0)
+
+        def tail(r):
+            return np.sqrt(2.0 * (side[k > r] ** 2).sum() + antipode**2)
+
+        ratio = bulk_ratio(chi, decompose_graph(g, LaplacianKind.NORMALIZED), g, 0, 21.0, 25.0, 1.0, 1.0)
+        assert ratio == pytest.approx(tail(27) / tail(17), rel=1e-12)
+        assert ratio == pytest.approx(2.0612e-9, rel=1e-4)
+
 
 class TestZerosBound:
     def test_two_vertex_bound_is_tight(self):
@@ -185,41 +203,39 @@ def test_zeros_lemma_suite_decomposes_each_graph_once(monkeypatch):
 
 
 def test_bulk_ratio_filters_the_function_once(monkeypatch):
-    from graphsplines.spectral import SpectralDecomposition
+    from graphsplines import diagnostics
 
     g = cycle_graph(64)
     s = decompose_graph(g, LaplacianKind.NORMALIZED)
     chi = np.exp(-0.5 * g.distances_from(0))
     calls = []
-    original = SpectralDecomposition.apply_power
+    original = diagnostics._power
 
-    def counting(self, f, power):
-        calls.append(power)
-        return original(self, f, power)
+    def counting(graph, alpha, *args):
+        calls.append(alpha)
+        return original(graph, alpha, *args)
 
-    monkeypatch.setattr(SpectralDecomposition, "apply_power", counting)
+    monkeypatch.setattr(diagnostics, "_power", counting)
     ratio = bulk_ratio(chi, s, g, 0, 8.0, 12.0, 1.0, 1.0)
     assert 0.0 < ratio < 1.0
-    assert calls == [1.0]
+    assert calls == [1]
 
 
 def test_bulk_ratio_suite_filters_and_searches_once(monkeypatch):
-    from graphsplines import WeightedGraph
-    from graphsplines.diagnostics import verify_bulk_ratio
-    from graphsplines.spectral import SpectralDecomposition
+    from graphsplines import WeightedGraph, diagnostics
 
-    calls = {"apply_power": 0, "distances_from": 0}
-    for cls, name in ((SpectralDecomposition, "apply_power"), (WeightedGraph, "distances_from")):
+    calls = {"_power": 0, "distances_from": 0}
+    for owner, name in ((diagnostics, "_power"), (WeightedGraph, "distances_from")):
 
-        def counting(self, *args, _original=getattr(cls, name), _name=name):
+        def counting(*args, _original=getattr(owner, name), _name=name):
             calls[_name] += 1
-            return _original(self, *args)
+            return _original(*args)
 
-        monkeypatch.setattr(cls, name, counting)
-    ok, _, _, rows = verify_bulk_ratio(16, 0)
+        monkeypatch.setattr(owner, name, counting)
+    ok, _, _, rows = diagnostics.verify_bulk_ratio(16, 0)
     assert ok and len(rows) == 16
     # one filter of chi and one search from the center, beside the one in fill_distance
-    assert calls == {"apply_power": 1, "distances_from": 2}
+    assert calls == {"_power": 1, "distances_from": 2}
 
 
 def test_bulk_ratio_suite_matches_a_least_squares_lagrange_function():
@@ -241,6 +257,56 @@ def test_bulk_ratio_suite_matches_a_least_squares_lagrange_function():
     reference = np.array(_bulk_ratios(filtered, g.distances_from(0), radii, fill_distance(g, nodes), g.rho_max))
     ratios = np.array([float(ratio) for _, _, ratio in rows])
     assert np.all(np.abs(ratios - reference) <= 1e-6 * reference)
+
+
+def _weighted_cycle(n: int, seed: int):
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, n)
+    return build_graph([(i, (i + 1) % n, float(w[i]), 1.0) for i in range(n)])
+
+
+_TAIL_CASES = {
+    "cycle-256": (lambda: cycle_graph(256), np.arange(0, 256, 4), 0),
+    "weighted-cycle-256": (lambda: _weighted_cycle(256, 0), np.arange(0, 256, 4), 0),
+    "lattice-20x20": (lambda: lattice_graph(20, 20), np.arange(400).reshape(20, 20)[::2, ::2].ravel(), 210),
+}
+
+
+@pytest.mark.parametrize("case", list(_TAIL_CASES))
+def test_bulk_ratio_matches_a_long_double_stencil(case):
+    # Every ratio of the suite's 10 x 10 radius sweep whose inner ball leaves some vertex outside,
+    # against L chi and its norms in long double from the stored CSR Laplacian on the same chi. The
+    # eigenpair route missed by up to 6.2e-9, 1.1e-8 and 5.8e-10 relative; the CSR one by 3.5e-16.
+    from graphsplines.spectral import _sparse_laplacian
+
+    make, nodes, center = _TAIL_CASES[case]
+    g = make()
+    s = decompose_graph(g, LaplacianKind.NORMALIZED)
+    chi = dirichlet_lagrange(g, nodes, center, 2.0)
+    h, rho_max = fill_distance(g, nodes), g.rho_max
+    d = g.distances_from(center)
+    L = _sparse_laplacian(g, LaplacianKind.NORMALIZED)
+    exact = np.zeros(g.n_vertices, dtype=np.longdouble)
+    rows = np.repeat(np.arange(g.n_vertices), np.diff(L.indptr))
+    np.add.at(exact, rows, L.data.astype(np.longdouble) * chi[L.indices].astype(np.longdouble))
+    checked = 0
+    for r2 in 3 * rho_max + 2 * h + 1 + 2.0 * np.arange(10):
+        for r3 in r2 + 2.0 * (1 + np.arange(10)):
+            r1, r4 = r2 - 2 * rho_max - 2 * h, r3 + 2 * h
+            if d.max() <= r1:
+                continue
+            reference = np.sqrt((exact[d > r4] ** 2).sum()) / np.sqrt((exact[d > r1] ** 2).sum())
+            ratio = bulk_ratio(chi, s, g, center, r2, r3, h, rho_max)
+            assert abs(ratio - reference) <= 1e-14 * reference
+            checked += 1
+    assert checked >= 90
+
+
+def test_bulk_ratio_suite_decomposes_nothing(decompositions):
+    from graphsplines.diagnostics import verify_bulk_ratio
+
+    ok, _, _, rows = verify_bulk_ratio(100, 0)
+    assert ok and len(rows) == 100
+    assert decompositions == []
 
 
 class TestCycleCoverConstant:

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import dijkstra
 from graphsplines import (
     ball,
     build_graph,
+    complement,
     cycle_graph,
     fill_distance,
     graph_metrics,
@@ -24,6 +25,7 @@ from graphsplines.errors import (
     DuplicateEdge,
     DuplicatePoint,
     EmptyNodeSet,
+    InconsistentDimensions,
     NonPositiveLength,
     NonPositiveWeight,
     SelfLoop,
@@ -135,6 +137,13 @@ def _all_pairs(g):
 
 
 class TestMetricSets:
+    @pytest.mark.parametrize("vertex", [-1, 6])
+    def test_complement_refuses_an_id_off_the_graph(self, vertex):
+        # -1 used to wrap to the last vertex and 6 to raise a bare IndexError
+        with pytest.raises(InconsistentDimensions, match=f"^vertex {vertex} out of range for 6 vertices$"):
+            complement(cycle_graph(6), [vertex])
+        assert complement(cycle_graph(6), [5, 0]).tolist() == [1, 2, 3, 4]
+
     def test_ball_on_cycle(self):
         g = cycle_graph(8)
         assert set(ball(g, 0, 1.0)) == {7, 0, 1}
@@ -222,6 +231,10 @@ def knn_reference(points, k):
 
 
 class TestKnnBlocks:
+    def test_one_dimensional_points_are_one_column(self):
+        line = np.array([0.0, 1.0, 3.0, 7.0, 7.5, 12.0])
+        assert knn_graph(line, 2).edges == knn_graph(line[:, None], 2).edges
+
     @pytest.mark.parametrize("k", [4, 6])
     def test_integer_grid_with_exact_ties_matches_full_tensor(self, k):
         # 400 points span several row blocks; grid distances tie exactly

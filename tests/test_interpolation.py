@@ -27,7 +27,7 @@ from graphsplines import (
     spline_regress,
     truncated_lagrange,
 )
-from graphsplines.errors import InconsistentDimensions, SingularSystem
+from graphsplines.errors import DimensionMismatch, InconsistentDimensions, SingularSystem
 from graphsplines.interpolation import _solve_symmetric
 from graphsplines.spectral import _power
 
@@ -400,6 +400,13 @@ class TestNativeSemiInnerProduct:
         for alpha in (1.0, 2.0, 3.0):
             got = native_semi_inner_product(s, s.eigenvectors[:, 3], s.eigenvectors[:, 3], alpha)
             assert got == pytest.approx(s.eigenvalues[3] ** alpha, rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["f", "g"])
+    def test_refuses_a_function_of_another_length(self, which):
+        s = decompose_graph(cycle_graph(7), LaplacianKind.NORMALIZED)
+        f, g = (np.ones(6), np.ones(7)) if which == "f" else (np.ones(7), np.ones(6))
+        with pytest.raises(DimensionMismatch, match="function lengths do not match the vertex count"):
+            native_semi_inner_product(s, f, g, 2.0)
 
     def test_consistent_with_seminorm(self):
         rng = np.random.default_rng(3)

@@ -230,6 +230,13 @@ class TestCrossValidate:
             assert row.mean_mse >= 0.0
             assert row.std_mse == 0.0  # single repeat
 
+    def test_report_row_of_an_unknown_method_or_target_is_a_key_error(self):
+        report = cross_validate(self.make_dataset(), CVConfig(k_neighbors=4, folds=2, repeats=1, seed=5))
+        assert report.row("nnr", "t2").method == "nnr"
+        for method, target in (("kriging", "t1"), ("spline", "t3")):
+            with pytest.raises(KeyError):
+                report.row(method, target)
+
     def test_constant_targets_give_zero_nnr_mse(self):
         # the spline is not expected to reproduce constants here: the kernel
         # eigenvector is proportional to sqrt(degree), not the constant vector

@@ -21,6 +21,7 @@ from graphsplines import (
     sobolev_seminorm,
 )
 from graphsplines.errors import (
+    EigensolverFailure,
     EmptyInterior,
     EmptySubset,
     FullVertexSet,
@@ -169,6 +170,15 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]), UNNORM)
 
+    def test_significantly_negative_eigenvalue_is_refused(self):
+        with pytest.raises(EigensolverFailure, match="smallest eigenvalue .* is significantly negative"):
+            eigendecompose(-laplacian(cycle_graph(5), UNNORM), UNNORM)
+
+    def test_normalized_eigenvalue_above_two_is_refused(self):
+        # three times a normalized 5-cycle Laplacian: its largest eigenvalue is 3 (1 + cos(pi / 5)) = 5.4
+        with pytest.raises(EigensolverFailure, match="exceeds the bound 2"):
+            eigendecompose(3.0 * laplacian(cycle_graph(5), NORM), NORM)
+
     def test_symmetry_is_checked_to_an_absolute_1e_12(self):
         L = laplacian(cycle_graph(8), UNNORM)
         L[2, 3] += 1e-13  # one off-diagonal entry of one pair: not exactly symmetric, still accepted
@@ -234,6 +244,13 @@ class TestBipartiteRoute:
         s = decompose_graph(graph, kind)
         assert decompositions == ["eigh"]
         assert s.residual <= 1e-13
+
+    def test_normalized_kind_off_the_unit_diagonal_takes_divide_and_conquer(self, decompositions):
+        # half a normalized 8-cycle Laplacian: bipartite, but its diagonal is 0.5
+        s = eigendecompose(0.5 * laplacian(cycle_graph(8), NORM), NORM)
+        assert decompositions == ["eigh"]
+        expected = np.sort(0.5 * (1.0 - np.cos(2 * np.pi * np.arange(8) / 8)))
+        assert np.abs(s.eigenvalues - expected).max() <= 1e-15
 
     @pytest.mark.parametrize(
         "block",
