@@ -135,7 +135,7 @@ def _cmd_interp(args) -> int:
     values = _spline(g, vertices, data, args.alpha, decomposition)
     gio.write_function_csv(args.output, values)
     if args.coefficients:
-        beta, constant = _coefficients(decomposition, values, vertices, args.alpha)
+        beta, constant = _coefficients(g, decomposition, values, vertices, args.alpha)
         gio.write_interpolant_csv(args.coefficients, Interpolant(float(constant), beta, args.alpha, vertices))
     _manifest(args, "interp", [args.graph, args.known])
     return 0

@@ -17,13 +17,15 @@ its Dirichlet form ``(L^alpha s)_U = 0``, and ``beta = (L^alpha s)_K``.
 
 :func:`spline_regress` checks every spline's nodes, values and ``alpha`` and
 solves the Dirichlet form with ``_solve_symmetric``, one factorization
-carrying every right-hand side; with K = V it forms no ``L^alpha``. Its rows
-on U come from ``spectral._power``: for an integer ``alpha`` the CSR rows
-``L[U] L ... L``, whose column slice ``(L^alpha)_UU`` is handed over, and no
-n x n array. ``_solve_symmetric`` has two routes and one refusal. A CSR block
-whose reverse Cuthill-McKee band is narrow (half-bandwidth b < m / sqrt(12)
-for m rows, where the band LU's 4 m b^2 flops undercut the m^3 / 3 of
-``dsysv``) is factored in its band by LAPACK's ``dgbtrf``. Any other block,
+carrying every right-hand side; with K = V it forms no ``L^alpha``. Its
+system comes from ``spectral._dirichlet_system``: for an integer ``alpha`` the
+column slice ``(L^alpha)_UU`` of the CSR rows ``L[U] L ... L``, and no n x n
+array; for a fractional one the Gram form ``G G^T`` of the eigenpairs, with
+``G = Q[U] diag(lambda^(alpha/2))``, and no n x n power. ``_solve_symmetric``
+has two routes and one refusal. A CSR block whose reverse Cuthill-McKee band
+is narrow (half-bandwidth b < m / sqrt(12) for m rows, where the band LU's
+4 m b^2 flops undercut the m^3 / 3 of ``dsysv``) is factored in its band by
+LAPACK's ``dgbtrf``. Any other block,
 and every dense one (a fractional ``alpha``, the folds of
 ``ml.cross_validate``), takes the symmetric-indefinite ``dsysv``. Either
 route refuses a system whose reciprocal condition estimate is smaller than
@@ -32,12 +34,15 @@ its spline from :func:`spline_regress`: ``solve_interpolant``,
 ``lagrange_basis`` (all |K| cardinal functions in one solve) and
 ``dirichlet_lagrange``, which ``local_lagrange`` is for a ball.
 
-``beta`` and the expansion ``Phi(., K) beta + C v0``, which :func:`evaluate`
-and :func:`truncated_lagrange` share, are each one
-:meth:`SpectralDecomposition.apply_power`; a truncated cardinal function keeps
-only the coefficients of the nodes near its center. Every routine takes the
-order ``alpha``; the n x n kernel is built only by ``verify coeff-symmetry``,
-which checks the bordered system against it.
+``beta = (L^alpha s)_K`` is ``spectral._power_product``: at an integer
+``alpha`` the CSR rows of ``L^alpha`` on K times ``s``, exact to rounding at
+every node however small the coefficient, and at a fractional one
+:meth:`SpectralDecomposition.apply_power`. The expansion
+``Phi(., K) beta + C v0``, which :func:`evaluate` and
+:func:`truncated_lagrange` share, is one ``apply_power``; a truncated cardinal
+function keeps only the coefficients of the nodes near its center. Every
+routine takes the order ``alpha``; the n x n kernel is built only by
+``verify coeff-symmetry``, which checks the bordered system against it.
 """
 from __future__ import annotations
 
@@ -51,7 +56,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import DimensionMismatch, InconsistentDimensions, SingularSystem
 from .graphs import WeightedGraph, _check_vertices, complement
-from .spectral import SpectralDecomposition, _check_alpha, _power
+from .spectral import SpectralDecomposition, _check_alpha, _dirichlet_system, _power_product
 
 
 def _check_nodes(nodes: Sequence[int], n_vertices: int) -> np.ndarray:
@@ -196,10 +201,11 @@ def _spline(graph: WeightedGraph, nodes, values, alpha: float, decomposition=Non
     return s
 
 
-def _coefficients(decomposition: SpectralDecomposition, s: np.ndarray, nodes: np.ndarray, alpha: float):
-    """``beta = (L^alpha s)_K`` and ``C = v0^T s`` of the spline ``s`` (or of each column), with
-    ``L^alpha`` applied through the eigenpairs by :meth:`SpectralDecomposition.apply_power`."""
-    return decomposition.apply_power(s, alpha)[nodes], decomposition.kernel_vector @ s
+def _coefficients(graph: WeightedGraph, decomposition: SpectralDecomposition, s: np.ndarray, nodes, alpha: float):
+    """``beta = (L^alpha s)_K`` and ``C = v0^T s`` of the spline ``s`` (or of each column). ``beta`` is
+    ``spectral._power_product``: the CSR rows of ``L^alpha`` on K at an integer ``alpha``, exact to
+    rounding however small a coefficient is, and the eigenpairs at a fractional one."""
+    return _power_product(graph, alpha, decomposition, s, nodes), decomposition.kernel_vector @ s
 
 
 def _expansion(decomposition: SpectralDecomposition, nodes, beta, constant: float, alpha: float) -> np.ndarray:
@@ -214,7 +220,7 @@ def solve_interpolant(p: InterpolationProblem) -> Interpolant:
     """Coefficients of the interpolant through one data vector, read off its Dirichlet-form spline
     (``p.alpha``, the Laplacian of ``p.decomposition``)."""
     s = _spline(p.graph, p.nodes, p.values, p.alpha, p.decomposition)
-    beta, constant = _coefficients(p.decomposition, s, p.nodes, p.alpha)
+    beta, constant = _coefficients(p.graph, p.decomposition, s, p.nodes, p.alpha)
     return Interpolant(constant=float(constant), coefficients=beta, alpha=p.alpha, nodes=p.nodes)
 
 
@@ -281,7 +287,7 @@ def lagrange_basis(
     read off the columns."""
     nodes = np.asarray(nodes, dtype=int)
     columns = _spline(graph, nodes, np.eye(nodes.size), alpha, decomposition)
-    beta, constants = _coefficients(decomposition, columns, nodes, alpha)
+    beta, constants = _coefficients(graph, decomposition, columns, nodes, alpha)
     return LagrangeBasis(
         alpha=float(alpha),
         nodes=nodes,
@@ -324,7 +330,7 @@ def truncated_lagrange(
     kept = graph.distances_from(center)[nodes] <= radius
     if kept.all():
         return chi
-    beta, constant = _coefficients(decomposition, chi, nodes, alpha)
+    beta, constant = _coefficients(graph, decomposition, chi, nodes, alpha)
     nodes, beta = nodes[kept], beta[kept]
     if reimpose_side_condition:
         u = decomposition.kernel_vector[nodes]
@@ -360,14 +366,17 @@ def spline_regress(
     ``L^alpha``. ``decomposition`` is read only for its ``kind`` and, for a
     fractional ``alpha``, for its eigenpairs; without it the normalized
     Laplacian is used. Every spline's nodes, values and ``alpha`` are checked
-    here, and ``L^alpha`` is formed only when some vertex is unknown.
+    here, and the system is formed only when some vertex is unknown.
 
     ``(L^alpha s)_U = 0`` gives ``s_U = -((L^alpha)_UU)^-1 (L^alpha)_UK F``, and
     ``(L^alpha)_UU`` is positive definite for a proper nonempty U. The row block
-    ``(L^alpha)_U`` is read once: its U columns are the system, and
-    ``-(L^alpha)_U F0`` (``F`` on K, zero on U) the right-hand sides of one
-    :func:`_solve_symmetric`. The rows come from ``spectral._power``: at an
-    integer ``alpha`` they are CSR, so no n x n array is formed.
+    ``(L^alpha)_U`` gives the system, its U columns, and the right-hand sides
+    ``-(L^alpha)_U F0`` (``F`` on K, zero on U) of one :func:`_solve_symmetric`;
+    ``spectral._dirichlet_system`` forms both. At an integer ``alpha`` they come
+    from the CSR rows on U, so no n x n array is formed. At a fractional one the
+    system is the Gram product ``G G^T`` with ``G = Q[U] diag(lambda^(alpha/2))``,
+    exactly symmetric, and the right-hand sides ``-G (lambda^(alpha/2) * Q^T F0)``:
+    |U|^2 n flops, where the rows of the full eigenpair power cost 2 n^3.
     """
     known = _check_nodes(known, g.n_vertices)
     values = _check_values(values, known.size)
@@ -377,8 +386,7 @@ def spline_regress(
         return values[:0].copy()
     padded = np.zeros((g.n_vertices,) + values.shape[1:])
     padded[known] = values
-    rows = _power(g, alpha, decomposition, unknown)
-    return _solve_symmetric(rows[:, unknown], -(rows @ padded))[0]
+    return _solve_symmetric(*_dirichlet_system(g, alpha, decomposition, unknown, padded))[0]
 
 
 def dirichlet_lagrange(

@@ -126,6 +126,22 @@ def test_cycle256_lagrange_makes_one_eigh_per_job(monkeypatch, tmp_path, capsys,
     assert per_call == [0, 0, 1, 0]
 
 
+def test_a_fractional_spline_forms_no_eigenpair_power(monkeypatch, tmp_path, capsys, decompositions):
+    # a cycle256-lagrange job decomposes once, by one SVD; its truncated alpha = 1.5 call, like an
+    # alpha = 1.5 interp, solves the Gram form of the eigenpairs and forms no n x n power Q diag(w) Q^T
+    job = _workloads(monkeypatch).WORKLOADS["cycle256-lagrange"](tmp_path, 1).job(0)
+    powers = _count_calls(monkeypatch, spectral, "_spectral_power")
+    for argv in job.calls:
+        assert cli.main(argv) == 0, capsys.readouterr().err
+    assert decompositions == ["svd"] and len(powers) == 0
+    argv = job.calls[2]
+    known = tmp_path / "known.csv"
+    known.write_text("vertex,value\n" + "".join(f"{v},{np.sin(v):.17g}\n" for v in range(0, 256, 4)))
+    interp = ["interp", "--graph", argv[argv.index("--graph") + 1], "--known", str(known), "--alpha", "1.5"]
+    assert cli.main([*interp, "-o", str(tmp_path / "s.csv")]) == 0, capsys.readouterr().err
+    assert decompositions == ["svd", "svd"] and len(powers) == 0
+
+
 def test_truncated_lagrange_builds_the_kernel_only_to_dump_it(monkeypatch, tmp_path, capsys, decompositions):
     # the truncated alpha = 1.5 call decomposes the Laplacian once and forms no n x n kernel
     workload = _workloads(monkeypatch).WORKLOADS["cycle256-lagrange"](tmp_path, 1)

@@ -19,6 +19,7 @@ from graphsplines import (
     truncated_lagrange,
 )
 from graphsplines import io as gio
+from longdouble import extended, longdouble_solve
 from test_interpolation import bordered_oracle
 
 
@@ -938,24 +939,6 @@ def test_no_reproject_is_the_library_truncation_without_repair(tmp_path, alpha):
 
 # --- accuracy against long-double references -------------------------------------
 
-_extended = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
-
-
-def _longdouble_solve(A, b):
-    """Solve ``A x = b`` by Gaussian elimination with partial pivoting in ``np.longdouble``."""
-    A, b = A.astype(np.longdouble), b.astype(np.longdouble)
-    n = b.size
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        A[[k, p]], b[[k, p]] = A[[p, k]], b[[p, k]]
-        f = A[k + 1 :, k] / A[k, k]
-        A[k + 1 :, k:] -= np.outer(f, A[k, k:])
-        b[k + 1 :] -= f * b[k]
-    x = np.zeros(n, dtype=np.longdouble)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
-    return x
-
 
 def _longdouble_cycle(weights, alpha):
     """``L^alpha`` of the normalized Laplacian and its kernel vector ``v0`` for a weighted cycle, in ``np.longdouble``."""
@@ -976,18 +959,19 @@ def _longdouble_spline(power, nodes, values):
     unknown = np.setdiff1d(np.arange(power.shape[0]), nodes)
     s = np.zeros(power.shape[0], dtype=np.longdouble)
     s[nodes] = values
-    s[unknown] = _longdouble_solve(power[np.ix_(unknown, unknown)], -power[np.ix_(unknown, nodes)] @ s[nodes])
+    s[unknown] = longdouble_solve(power[np.ix_(unknown, unknown)], -power[np.ix_(unknown, nodes)] @ s[nodes])
     return s
 
 
-@_extended
+@extended
 @pytest.mark.parametrize("job", range(5))
 def test_truncated_lagrange_matches_a_long_double_reference(tmp_path, job):
     # The cycles and centers are the draws of the cycle256-lagrange benchmark's seed-1 jobs 0-4, at
     # alpha = 2. The reference applies the same formulas in long double: chi from the Dirichlet form,
     # beta = (L^2 chi)_K and C = v0^T chi, the kept coefficients reprojected, and the kernel applied
     # as Phi b = (L^2 + v0 v0^T)^-1 b for b orthogonal to v0. Over these jobs the differences were
-    # 1.5e-11 to 4.5e-11 of max|chi|; coefficients from a bordered kernel solve gave 5.6e-9 to 1.2e-8.
+    # 1.4e-11 to 2.7e-11 of max|chi| with beta from the CSR rows of L^2 (9.1e-12 to 1.3e-10 through the
+    # eigenpairs); coefficients from a bordered kernel solve gave 5.6e-9 to 1.2e-8.
     n, radius = 256, 32
     nodes = np.arange(0, n, 4)
     rng = np.random.default_rng([1, n, job])
@@ -1009,11 +993,11 @@ def test_truncated_lagrange_matches_a_long_double_reference(tmp_path, job):
     beta -= (beta @ u) / (u @ u) * u
     b = np.zeros(n, dtype=np.longdouble)
     b[nodes[kept]] = beta
-    reference = (_longdouble_solve(power + np.outer(v0, v0), b) + (v0 @ full) * v0).astype(float)
+    reference = (longdouble_solve(power + np.outer(v0, v0), b) + (v0 @ full) * v0).astype(float)
     assert np.abs(chi - reference).max() <= 1e-9 * np.abs(reference).max()
 
 
-@_extended
+@extended
 def test_interp_values_match_a_long_double_reference(tmp_path):
     # interp writes the Dirichlet-form values as solved: they were off by 1.6e-14 of max|s|.
     # Re-evaluating Phi beta + C v0 from the coefficients read off them loses digits to the

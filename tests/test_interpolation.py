@@ -29,7 +29,8 @@ from graphsplines import (
 )
 from graphsplines.errors import DimensionMismatch, InconsistentDimensions, SingularSystem
 from graphsplines.interpolation import _solve_symmetric
-from graphsplines.spectral import _power
+from graphsplines.spectral import _power, _sparse_laplacian
+from longdouble import cycle_power, extended, longdouble_solve
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +341,12 @@ class TestRowsOfThePower:
             padded = np.zeros(n)
             padded[known] = values
             solved, _ = _solve_symmetric(expected[:, unknown], -(expected @ padded))
-            assert np.array_equal(spline_regress(g, known, values, alpha, s), solved)
+            if s is None:
+                assert np.array_equal(spline_regress(g, known, values, alpha, s), solved)
+            else:
+                # the fractional spline solves the Gram form of the eigenpairs, not these rows: at most
+                # 5.9e-14 of max|s| apart
+                assert np.abs(spline_regress(g, known, values, alpha, s) - solved).max() <= 6e-13 * np.abs(solved).max()
 
     @pytest.mark.parametrize("alpha, bound", [(1.0, 4e-14), (2.0, 3e-13), (1.5, 3e-13)])
     def test_an_unnormalized_decomposition_routes_the_spline_to_its_laplacian(self, alpha, bound):
@@ -721,3 +727,58 @@ def test_every_vertex_a_node_at_a_fractional_alpha_decomposes_nothing(decomposit
     chi = dirichlet_lagrange(cycle_graph(32), range(32), 5, 1.5)
     assert np.array_equal(chi, np.eye(32)[5])
     assert decompositions == []
+
+
+# --- accuracy against long-double references -------------------------------------
+
+# max|chi - reference| / max|reference|, ten times the worse of the Gram-form spline and the spline from the
+# rows of the full eigenpair power, rounded up; measured: 9.6e-15, 2.9e-15, 1.2e-15 at n = 64, 8.2e-15,
+# 1.4e-15, 5.1e-15 at n = 128 and 1.7e-14, 2.8e-15, 5.2e-15 at n = 256 (alpha = 0.5, 1.5, 2.5)
+_CYCLE_CARDINAL_BOUNDS = {
+    (64, 0.5): 1e-13,
+    (64, 1.5): 3e-14,
+    (64, 2.5): 2e-14,
+    (128, 0.5): 9e-14,
+    (128, 1.5): 2e-14,
+    (128, 2.5): 6e-14,
+    (256, 0.5): 2e-13,
+    (256, 1.5): 3e-14,
+    (256, 2.5): 6e-14,
+}
+
+
+@extended
+@pytest.mark.parametrize("n, alpha", sorted(_CYCLE_CARDINAL_BOUNDS))
+def test_a_fractional_cardinal_function_matches_the_closed_form_cycle_power(n, alpha):
+    # the uniform cycle's L^alpha is circulant with known eigenpairs, so the reference needs no eigensolver
+    g = cycle_graph(n)
+    nodes = np.arange(0, n, 4)
+    unknown = complement(g, nodes)
+    power = cycle_power(n, alpha)
+    reference = np.zeros(n, dtype=np.longdouble)
+    reference[0] = 1
+    reference[unknown] = longdouble_solve(power[np.ix_(unknown, unknown)], -power[unknown, 0])
+    reference = reference.astype(float)
+    chi = dirichlet_lagrange(g, nodes, 0, alpha, decomposition=decompose_graph(g))
+    assert np.abs(chi - reference).max() <= _CYCLE_CARDINAL_BOUNDS[n, alpha] * np.abs(reference).max()
+
+
+@extended
+def test_integer_coefficients_are_exact_to_rounding_however_small():
+    # beta = (L^2 chi)_K against the stored CSR stencil applied to the same chi in long double. The far
+    # coefficients are about 2e-14; through the eigenpairs they carried up to 2.3e-3 relative error, from
+    # the CSR rows 2.6e-15
+    g = lattice_graph(40, 40)
+    nodes = np.arange(1600).reshape(40, 40)[::2, ::2].ravel()
+    s = decompose_graph(g)
+    chi = dirichlet_lagrange(g, nodes, 820, 2.0, decomposition=s)
+    beta = solve_interpolant(InterpolationProblem(g, s, 2.0, nodes, (nodes == 820).astype(float))).coefficients
+    L = _sparse_laplacian(g, LaplacianKind.NORMALIZED)
+    rows = np.repeat(np.arange(g.n_vertices), np.diff(L.indptr))
+    exact = chi.astype(np.longdouble)
+    for _ in range(2):
+        product = np.zeros(g.n_vertices, dtype=np.longdouble)
+        np.add.at(product, rows, L.data.astype(np.longdouble) * exact[L.indices])
+        exact = product
+    assert np.abs(exact[nodes]).min() < 1e-13
+    assert np.all(np.abs(beta - exact[nodes]) <= 1e-14 * np.abs(exact[nodes]))
