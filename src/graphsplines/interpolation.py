@@ -151,7 +151,7 @@ def _solve_symmetric(A: np.ndarray | csr_matrix, rhs: np.ndarray) -> tuple[np.nd
         half = int(np.abs(rows - cols).max())
         if 12 * half * half < m * m:
             return _band_solve(A, rhs, order, rows, cols, half)
-        A = A.toarray()
+        A = A.toarray(order="F")
     A = np.asfortranarray(A)
     anorm = np.linalg.norm(A, 1)
     lwork, _ = lapack.dsysv_lwork(A.shape[0])

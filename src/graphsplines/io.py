@@ -95,10 +95,11 @@ def read_table(path, header: bool | Sequence[str] = True, vertex_columns: int = 
 
     The header line is split with :mod:`csv`; the rows after it are parsed in
     one C pass (``np.loadtxt``). Only when that pass fails or its result breaks
-    a rule above are the rows walked with :mod:`csv` and ``float``: that walk
-    alone reads irregular but valid files (lines of only delimiters or
-    whitespace among the rows, numbers that ``float`` takes and ``loadtxt``
-    refuses) and words the messages.
+    a rule above are the rows walked, in file order, with :mod:`csv` and
+    ``float``: that walk alone reads irregular but valid files (lines of only
+    delimiters or whitespace among the rows, numbers that ``float`` takes and
+    ``loadtxt`` refuses), and the first row or cell it refuses is the one a
+    message names.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
@@ -115,7 +116,7 @@ def read_table(path, header: bool | Sequence[str] = True, vertex_columns: int = 
         if header is not True and names != list(header):
             raise ValidationError(f"{path}: expected header {','.join(header)}, got {','.join(names)}")
     data = _parse_rows(lines[body:], delimiter, len(names))
-    if data is None or not _are_numbers(data, vertex_columns):
+    if data is None or not (np.isfinite(data).all() and _are_vertex_ids(data[:, :vertex_columns])):
         data = _walk_rows(path, names, lines, body, delimiter, vertex_columns)
     return names, data
 
@@ -137,29 +138,21 @@ def _parse_rows(lines: list[str], delimiter: str, width: int) -> np.ndarray | No
     return data if data.shape[1] == width else None
 
 
-def _are_numbers(data: np.ndarray, vertex_columns: int) -> bool:
-    """Every value finite, and every value of the first ``vertex_columns`` columns a vertex id."""
-    return bool(np.isfinite(data).all()) and _are_vertex_ids(data[:, :vertex_columns])
-
-
 def _walk_rows(path, names: list[str], lines: list[str], body: int, delimiter: str, vertex_columns: int) -> np.ndarray:
-    """The rows from ``lines[body]`` on, split with :mod:`csv`; raises for the first row or cell that is refused.
+    """The rows from ``lines[body]`` on, split with :mod:`csv` and read cell by cell with ``float``.
 
-    Non-blank rows are checked for width, then converted in one ``np.array`` call; only when that fails
-    or breaks a rule of :func:`read_table` are the cells walked, in file order, to name the first bad one.
+    One pass in file order: each non-blank row is checked for width, then each of its cells, so the first row or
+    cell that breaks a rule of :func:`read_table` is the one that raises.
     """
     reader = csv.reader(lines[body:], delimiter=delimiter)
-    rows = [(body + reader.line_num, row) for row in reader if "".join(row).strip()]
-    for line, row in rows:
+    data = []
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        line = body + reader.line_num
         if len(row) != len(names):
             raise ValidationError(f"{path}: row {line} has {len(row)} cells, expected {len(names)}")
-    try:
-        data = np.array([row for _, row in rows], dtype=float).reshape(len(rows), len(names))
-    except ValueError:
-        data = None
-    if data is not None and _are_numbers(data, vertex_columns):
-        return data
-    for line, row in rows:
+        data.append([])
         for j, cell in enumerate(row):
             token = cell.strip()
             where = f"{path}: row {line}, column {names[j]!r}"
@@ -173,7 +166,8 @@ def _walk_rows(path, names: list[str], lines: list[str], body: int, delimiter: s
                 raise NonNumericColumn(f"{where}: non-finite value {token!r}")
             if j < vertex_columns and not _are_vertex_ids(x):
                 raise NonNumericColumn(f"{where}: vertex {token!r} is not an integer below 2**53 in size")
-    return data
+            data[-1].append(x)
+    return np.array(data, dtype=float).reshape(len(data), len(names))
 
 
 def _are_vertex_ids(x) -> bool:

@@ -141,6 +141,12 @@ class TestBulkRatio:
         with pytest.raises(DegenerateDenominator):
             bulk_ratio(f, s, g, 0, 10.0, 14.0, 1.0, 1.0)
 
+    def test_degenerate_when_the_inner_ball_covers_the_graph(self):
+        # r1 = r2 - 2 rho_max - 2h = 5 exceeds the 8-cycle's largest distance, 4
+        g = cycle_graph(8)
+        with pytest.raises(DegenerateDenominator, match=r"^ball of radius 5.0 already covers the graph$"):
+            bulk_ratio(np.eye(8)[0], decompose_graph(g), g, 0, 9.0, 10.0, 1.0, 1.0)
+
     def test_inadmissible_radii_rejected(self, cycle256_setup):
         g, s, _, nodes, basis = cycle256_setup
         with pytest.raises(ValueError):
@@ -427,6 +433,12 @@ class TestMLCoverConstant:
             g, known = random_known_unknown_graph(int(rng.integers(2, 10)), int(rng.integers(1, 10)), rng)
             report = ml_cover_constant(g, known)
             assert report.empirical_bound <= report.formula_bound
+
+    def test_a_split_graph_with_no_known_vertex_is_refused(self):
+        message = r"^need at least one known vertex and two vertices in total$"
+        with pytest.raises(ValueError, match=message) as raised:
+            random_known_unknown_graph(0, 2, np.random.default_rng(0))
+        assert raised.type is ValueError
 
 
 @pytest.mark.parametrize("which", ["ml", "cycle"])

@@ -68,6 +68,10 @@ class TestBuildGraph:
         with pytest.raises(TooFewVertices):
             build_graph([], n_vertices=1)
 
+    def test_rejects_an_empty_edge_list_with_no_vertex_count(self):
+        with pytest.raises(TooFewVertices, match=r"^graph needs at least 2 vertices and an edge list$"):
+            build_graph([])
+
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
             build_graph([(0, 5, 1.0, 1.0)], n_vertices=2)
@@ -83,6 +87,14 @@ class TestGenerators:
     def test_cycle_too_small(self):
         with pytest.raises(TooFewVertices):
             cycle_graph(2)
+
+    def test_knn_of_one_point_is_refused(self):
+        with pytest.raises(TooFewVertices, match=r"^need at least 2 points$"):
+            knn_graph(np.zeros((1, 2)), 1)
+
+    def test_random_connected_graph_of_one_vertex_is_refused(self):
+        with pytest.raises(TooFewVertices, match=r"^need at least 2 vertices, got 1$"):
+            random_connected_graph(1, np.random.default_rng(0))
 
     def test_cycle_6_shortest_path(self):
         assert cycle_graph(6).distances_from(0)[3] == 3.0

@@ -763,6 +763,50 @@ def test_a_fractional_cardinal_function_matches_the_closed_form_cycle_power(n, a
     assert np.abs(chi - reference).max() <= _CYCLE_CARDINAL_BOUNDS[n, alpha] * np.abs(reference).max()
 
 
+# max|chi - reference| / max|reference| of the truncated function (center 0, radius 32, every 4th vertex a node),
+# ten times the measured error of its round trip through L^alpha and L^-alpha, rounded up; with reproject True:
+# 3.9e-13, 4.9e-12, 6.6e-11 at n = 128 and 4.1e-13, 6.6e-12, 6.7e-11 at n = 256 (alpha = 1.5, 2, 2.5); False:
+# 6.4e-13, 1.0e-11, 4.0e-10 and 2.8e-13, 1.1e-10, 1.3e-10
+_CYCLE_TRUNCATION_BOUNDS = {
+    (128, 1.5, True): 4e-12,
+    (128, 2.0, True): 5e-11,
+    (128, 2.5, True): 7e-10,
+    (256, 1.5, True): 5e-12,
+    (256, 2.0, True): 7e-11,
+    (256, 2.5, True): 7e-10,
+    (128, 1.5, False): 7e-12,
+    (128, 2.0, False): 2e-10,
+    (128, 2.5, False): 4e-9,
+    (256, 1.5, False): 3e-12,
+    (256, 2.0, False): 2e-9,
+    (256, 2.5, False): 2e-9,
+}
+
+
+@extended
+@pytest.mark.parametrize("n, alpha, reproject", sorted(_CYCLE_TRUNCATION_BOUNDS))
+def test_a_truncated_cardinal_function_matches_the_closed_form_cycle_power(n, alpha, reproject):
+    # chi from one long-double solve, beta = (L^alpha chi)_K and the kept coefficients applied through the
+    # closed-form pseudo-inverse L^-alpha; v0 is constant on the uniform cycle, so C v0 is the mean of chi
+    g = cycle_graph(n)
+    nodes = np.arange(0, n, 4)
+    unknown = complement(g, nodes)
+    power = cycle_power(n, alpha)
+    with np.errstate(divide="ignore"):  # 0^-alpha on the kernel, which cycle_power then sets to 0
+        inverse = cycle_power(n, -alpha)
+    chi = np.zeros(n, dtype=np.longdouble)
+    chi[0] = 1
+    chi[unknown] = longdouble_solve(power[np.ix_(unknown, unknown)], -power[unknown, 0])
+    kept = nodes[np.minimum(nodes, n - nodes) <= 32]
+    beta = power[kept] @ chi
+    if reproject:
+        beta -= beta.mean()
+    reference = (inverse[:, kept] @ beta + chi.mean()).astype(float)
+    truncated = truncated_lagrange(alpha, decompose_graph(g), g, nodes, 0, 32.0, reproject)
+    bound = _CYCLE_TRUNCATION_BOUNDS[n, alpha, reproject]
+    assert np.abs(truncated - reference).max() <= bound * np.abs(reference).max()
+
+
 @extended
 def test_integer_coefficients_are_exact_to_rounding_however_small():
     # beta = (L^2 chi)_K against the stored CSR stencil applied to the same chi in long double. The far

@@ -2,17 +2,20 @@ import ast
 import csv
 import hashlib
 import json
+import math
 import os
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphsplines import build_graph
 from graphsplines import io as gio
 from graphsplines.diagnostics import DecayProfile
-from graphsplines.errors import NonNumericColumn
+from graphsplines.errors import MissingValue, NonNumericColumn, ValidationError
 
 
 def test_vertex_columns_take_integer_valued_floats(tmp_path):
@@ -115,6 +118,84 @@ def test_a_well_formed_table_is_not_walked_cell_by_cell(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
     path.write_text(_layout(newline="\r\n", quote=True, filler=[""]))
     assert gio.read_table(path)[1].shape == (3, 3)
+
+
+_FAULTS = ["short", "long", "", "NA", "abc", "inf", "2.5 in a vertex column", "1e20 in a vertex column"]
+
+
+@st.composite
+def _faulty_tables(draw):
+    """``(vertex_columns, lines)``: a header line, then 1-6 rows of 1-4 columns, the first ``vertex_columns``
+    holding vertex ids, with blank filler lines among them and 0-3 faults put into the rows."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    width = draw(st.integers(1, 4))
+    vertex_columns = draw(st.integers(0, min(2, width)))
+    ids = st.integers(-(2**53) + 1, 2**53 - 1).map(str)
+    numbers = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    cells = [ids] * vertex_columns + [numbers] * (width - vertex_columns)
+    rows = [[draw(cell) for cell in cells] for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(_FAULTS if vertex_columns else _FAULTS[:6]))
+        if fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("1")
+        elif fault.endswith("vertex column"):
+            row[draw(st.integers(0, vertex_columns - 1))] = fault.split()[0]
+        elif row:
+            row[draw(st.integers(0, len(row) - 1))] = fault
+    lines = [delimiter.join(f"c{j}" for j in range(width))]
+    for row in rows:
+        lines.append(delimiter.join(row))
+        lines += draw(st.lists(st.sampled_from(["", "   ", delimiter * 2]), max_size=1))
+    return vertex_columns, lines
+
+
+def _read_in_order(lines, vertex_columns):
+    """What ``read_table`` must make of ``lines`` by a plain walk in file order: ``(class, line, column)`` of the
+    first row or cell refused (column None for a row of the wrong width), else the float-per-cell array."""
+    delimiter = "\t" if "\t" in lines[0] else ","
+    names = [cell.strip() for cell in lines[0].split(delimiter)]
+    rows = []
+    for line, text in enumerate(lines[1:], start=2):
+        cells = [cell.strip() for cell in text.split(delimiter)]
+        if not "".join(cells):
+            continue
+        if len(cells) != len(names):
+            return ValidationError, line, None
+        for j, cell in enumerate(cells):
+            if cell.lower() in ("", "na", "nan"):
+                return MissingValue, line, names[j]
+            try:
+                x = float(cell)
+            except ValueError:
+                return NonNumericColumn, line, names[j]
+            if not math.isfinite(x) or (j < vertex_columns and (x % 1 or abs(x) >= 2**53)):
+                return NonNumericColumn, line, names[j]
+        rows.append([float(cell) for cell in cells])
+    return np.array(rows, dtype=float).reshape(len(rows), len(names))
+
+
+@given(_faulty_tables())
+@example((2, ["u,v,weight,length", "0,1,1,1", "1,2,abc,1", "2,0,1"]))  # a bad cell before a short row
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_read_table_refuses_the_first_fault_in_file_order(tmp_path_factory, table):
+    vertex_columns, lines = table
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = _read_in_order(lines, vertex_columns)
+    if isinstance(want, np.ndarray):
+        names, data = gio.read_table(path, vertex_columns=vertex_columns)
+        assert names == [f"c{j}" for j in range(want.shape[1])]
+        assert data.shape == want.shape and data.tobytes() == want.tobytes()
+        return
+    error, line, column = want
+    with pytest.raises(ValidationError) as raised:
+        gio.read_table(path, vertex_columns=vertex_columns)
+    assert type(raised.value) is error
+    where = f"row {line} has " if column is None else f"row {line}, column {column!r}: "
+    assert str(raised.value).startswith(f"{path}: {where}")
 
 
 def _csv_reference(path, header, rows):

@@ -179,6 +179,11 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]), UNNORM)
 
+    def test_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$") as raised:
+            eigendecompose(np.zeros((2, 3)), UNNORM)
+        assert raised.type is ValueError
+
     def test_significantly_negative_eigenvalue_is_refused(self):
         with pytest.raises(EigensolverFailure, match="smallest eigenvalue .* is significantly negative"):
             eigendecompose(-laplacian(cycle_graph(5), UNNORM), UNNORM)
