@@ -1,8 +1,9 @@
 """Command-line interface: graph generation, interpolation, diagnostics, experiments.
 
 Parsing, file I/O and dispatch only; the ``verify`` suites live in ``diagnostics``.
-Every data-producing subcommand writes CSV plus a ``<output>.manifest.json``
-recording flags, seed, and input digests. Exit codes: 0 success, 1 usage,
+Every data-producing subcommand writes CSV, then a ``<output>.manifest.json``
+recording its command path, flags, seed, and input digests; an output that
+names an input or another output is refused. Exit codes: 0 success, 1 usage,
 2 input validation, 3 numerical failure, 4 verification failure.
 
 Only the parsers on the path that argv names are constructed: a subcommand's
@@ -17,6 +18,7 @@ much as a caller that runs ``main`` many times.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -32,6 +34,9 @@ from .spectral import decompose_graph
 
 # --help shows the docstring's first two paragraphs; the third is about this code
 _DESCRIPTION = "\n\n".join(__doc__.split("\n\n")[:2]) if __doc__ else None
+# the dests that name a command's path through the parser tree, in parse order; the flags that name its files
+_PATH = ("command", "kind", "experiment", "check")
+_INPUTS = ("points", "graph", "nodes", "known", "function", "data")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,21 +51,24 @@ class _Parser(argparse.ArgumentParser):
 class _Commands(argparse._SubParsersAction):
     """Subcommand action that constructs a subcommand's parser only when argv names it.
 
-    ``add_parser`` records the help line that ``--help`` lists and the ``populate``
-    function that adds the subcommand's arguments; usage and choice errors read only the
-    names. On dispatch the named subcommand's parser is constructed, filled in and parsed.
+    ``add_parser`` records the help line that ``--help`` lists, the ``populate`` function that
+    adds the subcommand's arguments and a leaf's ``run``; usage and choice errors read only the
+    names. On dispatch the named parser is constructed, filled in, given ``func=run`` and parsed.
     """
 
-    def add_parser(self, name, *, help, populate):
+    def add_parser(self, name, *, help, populate, run=None):
         self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = populate
+        self._name_parser_map[name] = populate, run
 
     def __call__(self, parser, namespace, values, option_string=None):
         name = values[0]
         entry = self._name_parser_map[name]
-        if not isinstance(entry, _Parser):  # first dispatch: the entry is the populate function
+        if isinstance(entry, tuple):  # first dispatch: the entry is the populate function and the runner
+            populate, run = entry
             self._name_parser_map[name] = sub = _Parser(prog=f"{self._prog_prefix} {name}")
-            entry(sub)
+            populate(sub)
+            if run is not None:
+                sub.set_defaults(func=run)
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -72,38 +80,48 @@ def _magnitudes(spec: str) -> list[float]:
     return [float(tok) for tok in spec.split(",") if tok.strip()]
 
 
-def _manifest(args, subcommand: str, inputs) -> None:
-    flags = {k: v for k, v in vars(args).items() if k not in ("func",) and v is not None}
-    gio.write_manifest(args.output, subcommand, flags, inputs, __version__)
+def _manifest(args) -> None:
+    flags = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    subcommand = " ".join(flags[k] for k in _PATH if k in flags)
+    gio.write_manifest(args.output, subcommand, flags, [flags[k] for k in _INPUTS if k in flags], __version__)
+
+
+def _refuse_overwrites(args) -> None:
+    """Refuse an output that names a file the call reads or another of its outputs."""
+    reads = [(f"--{k}", path) for k in _INPUTS if (path := vars(args).get(k)) is not None]
+    writes = [(f"--{k}", path) for k in ("output", "coefficients") if (path := vars(args).get(k)) is not None]
+    if args.output is not None:  # main's manifest and decay's fit go beside the output
+        writes.append(("the manifest", f"{args.output}.manifest.json"))
+        if getattr(args, "fit", False):
+            writes.append(("the fit", f"{args.output}.fit.csv"))
+    for i, (flag, path) in enumerate(writes):
+        for other, earlier in reads + writes[:i]:
+            exist = os.path.exists(path) and os.path.exists(earlier)  # an output yet to be written is compared by name
+            if os.path.samefile(path, earlier) if exist else os.path.realpath(path) == os.path.realpath(earlier):
+                raise ValidationError(f"{flag} {path} names the same file as {other} {earlier}")
 
 
 # --- graph generation ----------------------------------------------------------
 
-def _cmd_graph_cycle(args) -> int:
+def _cmd_graph_cycle(args) -> None:
     g = cycle_graph(args.n, args.weight, args.length)
     gio.write_edge_csv(args.output, g)
-    _manifest(args, "graph cycle", [])
-    return 0
 
 
-def _cmd_graph_lattice(args) -> int:
+def _cmd_graph_lattice(args) -> None:
     g = lattice_graph(args.rows, args.cols, args.weight, args.length)
     gio.write_edge_csv(args.output, g)
-    _manifest(args, "graph lattice", [])
-    return 0
 
 
-def _cmd_graph_knn(args) -> int:
+def _cmd_graph_knn(args) -> None:
     points = gio.read_points_csv(args.points, header=not args.no_header)
     g = knn_graph(points, args.k)
     gio.write_edge_csv(args.output, g)
-    _manifest(args, "graph knn", [args.points])
-    return 0
 
 
 # --- interpolation --------------------------------------------------------------
 
-def _cmd_lagrange(args) -> int:
+def _cmd_lagrange(args) -> None:
     g = gio.read_edge_csv(args.graph)
     nodes = gio.read_nodes_csv(args.nodes)
     truncated = args.truncate is not None
@@ -122,11 +140,9 @@ def _cmd_lagrange(args) -> int:
     else:
         values = dirichlet_lagrange(g, nodes, args.center, args.alpha, radius)
     gio.write_function_csv(args.output, values)
-    _manifest(args, "lagrange", [args.graph, args.nodes])
-    return 0
 
 
-def _cmd_interp(args) -> int:
+def _cmd_interp(args) -> None:
     g = gio.read_edge_csv(args.graph)
     vertices, data = gio.read_function_csv(args.known)
     # The Dirichlet-form values are written as solved: re-evaluating them through the kernel
@@ -137,11 +153,9 @@ def _cmd_interp(args) -> int:
     if args.coefficients:
         beta, constant = _coefficients(g, decomposition, values, vertices, args.alpha)
         gio.write_interpolant_csv(args.coefficients, Interpolant(float(constant), beta, args.alpha, vertices))
-    _manifest(args, "interp", [args.graph, args.known])
-    return 0
 
 
-def _cmd_decay(args) -> int:
+def _cmd_decay(args) -> None:
     g = gio.read_edge_csv(args.graph)
     vertices, data = gio.read_function_csv(args.function)
     if not np.array_equal(np.sort(vertices), np.arange(g.n_vertices)):
@@ -154,8 +168,6 @@ def _cmd_decay(args) -> int:
     gio.write_profile_csv(args.output, profile)
     if fit is not None:
         gio.write_fit_csv(str(args.output) + ".fit.csv", fit)
-    _manifest(args, "decay", [args.graph, args.function])
-    return 0
 
 
 # --- verification suites ---------------------------------------------------------
@@ -167,13 +179,12 @@ def _cmd_verify(args) -> int:
         print(f"{line} -> {status}")
     if args.output:
         gio.write_rows(args.output, header, rows)
-        _manifest(args, f"verify {args.check}", [])
     return 0 if ok else 4
 
 
 # --- experiments ------------------------------------------------------------------
 
-def _cmd_ml_cv(args) -> int:
+def _cmd_ml_cv(args) -> None:
     dataset = load_dataset(
         args.data,
         _columns(args.features),
@@ -189,13 +200,11 @@ def _cmd_ml_cv(args) -> int:
     )
     report = cross_validate(dataset, cfg)
     gio.write_report_csv(args.output, report)
-    _manifest(args, "ml cv", [args.data])
     if report.nnr_fallbacks:
         print(f"note: {report.nnr_fallbacks} unknown vertices had no known neighbor (global-mean fallback)")
-    return 0
 
 
-def _cmd_experiment_smoothness(args) -> int:
+def _cmd_experiment_smoothness(args) -> None:
     pairs = smoothness_experiment(
         n_points=args.n,
         n_bumps_per_axis=args.bumps_per_axis,
@@ -205,17 +214,15 @@ def _cmd_experiment_smoothness(args) -> int:
         seed=args.seed,
     )
     gio.write_pairs_csv(args.output, pairs, ["seminorm", "error"])
-    _manifest(args, "experiment smoothness", [])
-    return 0
 
 
 # --- parser ------------------------------------------------------------------------
 
 def _fill_graph(graph: _Parser) -> None:
     graph_sub = graph.add_subparsers(dest="kind", required=True, action=_Commands)
-    graph_sub.add_parser("cycle", help="ring with uniform weight and length", populate=_fill_graph_cycle)
-    graph_sub.add_parser("lattice", help="4-neighbor grid", populate=_fill_graph_lattice)
-    graph_sub.add_parser("knn", help="symmetrized k-nearest-neighbor graph of a point cloud", populate=_fill_graph_knn)
+    graph_sub.add_parser("cycle", help="ring with uniform weight and length", populate=_fill_graph_cycle, run=_cmd_graph_cycle)
+    graph_sub.add_parser("lattice", help="4-neighbor grid", populate=_fill_graph_lattice, run=_cmd_graph_lattice)
+    graph_sub.add_parser("knn", help="symmetrized k-nearest-neighbor graph of a point cloud", populate=_fill_graph_knn, run=_cmd_graph_knn)
 
 
 def _fill_graph_cycle(cyc: _Parser) -> None:
@@ -223,7 +230,6 @@ def _fill_graph_cycle(cyc: _Parser) -> None:
     cyc.add_argument("--weight", type=float, default=1.0)
     cyc.add_argument("--length", type=float, default=1.0)
     cyc.add_argument("-o", "--output", required=True)
-    cyc.set_defaults(func=_cmd_graph_cycle)
 
 
 def _fill_graph_lattice(lat: _Parser) -> None:
@@ -232,7 +238,6 @@ def _fill_graph_lattice(lat: _Parser) -> None:
     lat.add_argument("--weight", type=float, default=1.0)
     lat.add_argument("--length", type=float, default=1.0)
     lat.add_argument("-o", "--output", required=True)
-    lat.set_defaults(func=_cmd_graph_lattice)
 
 
 def _fill_graph_knn(knn: _Parser) -> None:
@@ -240,7 +245,6 @@ def _fill_graph_knn(knn: _Parser) -> None:
     knn.add_argument("--k", type=int, required=True)
     knn.add_argument("--no-header", action="store_true", help="point file has no header row")
     knn.add_argument("-o", "--output", required=True)
-    knn.set_defaults(func=_cmd_graph_knn)
 
 
 def _fill_lagrange(lag: _Parser) -> None:
@@ -254,7 +258,6 @@ def _fill_lagrange(lag: _Parser) -> None:
     mode.add_argument("--truncate", type=float, default=None, metavar="K", help="drop kernel coefficients beyond distance K")
     lag.add_argument("--no-reproject", action="store_true", help="skip the side-condition repair after truncation")
     lag.add_argument("-o", "--output", required=True)
-    lag.set_defaults(func=_cmd_lagrange)
 
 
 def _fill_interp(itp: _Parser) -> None:
@@ -263,7 +266,6 @@ def _fill_interp(itp: _Parser) -> None:
     itp.add_argument("--alpha", type=float, default=2.0)
     itp.add_argument("--coefficients", default=None, metavar="PATH", help="also write the solved coefficients CSV")
     itp.add_argument("-o", "--output", required=True)
-    itp.set_defaults(func=_cmd_interp)
 
 
 def _fill_decay(dec: _Parser) -> None:
@@ -274,7 +276,6 @@ def _fill_decay(dec: _Parser) -> None:
     dec.add_argument("--fit", action="store_true", help="also write a log-linear fit CSV")
     dec.add_argument("--fit-scale", type=float, default=1.0, help="distance scale for the fitted rate")
     dec.add_argument("-o", "--output", required=True)
-    dec.set_defaults(func=_cmd_decay)
 
 
 def _fill_verify(ver: _Parser) -> None:
@@ -282,12 +283,11 @@ def _fill_verify(ver: _Parser) -> None:
     ver.add_argument("--trials", type=int, default=100)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("-o", "--output", default=None, help="optional CSV summary")
-    ver.set_defaults(func=_cmd_verify)
 
 
 def _fill_ml(ml: _Parser) -> None:
     ml_sub = ml.add_subparsers(dest="experiment", required=True, action=_Commands)
-    ml_sub.add_parser("cv", help="repeated k-fold cross-validation, spline vs nearest neighbors", populate=_fill_ml_cv)
+    ml_sub.add_parser("cv", help="repeated k-fold cross-validation, spline vs nearest neighbors", populate=_fill_ml_cv, run=_cmd_ml_cv)
 
 
 def _fill_ml_cv(cv: _Parser) -> None:
@@ -301,12 +301,11 @@ def _fill_ml_cv(cv: _Parser) -> None:
     cv.add_argument("--seed", type=int, default=0)
     cv.add_argument("--no-header", action="store_true")
     cv.add_argument("-o", "--output", required=True)
-    cv.set_defaults(func=_cmd_ml_cv)
 
 
 def _fill_experiment(exp: _Parser) -> None:
     exp_sub = exp.add_subparsers(dest="experiment", required=True, action=_Commands)
-    exp_sub.add_parser("smoothness", help="data smoothness against interpolation error", populate=_fill_smoothness)
+    exp_sub.add_parser("smoothness", help="data smoothness against interpolation error", populate=_fill_smoothness, run=_cmd_experiment_smoothness)
 
 
 def _fill_smoothness(smooth: _Parser) -> None:
@@ -317,7 +316,6 @@ def _fill_smoothness(smooth: _Parser) -> None:
     smooth.add_argument("--alpha", type=float, default=2.0)
     smooth.add_argument("--seed", type=int, default=0)
     smooth.add_argument("-o", "--output", required=True)
-    smooth.set_defaults(func=_cmd_experiment_smoothness)
 
 
 def _build_parser() -> _Parser:
@@ -326,10 +324,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"graphsplines {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, action=_Commands)
     sub.add_parser("graph", help="generate edge-list CSVs", populate=_fill_graph)
-    sub.add_parser("lagrange", help="cardinal basis function centered at a node", populate=_fill_lagrange)
-    sub.add_parser("interp", help="interpolate known vertex values to the whole graph", populate=_fill_interp)
-    sub.add_parser("decay", help="distance-binned envelope of a vertex function", populate=_fill_decay)
-    sub.add_parser("verify", help="run a verification suite; exit 4 on failure", populate=_fill_verify)
+    sub.add_parser("lagrange", help="cardinal basis function centered at a node", populate=_fill_lagrange, run=_cmd_lagrange)
+    sub.add_parser("interp", help="interpolate known vertex values to the whole graph", populate=_fill_interp, run=_cmd_interp)
+    sub.add_parser("decay", help="distance-binned envelope of a vertex function", populate=_fill_decay, run=_cmd_decay)
+    sub.add_parser("verify", help="run a verification suite; exit 4 on failure", populate=_fill_verify, run=_cmd_verify)
     sub.add_parser("ml", help="regression experiments on tabular data", populate=_fill_ml)
     sub.add_parser("experiment", help="synthetic studies", populate=_fill_experiment)
     return parser
@@ -342,7 +340,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args) or 0
+        _refuse_overwrites(args)
+        code = args.func(args) or 0
+        if args.output:
+            _manifest(args)
+        return code
     except GraphSplinesError as exc:
         label = "numerical failure" if isinstance(exc, NumericalError) else "error"
         print(f"{label}: {exc}", file=sys.stderr)
@@ -351,7 +353,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return NumericalError.exit_code
-    except (FileNotFoundError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

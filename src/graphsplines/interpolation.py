@@ -123,9 +123,9 @@ def _solve_symmetric(A: np.ndarray | csr_matrix, rhs: np.ndarray) -> tuple[np.nd
 
     A dense ``A`` is one LAPACK ``dsysv`` (symmetric-indefinite LDL^T, about
     m^3 / 3 flops for m rows) carrying every right-hand side. ``A`` is made
-    Fortran-ordered, as ``dsysv`` reads it, before its 1-norm is taken: the
-    column sums round differently in the two layouts, and so ``rcond`` does
-    not depend on how the caller laid ``A`` out.
+    Fortran-ordered, as ``dsysv`` reads it, before ``dlange`` sums its columns
+    for the 1-norm (no m x m ``|A|``): the sums round differently in the two
+    layouts, so ``rcond`` does not depend on how the caller laid ``A`` out.
 
     A CSR ``A`` is first put in reverse Cuthill-McKee order, which narrows the
     band of the Dirichlet blocks of cycles, lattices and planar k-NN graphs.
@@ -153,7 +153,7 @@ def _solve_symmetric(A: np.ndarray | csr_matrix, rhs: np.ndarray) -> tuple[np.nd
             return _band_solve(A, rhs, order, rows, cols, half)
         A = A.toarray(order="F")
     A = np.asfortranarray(A)
-    anorm = np.linalg.norm(A, 1)
+    anorm = lapack.dlange("1", A)
     lwork, _ = lapack.dsysv_lwork(A.shape[0])
     factor, ipiv, sol, info = lapack.dsysv(A, rhs, lwork=int(lwork), overwrite_a=True, overwrite_b=True)
     _check_factor("dsysv", info)

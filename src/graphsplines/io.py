@@ -267,7 +267,7 @@ def write_manifest(output_path, subcommand: str, flags: dict, inputs: Sequence, 
         "tool": "graphsplines",
         "version": version,
         "subcommand": subcommand,
-        "flags": {k: v for k, v in sorted(flags.items())},
+        "flags": flags,
         "inputs": {str(p): file_digest(p) for p in inputs},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"

@@ -545,6 +545,31 @@ def test_the_manifest_is_the_last_file_a_command_writes(tmp_path, monkeypatch, c
     assert calls[-1] == "write_manifest" and calls.count("write_manifest") == 1, calls
 
 
+# Every leaf command: its words, the rest of its argv before "-o", and the input files it reads
+_LEAF_RUNS = {
+    "graph cycle": (("--n", 8), ()),
+    "graph lattice": (("--rows", 2, "--cols", 3), ()),
+    "graph knn": (("--points", "{points}", "--k", 5), ("points",)),
+    "lagrange": (("--graph", "{graph}", "--nodes", "{nodes}", "--center", 0), ("graph", "nodes")),
+    "interp": (("--graph", "{graph}", "--known", "{known}"), ("graph", "known")),
+    "decay": (("--graph", "{graph}", "--function", "{function}", "--center", 0), ("graph", "function")),
+    "verify zeros-lemma": (("--trials", 2, "--seed", 3), ()),
+    "ml cv": (("--data", "{table}", "--features", "a,b", "--targets", "y", "--k", 5, "--folds", 3, "--repeats", 2),
+              ("table",)),
+    "experiment smoothness": (("--n", 40, "--magnitudes", "1,2", "--seed", 1), ()),
+}
+
+
+@pytest.mark.parametrize("words", sorted(_LEAF_RUNS))
+def test_every_leaf_command_records_its_words_and_the_files_it_read(tmp_path, words):
+    inputs = _data_inputs(tmp_path / "inputs")
+    rest, read = _LEAF_RUNS[words]
+    assert run(*words.split(), *(str(a).format(**inputs) for a in rest), "-o", tmp_path / "out.csv") == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    assert manifest["subcommand"] == words
+    assert manifest["inputs"] == {str(inputs[name]): hashlib.sha256(inputs[name].read_bytes()).hexdigest() for name in read}
+
+
 # One run of the commands whose outputs the README promises at any BLAS thread count; it runs in a
 # fresh interpreter, so that the BLAS reads its thread variables when numpy is imported.
 _THREAD_COUNT_RUN = """
@@ -1274,6 +1299,26 @@ def _input_refusal(case, tmp_path):
         return (*argv, "-o", out), "decay fit at scale 0.0001 with slope 0.25"
     if case == "smoothness-overflow":
         return ("experiment", "smoothness", "--n", 40, "--magnitudes", "1e308", "-o", out), "magnitude 1e+308 is too large"
+    if case in ("output-is-known", "output-links-to-known", "output-hard-links-known", "coefficients-are-output"):
+        gio.write_edge_csv(edges, cycle_graph(8))
+        known = tmp_path / "known.csv"
+        known.write_text("vertex,value\n0,1\n2,2\n")
+        argv = ("interp", "--graph", edges, "--known", known)
+        if case == "coefficients-are-output":
+            return (*argv, "--coefficients", out, "-o", out), "names the same file as --output"
+        if case == "output-links-to-known":
+            (tmp_path / "link.csv").symlink_to(known)
+            return (*argv, "-o", tmp_path / "link.csv"), "names the same file as --known"
+        if case == "output-hard-links-known":
+            os.link(known, tmp_path / "link.csv")
+            return (*argv, "-o", tmp_path / "link.csv"), "names the same file as --known"
+        return (*argv, "-o", f"{tmp_path}/./known.csv"), "names the same file as --known"
+    if case in ("fit-is-function", "manifest-is-function"):
+        gio.write_edge_csv(edges, cycle_graph(4))
+        function = tmp_path / ("out.csv.fit.csv" if case == "fit-is-function" else "out.csv.manifest.json")
+        function.write_text("vertex,value\n0,1\n1,0.5\n2,0.25\n3,0.5\n")
+        argv = ("decay", "--graph", edges, "--function", function, "--center", 0, "--fit", "-o", out)
+        return argv, f"{'the fit' if case == 'fit-is-function' else 'the manifest'} {function} names the same file as --function"
     if case in _LARGE_ALPHA:
         gio.write_edge_csv(edges, cycle_graph(8))
         known = tmp_path / "known.csv"
@@ -1289,11 +1334,13 @@ def _input_refusal(case, tmp_path):
         "empty-edge-list", "edge-list-header", "one-row-table", "knn-k-0", "knn-overflow", "knn-underflow",
         "degree-overflow", "lattice-1x1", "lattice-negative", "empty-features", "empty-targets",
         "cv-target-overflow", "decay-tiny-bin", "decay-long-edges", "decay-fit-overflow", "smoothness-overflow",
-        *_LARGE_ALPHA,
+        *_LARGE_ALPHA, "output-is-known", "output-links-to-known", "output-hard-links-known", "coefficients-are-output",
+        "fit-is-function", "manifest-is-function",
     ],
 )
 def test_input_refusals_exit_two_with_one_error_line(tmp_path, capsys, case):
     argv, message = _input_refusal(case, tmp_path)
+    files = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
     capsys.readouterr()
     if case in _LARGE_ALPHA:
         code, err = _run_with_timeout(argv, tmp_path)
@@ -1303,6 +1350,7 @@ def test_input_refusals_exit_two_with_one_error_line(tmp_path, capsys, case):
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not (tmp_path / "out.csv").exists()
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == files
 
 
 # Runs one command with its address space capped at 2 GiB, then prints the process's peak RSS in KiB.

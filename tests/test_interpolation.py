@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.linalg import lapack
 from scipy.sparse import csr_matrix
 
@@ -182,6 +183,23 @@ class TestSolveSymmetric:
     def test_a_nan_block_is_refused(self):
         with pytest.raises(SingularSystem, match="nan"):
             _solve_symmetric(np.array([[2.0, np.nan], [np.nan, 2.0]]), np.ones(2))
+
+    def test_the_dense_route_holds_no_second_square(self, monkeypatch):
+        # a wide random CSR block takes dsysv: its dense copy (8 MB) and dsysv's work array are the peak,
+        # with no m x m temporary for the 1-norm
+        m = 1000
+        B = scipy.sparse.random(m, m, density=0.005, random_state=np.random.default_rng(1000), format="csr")
+        A = csr_matrix(B + B.T + 10.0 * scipy.sparse.identity(m))
+        rhs = np.random.default_rng(1).standard_normal((m, 2))
+        bands = _band_calls(monkeypatch)
+        tracemalloc.start()
+        try:
+            _, rcond = _solve_symmetric(A, rhs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bands == [] and rcond > 1e-3
+        assert peak <= 1.25 * 8 * m * m
 
 
 _BAND_GRAPHS = {
